@@ -42,31 +42,31 @@ class CertificationError(ArithmeticError):
 # the Bell functional
 
 
+def _bell_row(rows, i):
+    """Term i of the functional: -2 rows[i] + rows[i+1] + rows[i-1].
+
+    ``rows`` is one correlation row c[i] (scalars) or one party's three unit
+    vectors (numpy rows).  The float outputs of the CLI depend on this exact
+    evaluation order.
+    """
+    return -2 * rows[i] + rows[next_colour(i)] + rows[prev_colour(i)]
+
+
+def _signed_bell(correlations):
+    return sum(_bell_row(correlations[i], i) for i in range(3))
+
+
 def bell_quantity(correlations):
     """|sum_i (-2 c[i][i] + c[i][i+1] + c[i][i-1])| for a 3x3 correlation matrix.
 
     Exact on Fraction entries, float on floats.
     """
-    total = 0
-    for i in range(3):
-        total += (
-            -2 * correlations[i][i]
-            + correlations[i][next_colour(i)]
-            + correlations[i][prev_colour(i)]
-        )
-    return abs(total)
+    return abs(_signed_bell(correlations))
 
 
 def win_from_correlations(correlations):
     """Winning probability determined by correlations alone (signed form)."""
-    total = 0
-    for i in range(3):
-        total += (
-            8
-            - 2 * correlations[i][i]
-            + correlations[i][next_colour(i)]
-            + correlations[i][prev_colour(i)]
-        )
+    total = 24 + _signed_bell(correlations)
     if isinstance(total, float):
         return total / 36
     return Fraction(total, 36)
@@ -81,18 +81,11 @@ def lemma1_win(binary_table: StrategyTable):
     if binary_table.shape != (3, 3, 2, 2):
         raise ValueError(f"expected shape (3,3,2,2), got {binary_table.shape}")
 
-    def agree(a, b):
-        return binary_table.prob(a, b, 0, 0) + binary_table.prob(a, b, 1, 1)
-
-    total = 0
-    for u in range(3):
-        total += (
-            2
-            - agree(u, u)
-            + agree(u, next_colour(u)) / 2
-            + agree(u, prev_colour(u)) / 2
-        )
-    return total / 9
+    agree = [
+        [binary_table.prob(a, b, 0, 0) + binary_table.prob(a, b, 1, 1) for b in range(3)]
+        for a in range(3)
+    ]
+    return sum(2 + _bell_row(agree[u], u) / 2 for u in range(3)) / 9
 
 
 def deterministic_bell_maximum() -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -109,10 +102,7 @@ def deterministic_bell_maximum() -> tuple[int, tuple[tuple[int, ...], tuple[int,
     for f in itertools.product((0, 1), repeat=3):
         for g in itertools.product((0, 1), repeat=3):
             corr = [[1 if f[a] == g[b] else -1 for b in range(3)] for a in range(3)]
-            value = sum(
-                -2 * corr[i][i] + corr[i][(i + 1) % 3] + corr[i][(i + 2) % 3]
-                for i in range(3)
-            )
+            value = _signed_bell(corr)
             if best is None or value > best:
                 best, witness = value, (f, g)
     return best, witness
@@ -128,8 +118,7 @@ def w_matrix() -> np.ndarray:
     Zero diagonal blocks; each off-diagonal block couples x_i to y_j with
     weight -2 on the diagonal and +1 elsewhere.
     """
-    block = np.full((3, 3), 1.0)
-    np.fill_diagonal(block, -2.0)
+    block = np.array([_bell_row(np.eye(3), i) for i in range(3)])
     w = np.zeros((6, 6))
     w[:3, 3:] = block
     w[3:, :3] = block.T
@@ -348,9 +337,7 @@ class AscentResult:
 def _objective(xs, ys) -> float:
     total = 0.0
     for i in range(3):
-        total += float(
-            xs[i] @ (-2 * ys[i] + ys[next_colour(i)] + ys[prev_colour(i)])
-        )
+        total += float(xs[i] @ _bell_row(ys, i))
     return total
 
 
@@ -387,13 +374,9 @@ def alternating_ascent(
         values = [_objective(xs, ys)]
         for _ in range(max_sweeps):
             for i in range(3):
-                xs[i] = _unit(
-                    -2 * ys[i] + ys[next_colour(i)] + ys[prev_colour(i)], rng
-                )
+                xs[i] = _unit(_bell_row(ys, i), rng)
             for j in range(3):
-                ys[j] = _unit(
-                    -2 * xs[j] + xs[next_colour(j)] + xs[prev_colour(j)], rng
-                )
+                ys[j] = _unit(_bell_row(xs, j), rng)
             values.append(_objective(xs, ys))
             if values[-1] - values[-2] < min_gain:
                 break

@@ -27,20 +27,26 @@ def value_str(v) -> str:
     return str(Fraction(v))
 
 
-def ratio_str(v) -> str:
-    """Exact values with an explicit denominator ("0/1"), floats as %.17g."""
-    if isinstance(v, float):
-        return "%.17g" % v
-    v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}"
-
-
 def _matrix_lines(matrix) -> list[str]:
     return ["  " + " ".join("%4.1f" % v for v in row) for row in matrix]
 
 
 def _report(command: str, inputs: dict, results: dict) -> dict:
     return {"command": command, "inputs": inputs, "results": results}
+
+
+def _result_lines(results: dict) -> list[str]:
+    """`name: value` table lines of JSON results: "_" reads as a space,
+    booleans as yes/no, and lists are joined with spaces."""
+
+    def text(value) -> str:
+        if isinstance(value, bool):
+            return "yes" if value else "no"
+        if isinstance(value, list):
+            return " ".join(value)
+        return str(value)
+
+    return [f"{name.replace('_', ' ')}: {text(v)}" for name, v in results.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +117,9 @@ def cmd_verify_reduction(args):
     composed = wiring.evaluate_wiring(protocol, base)
     dist = strategies.l1_distance(composed, target)
     ok = dist == 0
-    lines = [f"distance {ratio_str(dist)}, {'PASS' if ok else 'FAIL'}"]
-    results = {"distance": ratio_str(dist), "pass": ok}
+    text = formats.probability_to_string(dist)
+    lines = [f"distance {text}, {'PASS' if ok else 'FAIL'}"]
+    results = {"distance": text, "pass": ok}
     return (0 if ok else 1), lines, _report(
         "verify-reduction", {"reduction": args.reduction}, results
     )
@@ -139,11 +146,11 @@ def cmd_ns_unique(args):
         return 1, [f"FAIL: {err}"], _report("ns-unique", {}, {"error": str(err)})
     matches = strategies.l1_distance(strategies.family_strategy(params), strategies.rgrb()) == 0
     names = strategies.parameter_names()
-    values = params.as_vector()
-    lines = [f"{name} = {ratio_str(v)}" for name, v in zip(names, values)]
+    values = [formats.probability_to_string(v) for v in params.as_vector()]
+    lines = [f"{name} = {v}" for name, v in zip(names, values)]
     lines.append(f"matches rgrb: {'yes' if matches else 'no'}")
     results = {
-        "parameters": {name: ratio_str(v) for name, v in zip(names, values)},
+        "parameters": dict(zip(names, values)),
         "matches_rgrb": matches,
     }
     return (0 if matches else 1), lines, _report("ns-unique", {}, results)
@@ -190,23 +197,6 @@ def cmd_sdp_certify(args):
         report = bell.certify_quantum_bound(args.tolerance)
     except bell.CertificationError as err:
         return 1, [f"FAIL: {err}"], _report("sdp-certify", inputs, {"error": str(err)})
-    lines = [
-        f"primal value: {value_str(report.primal_value)}",
-        f"dual value: {value_str(report.dual_value)}",
-        f"gap: {value_str(report.gap)}",
-        "primal eigenvalues: "
-        + " ".join(value_str(e) for e in report.primal_eigenvalues),
-        "dual slack eigenvalues: "
-        + " ".join(value_str(e) for e in report.dual_slack_eigenvalues),
-        f"bound: {value_str(report.bound)}",
-        f"implied win bound: {value_str(report.implied_win_bound)}",
-        "objective matrix:",
-        *_matrix_lines(bell.w_matrix()),
-        "optimal gram matrix:",
-        *_matrix_lines(bell.optimal_gram()),
-        "dual multipliers:",
-        *_matrix_lines(bell.optimal_multipliers()),
-    ]
     results = {
         "primal_value": value_str(report.primal_value),
         "dual_value": value_str(report.dual_value),
@@ -218,6 +208,14 @@ def cmd_sdp_certify(args):
         "bound": value_str(report.bound),
         "implied_win_bound": value_str(report.implied_win_bound),
     }
+    lines = _result_lines(results) + [
+        "objective matrix:",
+        *_matrix_lines(bell.w_matrix()),
+        "optimal gram matrix:",
+        *_matrix_lines(bell.optimal_gram()),
+        "dual multipliers:",
+        *_matrix_lines(bell.optimal_multipliers()),
+    ]
     return 0, lines, _report("sdp-certify", inputs, results)
 
 
@@ -229,14 +227,6 @@ def cmd_sdp_optimize(args):
         np.vstack([result.strategy.alice, result.strategy.bob])
     )
     rank = sum(1 for e in bell.sym_eigenvalues(gram) if e > 1e-6)
-    lines = [
-        f"seed: {args.seed}",
-        f"restarts: {args.restarts}",
-        f"best value: {value_str(result.value)}",
-        f"sweeps: {len(sweeps) - 1}",
-        f"monotone: {'yes' if monotone else 'no'}",
-        f"gram rank: {rank}",
-    ]
     results = {
         "best_value": value_str(result.value),
         "sweeps": len(sweeps) - 1,
@@ -244,6 +234,7 @@ def cmd_sdp_optimize(args):
         "gram_rank": rank,
     }
     inputs = {"seed": args.seed, "restarts": args.restarts}
+    lines = _result_lines({**inputs, **results})
     return 0, lines, _report("sdp-optimize", inputs, results)
 
 
@@ -251,9 +242,9 @@ def cmd_distance(args):
     table_a = formats.load_box_file(args.file_a)
     table_b = formats.load_box_file(args.file_b)
     dist = strategies.l1_distance(table_a, table_b)
-    lines = [f"distance: {ratio_str(dist)}"]
+    results = {"distance": formats.probability_to_string(dist)}
     inputs = {"file_a": args.file_a, "file_b": args.file_b}
-    return 0, lines, _report("distance", inputs, {"distance": ratio_str(dist)})
+    return 0, _result_lines(results), _report("distance", inputs, results)
 
 
 def _emit_document(command, inputs, doc, text, output):

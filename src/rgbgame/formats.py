@@ -57,6 +57,16 @@ def _parse_probability(value, where: str):
     raise BoxFormatError(f"{where}: probability must be a number or string")
 
 
+def _read_alphabets(value, what: str, error_cls) -> tuple[int, int, int, int]:
+    if (
+        not isinstance(value, list)
+        or len(value) != 4
+        or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in value)
+    ):
+        raise error_cls(f"{what} must be a list of four positive integers")
+    return tuple(value)
+
+
 # ---------------------------------------------------------------------------
 # boxes
 
@@ -87,14 +97,7 @@ def box_from_json_dict(data) -> StrategyTable:
     if unknown:
         raise BoxFormatError(f"box document has unknown key(s) {sorted(unknown)}")
 
-    alphabets = data["alphabets"]
-    if (
-        not isinstance(alphabets, list)
-        or len(alphabets) != 4
-        or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in alphabets)
-    ):
-        raise BoxFormatError("alphabets must be a list of four positive integers")
-    shape = tuple(alphabets)
+    shape = _read_alphabets(data["alphabets"], "alphabets", BoxFormatError)
 
     records = data["table"]
     if not isinstance(records, list):
@@ -274,18 +277,10 @@ def wiring_from_json_dict(data) -> WiringProtocol:
     if not isinstance(randomness, int) or randomness < 1:
         raise WiringFormatError("randomness must be a positive integer")
 
-    shapes = {}
-    for key in ("outer_alphabets", "inner_alphabets"):
-        value = data[key]
-        if (
-            not isinstance(value, list)
-            or len(value) != 4
-            or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in value)
-        ):
-            raise WiringFormatError(f"{key} must be a list of four positive integers")
-        shapes[key] = tuple(value)
-    oa, ob, ox, oy = shapes["outer_alphabets"]
-    ia, ib, ix, iy = shapes["inner_alphabets"]
+    outer_shape = _read_alphabets(data["outer_alphabets"], "outer_alphabets", WiringFormatError)
+    inner_shape = _read_alphabets(data["inner_alphabets"], "inner_alphabets", WiringFormatError)
+    oa, ob, ox, oy = outer_shape
+    ia, ib, ix, iy = inner_shape
 
     for key in ("alice_inputs", "bob_inputs"):
         if not isinstance(data[key], list) or len(data[key]) != calls:
@@ -294,8 +289,8 @@ def wiring_from_json_dict(data) -> WiringProtocol:
     return WiringProtocol(
         calls=calls,
         randomness=randomness,
-        outer_shape=shapes["outer_alphabets"],
-        inner_shape=shapes["inner_alphabets"],
+        outer_shape=outer_shape,
+        inner_shape=inner_shape,
         alice_inputs=tuple(
             _read_map(rows, oa, ix, k, randomness, ia, f"alice_inputs[{k}]")
             for k, rows in enumerate(data["alice_inputs"])

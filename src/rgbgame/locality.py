@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .formats import probability_to_string
 from .strategies import (
     StrategyTable,
     WinningFamilyParams,
@@ -102,7 +103,7 @@ class SignallingWitness:
             "fixed_input": self.fixed_input,
             "output": self.output,
             "sender_inputs": list(self.sender_inputs),
-            "marginals": [_prob_str(m) for m in self.marginals],
+            "marginals": [probability_to_string(m) for m in self.marginals],
         }
 
     def __str__(self):
@@ -112,14 +113,9 @@ class SignallingWitness:
         p, q = self.marginals
         return (
             f"side={self.side}, {own}={self.fixed_input}, {receiver}={self.output}: "
-            f"marginal is {_prob_str(p)} at {sender}={i} but {_prob_str(q)} at {sender}={j}"
+            f"marginal is {probability_to_string(p)} at {sender}={i} "
+            f"but {probability_to_string(q)} at {sender}={j}"
         )
-
-
-def _prob_str(p) -> str:
-    if isinstance(p, Fraction):
-        return f"{p.numerator}/{p.denominator}"
-    return format(float(p), ".17g")
 
 
 class SignallingError(ValueError):
@@ -130,6 +126,29 @@ class SignallingError(ValueError):
         self.witness = witness
 
 
+class _Swapped:
+    """Read-only view of a box with the parties' roles exchanged.
+
+    P'(x, y | a, b) = P(y, x | b, a), so every left-side question about a box
+    is the right-side question about its view.  Deliberately not a
+    StrategyTable: building and validating a copy costs more than the check
+    it serves.
+    """
+
+    def __init__(self, table):
+        na, nb, nx, ny = table.shape
+        self.table = table
+        self.shape = (nb, na, ny, nx)
+
+    def prob(self, a, b, x, y):
+        return self.table.prob(b, a, y, x)
+
+
+def _swap(table):
+    # Swapping back returns the box itself rather than a view of a view.
+    return table.table if isinstance(table, _Swapped) else _Swapped(table)
+
+
 def x_marginal(table: StrategyTable, a: int, b: int) -> dict:
     """Alice's output distribution {x: P(x | a, b)}."""
     _, _, nx, ny = table.shape
@@ -138,11 +157,10 @@ def x_marginal(table: StrategyTable, a: int, b: int) -> dict:
 
 def y_marginal(table: StrategyTable, a: int, b: int) -> dict:
     """Bob's output distribution {y: P(y | a, b)}."""
-    _, _, nx, ny = table.shape
-    return {y: sum(table.prob(a, b, x, y) for x in range(nx)) for y in range(ny)}
+    return x_marginal(_swap(table), b, a)
 
 
-def _right_witness(table, atol):
+def _right_witness(table, atol, side="right"):
     # Does Bob's marginal move when Alice's input does?
     na, nb, _, ny = table.shape
     for b in range(nb):
@@ -152,24 +170,14 @@ def _right_witness(table, atol):
             for y in range(ny):
                 if abs(current[y] - reference[y]) > atol:
                     return SignallingWitness(
-                        "right", b, y, (0, a), (reference[y], current[y])
+                        side, b, y, (0, a), (reference[y], current[y])
                     )
     return None
 
 
 def _left_witness(table, atol):
     # Does Alice's marginal move when Bob's input does?
-    na, nb, nx, _ = table.shape
-    for a in range(na):
-        reference = x_marginal(table, a, 0)
-        for b in range(1, nb):
-            current = x_marginal(table, a, b)
-            for x in range(nx):
-                if abs(current[x] - reference[x]) > atol:
-                    return SignallingWitness(
-                        "left", a, x, (0, b), (reference[x], current[x])
-                    )
-    return None
+    return _right_witness(_swap(table), atol, side="left")
 
 
 def is_no_signalling(table: StrategyTable, atol=0):
@@ -228,53 +236,39 @@ def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProto
     witness raised otherwise); the mirror condition for RIGHT_TO_LEFT.  Rows
     conditioned on a zero-probability sender output are filled uniformly.
     """
-    na, nb, nx, ny = table.shape
+    # Right-to-left is left-to-right on the view with the parties exchanged.
     if direction is Direction.LEFT_TO_RIGHT:
-        witness = _left_witness(table, 0)
-        if witness is not None:
-            raise SignallingError(witness)
-        sender = {a: x_marginal(table, a, 0) for a in range(na)}
-        receiver = {}
-        for a in range(na):
-            for b in range(nb):
-                for x in range(nx):
-                    mass = sender[a][x]
-                    if mass == 0:
-                        receiver[(a, b, x)] = {y: Fraction(1, ny) for y in range(ny)}
-                    else:
-                        receiver[(a, b, x)] = {
-                            y: table.prob(a, b, x, y) / mass for y in range(ny)
-                        }
-        return OneWayProtocol(direction, table.shape, sender, receiver)
-
-    witness = _right_witness(table, 0)
+        witness, view = _left_witness(table, 0), table
+    else:
+        witness, view = _right_witness(table, 0), _swap(table)
     if witness is not None:
         raise SignallingError(witness)
-    sender = {b: y_marginal(table, 0, b) for b in range(nb)}
+    na, nb, nx, ny = view.shape
+    sender = {a: x_marginal(view, a, 0) for a in range(na)}
     receiver = {}
-    for b in range(nb):
-        for a in range(na):
-            for y in range(ny):
-                mass = sender[b][y]
+    for a in range(na):
+        for b in range(nb):
+            for x in range(nx):
+                mass = sender[a][x]
                 if mass == 0:
-                    receiver[(b, a, y)] = {x: Fraction(1, nx) for x in range(nx)}
+                    receiver[(a, b, x)] = {y: Fraction(1, ny) for y in range(ny)}
                 else:
-                    receiver[(b, a, y)] = {
-                        x: table.prob(a, b, x, y) / mass for x in range(nx)
+                    receiver[(a, b, x)] = {
+                        y: view.prob(a, b, x, y) / mass for y in range(ny)
                     }
     return OneWayProtocol(direction, table.shape, sender, receiver)
 
 
 def recompose_one_way(protocol: OneWayProtocol) -> StrategyTable:
     """Multiply a one-way protocol back into a strategy table."""
-    if protocol.direction is Direction.LEFT_TO_RIGHT:
-        def entry(a, b, x, y):
-            return protocol.sender[a][x] * protocol.receiver[(a, b, x)][y]
-    else:
-        def entry(a, b, x, y):
-            return protocol.sender[b][y] * protocol.receiver[(b, a, y)][x]
+    def entry(a, b, x, y):
+        return protocol.sender[a][x] * protocol.receiver[(a, b, x)][y]
 
-    return StrategyTable.from_function(protocol.shape, entry)
+    if protocol.direction is Direction.LEFT_TO_RIGHT:
+        return StrategyTable.from_function(protocol.shape, entry)
+    return StrategyTable.from_function(
+        protocol.shape, lambda a, b, x, y: entry(b, a, y, x)
+    )
 
 
 # ---------------------------------------------------------------------------

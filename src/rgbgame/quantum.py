@@ -102,27 +102,42 @@ def _check_effect(effect, side: str) -> np.ndarray:
     return effect
 
 
+def _check_state(state) -> np.ndarray:
+    state = np.asarray(state, dtype=complex).reshape(-1)
+    if state.shape != (4,):
+        raise ValueError(f"state must have 4 amplitudes, got {state.shape}")
+    if abs(np.linalg.norm(state) - 1) > 1e-10:
+        raise ValueError("state is not normalized")
+    return state
+
+
+def _born_prob(state: np.ndarray, effect_a, effect_b) -> float:
+    # The unchecked kernel of joint_prob: the caller has validated all three.
+    value = (state.conj() @ (np.kron(effect_a, effect_b) @ state)).real
+    return min(1.0, max(0.0, float(value)))
+
+
 def joint_prob(state: np.ndarray, effect_a, effect_b) -> float:
     """<state| effect_a (x) effect_b |state>, clamped into [0, 1].
 
     Effects must be valid measurement operators (Hermitian, spectrum in
     [0, 1]); the state must be a normalized two-qubit vector.
     """
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.shape != (4,):
-        raise ValueError(f"state must have 4 amplitudes, got {state.shape}")
-    if abs(np.linalg.norm(state) - 1) > 1e-10:
-        raise ValueError("state is not normalized")
+    state = _check_state(state)
     effect_a = _check_effect(effect_a, "Alice")
     effect_b = _check_effect(effect_b, "Bob")
-    value = (state.conj() @ (np.kron(effect_a, effect_b) @ state)).real
-    return min(1.0, max(0.0, float(value)))
+    return _born_prob(state, effect_a, effect_b)
 
 
 def quantum_strategy_table(
     state: np.ndarray, alice: QubitStrategy, bob: QubitStrategy
 ) -> StrategyTable:
-    """The float-valued conditional table of a pair of qubit strategies."""
+    """The float-valued conditional table of a pair of qubit strategies.
+
+    The state is checked once; the effects are the strategies' projectors,
+    validated when the strategies were built, and their complements.
+    """
+    state = _check_state(state)
     identity = np.eye(2, dtype=complex)
     entries: dict[tuple[int, int, int, int], float] = {}
     for a in range(3):
@@ -134,7 +149,7 @@ def quantum_strategy_table(
                     x = alice.output_rule(a, out_a)
                     y = bob.output_rule(b, out_b)
                     key = (a, b, x, y)
-                    entries[key] = entries.get(key, 0.0) + joint_prob(
+                    entries[key] = entries.get(key, 0.0) + _born_prob(
                         state, effect_a, effect_b
                     )
     return StrategyTable.from_function(

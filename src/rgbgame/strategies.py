@@ -15,13 +15,14 @@ validated with tolerances instead.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 RED, GREEN, BLUE = 0, 1, 2
 
-#: Hard ceiling on brute-force search spaces (deterministic boxes/strategies).
+#: Hard ceiling on the brute-force search space of deterministic strategies.
 ENUMERATION_GUARD = 10**9
 
 #: Row-sum slack allowed for float-valued tables (exact tables get none).
@@ -56,7 +57,8 @@ class StrategyTable:
 
     ``shape`` is (|A|, |B|, |X|, |Y|); symbols are 0-based.  ``probs`` is the
     dense row-major tuple of entries.  Exact tables (every entry a Fraction)
-    must have every row summing to 1 exactly; float tables within 1e-9.
+    must have every row summing to 1 exactly; float tables within 1e-9, and
+    their entries must be finite.
     """
 
     shape: tuple[int, int, int, int]
@@ -82,6 +84,9 @@ class StrategyTable:
                     if any(p < 0 or p > 1 for p in row.values()):
                         raise ValueError(f"row ({a},{b}) has an entry outside [0,1]")
                 else:
+                    # NaN fails every comparison below, so it is caught here.
+                    if not all(math.isfinite(p) for p in row.values()):
+                        raise ValueError(f"row ({a},{b}) has a non-finite entry")
                     if abs(total - 1) > FLOAT_ROW_TOL:
                         raise ValueError(f"row ({a},{b}) sums to {total!r}, not 1")
                     if any(p < -1e-12 or p > 1 + 1e-9 for p in row.values()):
@@ -323,8 +328,6 @@ def enumerate_winning_deterministic_boxes(game: Game) -> int:
     pairs, so an unsatisfiable row makes it zero.
     """
     na, nb, nx, ny = game.shape
-    if (nx * ny) ** (na * nb) > ENUMERATION_GUARD:
-        raise ValueError("deterministic box space exceeds the enumeration guard")
     count = 1
     for a in range(na):
         for b in range(nb):

@@ -189,15 +189,11 @@ def noisy_pr(p) -> StrategyTable:
 
     Exact when p is rational, float-valued when p is a float.
     """
-    if isinstance(p, float):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"noise parameter {p} outside [0, 1]")
-        hit, miss = p / 2, (1 - p) / 2
-    else:
+    if not isinstance(p, float):
         p = Fraction(p)
-        if not 0 <= p <= 1:
-            raise ValueError(f"noise parameter {p} outside [0, 1]")
-        hit, miss = p / 2, (1 - p) / 2
+    if not 0 <= p <= 1:
+        raise ValueError(f"noise parameter {p} outside [0, 1]")
+    hit, miss = p / 2, (1 - p) / 2
     return StrategyTable.from_function(
         (2, 2, 2, 2), lambda a, b, x, y: hit if (x ^ y) == (a & b) else miss
     )

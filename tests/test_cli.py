@@ -96,6 +96,14 @@ def test_ns_check_bad_input(tmp_path, capsys):
     code, _, err = run(capsys, "ns-check", str(bad))
     assert code == 2
     assert "lacks" in err
+    nan = tmp_path / "nan.box"
+    nan.write_text(
+        '{"alphabets": [1, 1, 1, 1], "table": [{"a": 0, "b": 0, "x": 0, "y": 0, "p": "nan"}]}'
+    )
+    code, out, err = run(capsys, "ns-check", str(nan))
+    assert code == 2
+    assert out == ""
+    assert "error: row (0,0) has a non-finite entry" in err
 
 
 def test_ns_unique(capsys):

@@ -70,6 +70,8 @@ def test_joint_prob_rejects_bad_inputs():
         joint_prob(np.array([1.0, 0.0, 0.0, 1.0]), np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         joint_prob(singlet(), 2 * np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match="not normalized"):
+        quantum_strategy_table(2 * singlet(), trine_strategy(), trine_strategy())
 
 
 def test_qubit_strategy_validation():

@@ -113,8 +113,8 @@ def test_enumeration_guard_trips():
         lambda a, b, x, y: True,
         {(a, b): F(1, 100) for a in range(10) for b in range(10)},
     )
-    with pytest.raises(ValueError):
-        enumerate_winning_deterministic_boxes(big)
+    # The count is a closed-form product, so only the sweep is guarded.
+    assert enumerate_winning_deterministic_boxes(big) == 64**100
     with pytest.raises(ValueError):
         local_bound(big)
 
@@ -266,6 +266,8 @@ def test_mix_weight_validation():
         mix([rgrb(), rgrb()], [F(1, 2), F(1, 3)])
     with pytest.raises(ValueError):
         mix([], [])
+    with pytest.raises(ValueError, match="non-finite"):
+        mix([rgrb(), rgb0()], [float("nan"), 0.5])
 
 
 def test_l1_distance_to_set_picks_the_minimum():
