@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 RED, GREEN, BLUE = 0, 1, 2
 
-#: Hard ceiling on the brute-force search space of deterministic strategies.
+#: Hard ceiling on the work of local_bound: |X|^|A| x |B| x |Y| score cells.
 ENUMERATION_GUARD = 10**9
 
 #: Row-sum slack allowed for float-valued tables (exact tables get none).
@@ -343,24 +343,48 @@ def enumerate_winning_deterministic_boxes(game: Game) -> int:
 def local_bound(game: Game):
     """Maximum winning probability over unassisted deterministic pairs.
 
-    Brute force over all |X|^|A| x |Y|^|B| function pairs.  Returns
-    (value, f_a, f_b) where (f_a, f_b) is the lexicographically first argmax.
+    Best response: for each of Alice's |X|^|A| functions, Bob answers each
+    input b on its own with the y that wins the most weight, because the
+    score of a pair is a sum of one term per b.  That is |X|^|A| x |B| x |Y|
+    work, and games where it exceeds ENUMERATION_GUARD are refused.  The
+    weights are scaled to integers by the lcm of their exact denominators
+    (floats included), so every comparison is exact and cheap.
+
+    Returns (value, f_a, f_b) where (f_a, f_b) is the lexicographically first
+    argmax, and value sums the game's own weights (Fractions stay Fractions).
     """
     na, nb, nx, ny = game.shape
-    if nx**na * ny**nb > ENUMERATION_GUARD:
+    if nx**na * nb * ny > ENUMERATION_GUARD:
         raise ValueError("deterministic strategy space exceeds the enumeration guard")
-    best = None
-    best_pair = None
+    weights = {ab: Fraction(w) for ab, w in game.input_dist.items()}
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    # gain[a][x][b * ny + y]: the scaled weight of (a, b) when (x, y) wins it.
+    gain = [[[0] * (nb * ny) for _ in range(nx)] for _ in range(na)]
+    for (a, b), w in weights.items():
+        units = int(w * scale)
+        for x in range(nx):
+            for y in range(ny):
+                if game.predicate(a, b, x, y):
+                    gain[a][x][b * ny + y] += units
+    best, best_pair = -1, None
     for f_a in itertools.product(range(nx), repeat=na):
-        for f_b in itertools.product(range(ny), repeat=nb):
-            value = sum(
-                weight
-                for (a, b), weight in game.input_dist.items()
-                if game.predicate(a, b, f_a[a], f_b[b])
-            )
-            if best is None or value > best:
-                best, best_pair = value, (f_a, f_b)
-    return best, best_pair[0], best_pair[1]
+        scores = list(map(sum, zip(*(gain[a][x] for a, x in enumerate(f_a)))))
+        total, f_b = 0, []
+        for b in range(nb):
+            row = scores[b * ny : (b + 1) * ny]
+            top = max(row)
+            total += top
+            f_b.append(row.index(top))
+        # Strictly greater keeps the first f_a, and row.index the first y.
+        if total > best:
+            best, best_pair = total, (f_a, tuple(f_b))
+    f_a, f_b = best_pair
+    value = sum(
+        weight
+        for (a, b), weight in game.input_dist.items()
+        if game.predicate(a, b, f_a[a], f_b[b])
+    )
+    return value, f_a, f_b
 
 
 def l1_distance(table_a: StrategyTable, table_b: StrategyTable):

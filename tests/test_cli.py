@@ -29,6 +29,7 @@ def test_bounds_table(capsys):
         "no-signalling | 1 | 12",
     ]
     assert "wall time" in err
+    assert "(command only; excludes interpreter start and imports)" in err
     assert "wall time" not in out
 
 

@@ -1,10 +1,13 @@
-"""Exact tables, the winning family, and the brute-force bounds."""
+"""Exact tables, the winning family, and the bounds against brute force."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgbgame.strategies import (
     Game,
@@ -117,6 +120,111 @@ def test_enumeration_guard_trips():
     assert enumerate_winning_deterministic_boxes(big) == 64**100
     with pytest.raises(ValueError):
         local_bound(big)
+
+
+# ---------------------------------------------------------------------------
+# best response against the brute-force oracle
+
+
+def _pair_value(game, f_a, f_b):
+    return sum(
+        weight
+        for (a, b), weight in game.input_dist.items()
+        if game.predicate(a, b, f_a[a], f_b[b])
+    )
+
+
+def _brute_force_local_bound(game):
+    """Oracle: every |X|^|A| x |Y|^|B| function pair, first strict maximum."""
+    na, nb, nx, ny = game.shape
+    best = None
+    for f_a in itertools.product(range(nx), repeat=na):
+        for f_b in itertools.product(range(ny), repeat=nb):
+            value = _pair_value(game, f_a, f_b)
+            if best is None or value > best[0]:
+                best = (value, f_a, f_b)
+    return best
+
+
+def _lookup_game(shape, wins, weights):
+    """A game whose predicate reads the row-major tuple `wins`."""
+    na, nb, nx, ny = shape
+
+    def predicate(a, b, x, y):
+        return wins[((a * nb + b) * nx + x) * ny + y]
+
+    total = sum(weights.values())
+    return Game(shape, predicate, {ab: w / total for ab, w in weights.items()})
+
+
+@st.composite
+def small_games(draw):
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    na, nb, nx, ny = shape
+    cells = math.prod(shape)
+    wins = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    weight = st.builds(F, st.integers(0, 6), st.integers(1, 7))
+    pairs = list(itertools.product(range(na), range(nb)))
+    # Each pair is left out of input_dist, weighted zero, or weighted.
+    weights = {ab: w for ab in pairs if (w := draw(st.none() | weight)) is not None}
+    # One pair gets positive weight, so the distribution can be normalised.
+    keep = draw(st.sampled_from(pairs))
+    weights[keep] = weights.get(keep, 0) + draw(weight.filter(bool))
+    return _lookup_game(shape, tuple(wins), weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_games())
+def test_best_response_equals_brute_force(game):
+    expected = _brute_force_local_bound(game)
+    got = local_bound(game)
+    assert got == expected
+    assert type(got[0]) is type(expected[0])
+
+
+def test_local_bound_rectangular_game_against_oracle():
+    rng = random.Random(31)
+    shape = (2, 4, 3, 2)
+    wins = tuple(rng.random() < 0.4 for _ in range(math.prod(shape)))
+    weights = {(a, b): F(rng.randint(1, 5)) for a in range(2) for b in range(4)}
+    game = _lookup_game(shape, wins, weights)
+    assert local_bound(game) == _brute_force_local_bound(game)
+
+
+def test_local_bound_five_letter_game():
+    # 5^10 function pairs, too many to sweep; best response scores
+    # 5^5 x 5 x 5 cells.
+    rng = random.Random(55)
+    shape = (5, 5, 5, 5)
+    wins = tuple(rng.random() < 0.5 for _ in range(5**4))
+    game = _lookup_game(shape, wins, {(a, b): F(1) for a in range(5) for b in range(5)})
+    value, f, g = local_bound(game)
+    assert isinstance(value, F)
+    assert win_probability(deterministic_strategy(f, g, shape), game) == value
+    # No change of a single answer wins more.
+    for k in range(5):
+        for z in range(5):
+            assert _pair_value(game, f[:k] + (z,) + f[k + 1 :], g) <= value
+            assert _pair_value(game, f, g[:k] + (z,) + g[k + 1 :]) <= value
+
+
+def test_local_bound_many_bob_inputs():
+    # CHSH with Bob's input read mod 2: 2^40 Bob functions, 2^2 x 40 x 2 cells.
+    shape = (2, 40, 2, 2)
+    game = Game(
+        shape,
+        lambda a, b, x, y: (x ^ y) == (a & (b % 2)),
+        {(a, b): F(1, 80) for a in range(2) for b in range(40)},
+    )
+    assert local_bound(game)[0] == F(3, 4)
+
+
+def test_local_bound_float_weights():
+    exact = chsh_game()
+    floats = Game(exact.shape, exact.predicate, {ab: 0.25 for ab in exact.input_dist})
+    value, f, g = local_bound(floats)
+    assert isinstance(value, float) and value == 0.75
+    assert (f, g) == local_bound(exact)[1:] == _brute_force_local_bound(floats)[1:]
 
 
 # ---------------------------------------------------------------------------
