@@ -6,6 +6,8 @@ XOR box, simulation of the optimal qubit strategy, and primal/dual
 certificates for the quantum bound of the associated Bell inequality.
 """
 
+from importlib import import_module as _import_module
+
 from .strategies import (
     BLUE,
     GREEN,
@@ -60,36 +62,6 @@ from .wiring import (
     pr_from_rgrb,
     rgrb_from_pr,
 )
-from .quantum import (
-    QubitStrategy,
-    correlations_from_table,
-    joint_prob,
-    projector_from_angle,
-    quantum_strategy_table,
-    reduce_to_binary,
-    singlet,
-    trine_projectors,
-    trine_strategy,
-)
-from .bell import (
-    AscentResult,
-    CertificateReport,
-    CertificationError,
-    VectorStrategy,
-    alternating_ascent,
-    bell_quantity,
-    certify_quantum_bound,
-    deterministic_bell_maximum,
-    gram_from_vectors,
-    lemma1_win,
-    optimal_gram,
-    optimal_multipliers,
-    sym_eigenvalues,
-    verify_dual,
-    verify_primal,
-    w_matrix,
-    win_from_correlations,
-)
 from .formats import (
     BoxFormatError,
     WiringFormatError,
@@ -108,3 +80,55 @@ from .formats import (
 )
 
 __version__ = "0.1.0"
+
+# The float layers and their re-exports, resolved on first access (PEP 562):
+# only they import numpy, so the exact layers above load without it.
+_LAZY = {
+    "quantum": "quantum",
+    "QubitStrategy": "quantum",
+    "correlations_from_table": "quantum",
+    "joint_prob": "quantum",
+    "projector_from_angle": "quantum",
+    "quantum_strategy_table": "quantum",
+    "reduce_to_binary": "quantum",
+    "singlet": "quantum",
+    "trine_projectors": "quantum",
+    "trine_strategy": "quantum",
+    "bell": "bell",
+    "AscentResult": "bell",
+    "CertificateReport": "bell",
+    "CertificationError": "bell",
+    "VectorStrategy": "bell",
+    "alternating_ascent": "bell",
+    "bell_quantity": "bell",
+    "certify_quantum_bound": "bell",
+    "deterministic_bell_maximum": "bell",
+    "gram_from_vectors": "bell",
+    "lemma1_win": "bell",
+    "optimal_gram": "bell",
+    "optimal_multipliers": "bell",
+    "sym_eigenvalues": "bell",
+    "verify_dual": "bell",
+    "verify_primal": "bell",
+    "w_matrix": "bell",
+    "win_from_correlations": "bell",
+}
+
+# What `from rgbgame import *` binds: every public name, lazy ones included.
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    try:
+        layer = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = _import_module(f".{layer}", __name__)
+    value = module if name == layer else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    helpers = {"_import_module", "_LAZY", "__all__", "__getattr__", "__dir__"}
+    return sorted((globals().keys() - helpers) | _LAZY.keys())

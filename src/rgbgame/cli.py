@@ -3,7 +3,9 @@
 Given the same arguments (and seed, where one applies) stdout is
 byte-identical across runs; the command's own wall time is reported on stderr
 so timing noise never touches the canonical output.  That time excludes
-interpreter start and imports, which are most of a short process.  Exit
+interpreter start and imports, which are most of a short process.  Only
+``bounds`` (rgb game), ``quantum``, ``sdp-certify`` and ``sdp-optimize``
+import the numpy-backed quantum and bell layers, before the clock starts.  Exit
 codes: 0 success, 1 a verification failed, 2 bad input.  ``--json`` swaps the
 table rendering for a JSON report carrying the same values.
 """
@@ -16,9 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from . import bell, formats, locality, quantum, strategies, wiring
+from . import formats, locality, strategies, wiring
 
 
 def value_str(v) -> str:
@@ -63,6 +63,8 @@ def cmd_bounds(args):
         lines = [" | ".join(row) for row in rows]
         results = {"rows": [{"class": name, "win": win} for name, win in rows]}
         return 0, lines, _report("bounds", {"game": "chsh"}, results)
+
+    from . import bell, quantum
 
     game = strategies.rgb_game()
     inputs = {"game": "rgb", "tolerance": args.tolerance}
@@ -158,6 +160,8 @@ def cmd_ns_unique(args):
 
 
 def cmd_quantum(args):
+    from . import bell, quantum
+
     def strategy(angles):
         return quantum.QubitStrategy(
             tuple(quantum.projector_from_angle(t) for t in angles)
@@ -193,6 +197,8 @@ def cmd_quantum(args):
 
 
 def cmd_sdp_certify(args):
+    from . import bell
+
     inputs = {"tolerance": args.tolerance}
     try:
         report = bell.certify_quantum_bound(args.tolerance)
@@ -221,12 +227,12 @@ def cmd_sdp_certify(args):
 
 
 def cmd_sdp_optimize(args):
+    from . import bell
+
     result = bell.alternating_ascent(args.seed, args.restarts)
     sweeps = result.sweep_values
     monotone = all(b - a >= -1e-9 for a, b in zip(sweeps, sweeps[1:]))
-    gram = bell.gram_from_vectors(
-        np.vstack([result.strategy.alice, result.strategy.bob])
-    )
+    gram = bell.gram_from_vectors([*result.strategy.alice, *result.strategy.bob])
     rank = sum(1 for e in bell.sym_eigenvalues(gram) if e > 1e-6)
     results = {
         "best_value": value_str(result.value),
@@ -456,8 +462,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _imports_float_layers(args) -> bool:
+    """Whether the handler imports the numpy-backed quantum and bell layers."""
+    if args.handler is cmd_bounds:
+        return args.game == "rgb"
+    return args.handler in (cmd_quantum, cmd_sdp_certify, cmd_sdp_optimize)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if _imports_float_layers(args):
+        # Imported before the clock starts, so the wall time stays command-only.
+        from . import bell, quantum  # noqa: F401
     start = time.perf_counter()
     try:
         code, lines, report = args.handler(args)

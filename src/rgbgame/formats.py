@@ -4,7 +4,7 @@ A box file stores the four alphabet sizes and the nonzero table entries,
 sorted by (a, b, x, y) with zeros omitted so equal tables serialize to equal
 bytes.  Probabilities are written as fractions in lowest terms ("2/3") for
 exact tables and as 17-significant-digit decimals for float tables, which
-round-trips IEEE doubles exactly.
+round-trips IEEE doubles exactly (1.0 is written "1.0", so it stays a float).
 
 A wiring file stores the call count, the shared-randomness alphabet, both
 box shapes, and every local map tabulated over its full finite domain as
@@ -57,11 +57,16 @@ def _parse_probability(value, where: str):
     raise BoxFormatError(f"{where}: probability must be a number or string")
 
 
+def _is_int(value) -> bool:
+    """An integer in the document; JSON true/false load as bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_alphabets(value, what: str, error_cls) -> tuple[int, int, int, int]:
     if (
         not isinstance(value, list)
         or len(value) != 4
-        or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in value)
+        or not all(_is_int(n) and n >= 1 for n in value)
     ):
         raise error_cls(f"{what} must be a list of four positive integers")
     return tuple(value)
@@ -69,6 +74,12 @@ def _read_alphabets(value, what: str, error_cls) -> tuple[int, int, int, int]:
 
 # ---------------------------------------------------------------------------
 # boxes
+
+
+def _entry_text(p) -> str:
+    # %.17g writes the float 1.0 as "1", which would load back as exact.
+    text = probability_to_string(p)
+    return text + ".0" if isinstance(p, float) and text.isdigit() else text
 
 
 def box_to_json_dict(table: StrategyTable) -> dict:
@@ -81,9 +92,7 @@ def box_to_json_dict(table: StrategyTable) -> dict:
                     p = table.prob(a, b, x, y)
                     if p == 0:
                         continue
-                    records.append(
-                        {"a": a, "b": b, "x": x, "y": y, "p": probability_to_string(p)}
-                    )
+                    records.append({"a": a, "b": b, "x": x, "y": y, "p": _entry_text(p)})
     return {"alphabets": list(table.shape), "table": records}
 
 
@@ -115,7 +124,7 @@ def box_from_json_dict(data) -> StrategyTable:
         key = []
         for name, size in zip(names, shape):
             v = record[name]
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise BoxFormatError(f"{where}: field {name!r} must be an integer")
             if not 0 <= v < size:
                 raise BoxFormatError(
@@ -176,10 +185,10 @@ def _tabulate(fn, own_size, prior_size, priors_len, randomness, value_size, kind
         for priors in itertools.product(range(prior_size), repeat=priors_len):
             for r in range(randomness):
                 value = fn(own, priors, r)
-                if not (isinstance(value, int) and 0 <= value < value_size):
+                if not (_is_int(value) and 0 <= value < value_size):
                     raise WiringFormatError(
                         f"{kind} map sends ({own}, {priors}, {r}) to {value!r}, "
-                        f"outside range({value_size})"
+                        f"not an integer in range({value_size})"
                     )
                 rows.append([own, list(priors), r, value])
     return rows
@@ -222,10 +231,10 @@ def _read_map(rows, own_size, prior_size, priors_len, randomness, value_size, ki
         if (
             not isinstance(row, list)
             or len(row) != 4
-            or not isinstance(row[0], int)
+            or not _is_int(row[0])
             or not isinstance(row[1], list)
-            or not isinstance(row[2], int)
-            or not isinstance(row[3], int)
+            or not _is_int(row[2])
+            or not _is_int(row[3])
         ):
             raise WiringFormatError(
                 f"{where}: record must be [own, [priors...], randomness, value]"
@@ -234,7 +243,7 @@ def _read_map(rows, own_size, prior_size, priors_len, randomness, value_size, ki
         if not 0 <= own < own_size:
             raise WiringFormatError(f"{where}: own input {own} outside range({own_size})")
         if len(priors) != priors_len or not all(
-            isinstance(v, int) and 0 <= v < prior_size for v in priors
+            _is_int(v) and 0 <= v < prior_size for v in priors
         ):
             raise WiringFormatError(
                 f"{where}: priors {list(priors)} are not {priors_len} "
@@ -272,9 +281,9 @@ def wiring_from_json_dict(data) -> WiringProtocol:
 
     calls = data["calls"]
     randomness = data["randomness"]
-    if not isinstance(calls, int) or calls < 0:
+    if not _is_int(calls) or calls < 0:
         raise WiringFormatError("calls must be a nonnegative integer")
-    if not isinstance(randomness, int) or randomness < 1:
+    if not _is_int(randomness) or randomness < 1:
         raise WiringFormatError("randomness must be a positive integer")
 
     outer_shape = _read_alphabets(data["outer_alphabets"], "outer_alphabets", WiringFormatError)

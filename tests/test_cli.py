@@ -215,6 +215,20 @@ def test_apply_wiring_shape_mismatch_is_an_input_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_apply_wiring_rejects_boolean_call_count(tmp_path, capsys):
+    wiring_path = tmp_path / "w.json"
+    box_path = tmp_path / "rgrb.box"
+    run(capsys, "export-wiring", "pr-from-rgrb", "--output", str(wiring_path))
+    run(capsys, "export-box", "rgrb", "--output", str(box_path))
+    doc = json.loads(wiring_path.read_text())
+    doc["calls"] = True
+    wiring_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "apply-wiring", str(wiring_path), str(box_path))
+    assert code == 2
+    assert out == ""
+    assert "error: calls must be a nonnegative integer" in err
+
+
 def test_export_box_prints_a_loadable_document(capsys, tmp_path):
     code, out, _ = run(capsys, "export-box", "parity-flip")
     assert code == 0

@@ -1,9 +1,13 @@
 """Round trips and diagnostics for the box and wiring file formats."""
 
+import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rgbgame.formats import (
     BoxFormatError,
@@ -22,8 +26,8 @@ from rgbgame.formats import (
 )
 from rgbgame.locality import pr_box
 from rgbgame.quantum import quantum_strategy_table, singlet, trine_strategy
-from rgbgame.strategies import l1_distance, rgb0, rgrb
-from rgbgame.wiring import evaluate_wiring, pr_from_rgrb, rgrb_from_pr
+from rgbgame.strategies import StrategyTable, l1_distance, rgb0, rgrb
+from rgbgame.wiring import WiringProtocol, evaluate_wiring, pr_from_rgrb, rgrb_from_pr
 
 F = Fraction
 
@@ -60,6 +64,34 @@ def test_float_round_trip():
     again = load_box(dump_box(table))
     assert not again.is_exact
     assert l1_distance(again, table) == 0  # %.17g reproduces doubles exactly
+
+
+@st.composite
+def random_tables(draw, exact):
+    """Tables of random shape whose rows are random weights, normalised."""
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    na, nb, nx, ny = shape
+    cells = list(itertools.product(range(nx), range(ny)))
+    weight = st.integers(0, 5) if exact else st.floats(0, 1)
+    entries = {}
+    for a, b in itertools.product(range(na), range(nb)):
+        weights = draw(
+            st.lists(weight, min_size=len(cells), max_size=len(cells)).filter(sum)
+        )
+        total = sum(weights)
+        for (x, y), w in zip(cells, weights):
+            entries[(a, b, x, y)] = F(w, total) if exact else w / total
+    return StrategyTable.from_dict(shape, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(random_tables))
+@example(StrategyTable((1, 1, 1, 1), (1.0,)))  # a float table stays a float table
+def test_box_files_round_trip_byte_for_byte(table):
+    text = dump_box(table)
+    again = load_box(text)
+    assert again.probs == table.probs
+    assert dump_box(again) == text
 
 
 def test_file_helpers(tmp_path):
@@ -155,6 +187,52 @@ def test_wiring_round_trips_evaluate_identically():
         assert l1_distance(direct, reloaded) == 0
 
 
+@st.composite
+def random_wirings(draw):
+    """Wirings whose every local map is a random table over its domain."""
+    calls = draw(st.integers(0, 2))
+    randomness = draw(st.integers(1, 2))
+    outer = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    inner = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    oa, ob, ox, oy = outer
+    _, _, ix, iy = inner
+
+    def tabulated(own_size, prior_size, priors_len, value_size):
+        domain = [
+            (own, priors, r)
+            for own in range(own_size)
+            for priors in itertools.product(range(prior_size), repeat=priors_len)
+            for r in range(randomness)
+        ]
+        values = draw(
+            st.lists(
+                st.integers(0, value_size - 1),
+                min_size=len(domain),
+                max_size=len(domain),
+            )
+        )
+        table = dict(zip(domain, values))
+        return lambda own, priors, r: table[(own, tuple(priors), r)]
+
+    return WiringProtocol(
+        calls=calls,
+        randomness=randomness,
+        outer_shape=outer,
+        inner_shape=inner,
+        alice_inputs=tuple(tabulated(oa, ix, k, inner[0]) for k in range(calls)),
+        bob_inputs=tuple(tabulated(ob, iy, k, inner[1]) for k in range(calls)),
+        alice_output=tabulated(oa, ix, calls, ox),
+        bob_output=tabulated(ob, iy, calls, oy),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_wirings())
+def test_wiring_files_round_trip_byte_for_byte(protocol):
+    text = dump_wiring(protocol)
+    assert dump_wiring(load_wiring(text)) == text
+
+
 def test_wiring_document_layout():
     doc = wiring_to_json_dict(rgrb_from_pr())
     assert doc["calls"] == 2
@@ -184,6 +262,38 @@ def test_wiring_duplicate_and_range_checks():
     doc["alice_output"][0][3] = 7
     with pytest.raises(WiringFormatError, match="outside"):
         wiring_from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "path, match",
+    [
+        (("calls",), "calls"),
+        (("randomness",), "randomness"),
+        (("alice_output", 0, 0), "record"),          # own input
+        (("bob_output", 1, 1, 0), "priors"),          # an earlier output
+        (("alice_inputs", 0, 1, 2), "record"),        # shared randomness
+        (("bob_inputs", 0, 0, 3), "record"),          # the map's value
+    ],
+)
+def test_wiring_rejects_json_booleans(path, match):
+    doc = wiring_to_json_dict(pr_from_rgrb())
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    # The boolean equals the integer it replaces, so only its type is wrong.
+    assert target[last] in (0, 1)
+    target[last] = bool(target[last])
+    with pytest.raises(WiringFormatError, match=match):
+        load_wiring(json.dumps(doc))
+
+
+def test_wiring_dump_rejects_boolean_map_values():
+    protocol = dataclasses.replace(
+        pr_from_rgrb(), alice_output=lambda own, priors, r: priors[0] == 1
+    )
+    with pytest.raises(WiringFormatError, match="not an integer"):
+        dump_wiring(protocol)
 
 
 def test_wiring_key_checks():

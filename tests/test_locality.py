@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rgbgame.locality import (
     Direction,
@@ -151,6 +153,43 @@ def test_float_tolerance_on_ns_check():
     assert not ok
     ok, _ = is_no_signalling(t, atol=1e-9)
     assert ok
+
+
+@st.composite
+def signalling_mixtures(draw):
+    """Random exact mixtures of the one- and two-way signalling boxes with
+    the identity box and two random local deterministic boxes."""
+    k = draw(st.integers(2, 3))
+    functions = st.lists(st.integers(0, k - 1), min_size=k, max_size=k)
+    boxes = [id_box(k), r_sig_box(k), l_sig_box(k), sig_box(k)] + [
+        deterministic_strategy(draw(functions), draw(functions), shape=(k, k, k, k))
+        for _ in range(2)
+    ]
+    weights = draw(
+        st.lists(st.integers(0, 4), min_size=len(boxes), max_size=len(boxes)).filter(sum)
+    )
+    return mix(boxes, [F(w, sum(weights)) for w in weights])
+
+
+@settings(max_examples=200, deadline=None)
+@given(signalling_mixtures())
+def test_signalling_witness_reproduces_from_the_table(table):
+    ok, witness = is_no_signalling(table)
+    assume(not ok)
+    _, _, nx, ny = table.shape
+    if witness.side == "right":
+        # Bob's marginal of output y at his input b, as Alice's input moves.
+        b, y = witness.fixed_input, witness.output
+        recomputed = tuple(
+            sum(table.prob(a, b, x, y) for x in range(nx)) for a in witness.sender_inputs
+        )
+    else:
+        a, x = witness.fixed_input, witness.output
+        recomputed = tuple(
+            sum(table.prob(a, b, x, y) for y in range(ny)) for b in witness.sender_inputs
+        )
+    assert recomputed == witness.marginals
+    assert recomputed[0] != recomputed[1]
 
 
 def test_is_symmetric():
