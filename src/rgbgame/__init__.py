@@ -81,16 +81,15 @@ from .formats import (
 
 __version__ = "0.1.0"
 
-# The float layers and their re-exports, resolved on first access (PEP 562):
-# only they import numpy, so the exact layers above load without it.
+# The quantum and bell layers and their re-exports, resolved on first access
+# (PEP 562): quantum imports numpy, bell only inside its numpy-array functions,
+# and neither is loaded by `import rgbgame` or the exact layers above.
 _LAZY = {
     "quantum": "quantum",
     "QubitStrategy": "quantum",
-    "correlations_from_table": "quantum",
     "joint_prob": "quantum",
     "projector_from_angle": "quantum",
     "quantum_strategy_table": "quantum",
-    "reduce_to_binary": "quantum",
     "singlet": "quantum",
     "trine_projectors": "quantum",
     "trine_strategy": "quantum",
@@ -102,11 +101,13 @@ _LAZY = {
     "alternating_ascent": "bell",
     "bell_quantity": "bell",
     "certify_quantum_bound": "bell",
+    "correlations_from_table": "bell",
     "deterministic_bell_maximum": "bell",
     "gram_from_vectors": "bell",
     "lemma1_win": "bell",
     "optimal_gram": "bell",
     "optimal_multipliers": "bell",
+    "reduce_to_binary": "bell",
     "sym_eigenvalues": "bell",
     "verify_dual": "bell",
     "verify_primal": "bell",

@@ -9,11 +9,17 @@ so maximizing the win maximizes R = |sum_i (-2 c[i][i] + c[i][i+1] +
 c[i][i-1])| = 36 win - 24.  Deterministic strategies reach R = 8, quantum
 ones R = 9, and general no-signalling boxes R = 12.
 
-The quantum value is certified by a matching semidefinite primal/dual pair:
-a Gram matrix of six unit vectors attaining 9, and diagonal multipliers
-making the dual slack matrix positive semidefinite at value 9.  Eigenvalues
-are computed with a cyclic Jacobi sweep (exact enough at dimension 6 that
-the certificates close to 1e-9).
+The quantum point is checked exactly.  The trine strategy's table is derived
+in Q(sqrt 3) from its kets and the singlet, and wins 11/12.  Its optimality
+is certified by a matching semidefinite primal/dual pair with rational
+entries: a Gram matrix of six unit vectors attaining 9, and diagonal
+multipliers making the dual slack matrix positive semidefinite at value 9.
+Feasibility is decided by an LDL^T factorization over Fractions; eigenvalues
+from a cyclic Jacobi sweep in plain floats are reported as a cross-check.
+
+numpy is imported only by the functions that take or return numpy arrays
+(the float views of the certificate, ``gram_from_vectors``,
+``VectorStrategy`` and the ascent), so the exact checks run without it.
 """
 
 from __future__ import annotations
@@ -22,13 +28,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .strategies import StrategyTable, next_colour, prev_colour
 
-#: Feasibility slack for certificate checks.
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Feasibility slack for certificate checks of float candidates.
 CERT_TOL = 1e-9
+
+#: Float slack of the qubit algebra and of the binary reduction.
+ALGEBRA_TOL = 1e-12
 
 #: Target off-diagonal Frobenius norm for the eigensolver.
 JACOBI_OFF_TOL = 1e-13
@@ -109,48 +120,207 @@ def deterministic_bell_maximum() -> tuple[int, tuple[tuple[int, ...], tuple[int,
 
 
 # ---------------------------------------------------------------------------
+# binary reduction of cyclic-answer tables
+
+
+def cyclic_rule(colour: int, outcome: int) -> int:
+    """The cyclic answer: colour+1 on outcome 1, colour-1 on outcome 0."""
+    return next_colour(colour) if outcome else prev_colour(colour)
+
+
+def reduce_to_binary(table: StrategyTable, atol: float = ALGEBRA_TOL) -> StrategyTable:
+    """Relabel a never-plays-its-own-colour table onto binary outputs.
+
+    Requires P(x = a | a, b) and P(y = b | a, b) to vanish (exactly for
+    rational tables, within ``atol`` for float ones); then x = a - 1 maps to
+    0 and x = a + 1 to 1, and likewise for y around b.  Float rows are
+    renormalized afterwards, absorbing the at-most-``atol`` forbidden mass.
+    """
+    if table.shape != (3, 3, 3, 3):
+        raise ValueError(f"expected colour alphabets (3,3,3,3), got {table.shape}")
+    exact = table.is_exact
+    for a in range(3):
+        for b in range(3):
+            own = sum(table.prob(a, b, a, y) for y in range(3)) + sum(
+                table.prob(a, b, x, b) for x in range(3)
+            )
+            limit = 0 if exact else atol
+            if own > limit:
+                raise ValueError(
+                    f"strategy plays a sure-losing colour on input ({a},{b}) "
+                    f"with probability {own}"
+                )
+
+    reduced = {
+        (a, b, xb, yb): table.prob(a, b, cyclic_rule(a, xb), cyclic_rule(b, yb))
+        for a in range(3)
+        for b in range(3)
+        for xb in (0, 1)
+        for yb in (0, 1)
+    }
+    if not exact:
+        # Per-row renormalization absorbs the (at most atol) forbidden mass.
+        for a in range(3):
+            for b in range(3):
+                total = sum(reduced[(a, b, xb, yb)] for xb in (0, 1) for yb in (0, 1))
+                for xb in (0, 1):
+                    for yb in (0, 1):
+                        reduced[(a, b, xb, yb)] /= total
+    return StrategyTable.from_function(
+        (3, 3, 2, 2), lambda a, b, x, y: reduced[(a, b, x, y)]
+    )
+
+
+def correlations_from_table(binary_table: StrategyTable):
+    """Per-input correlations <A_a B_b> = 2 P(x = y | a, b) - 1.
+
+    Input must be a binary-output table over the 3x3 colour inputs.  Exact
+    tables give exact correlations.
+    """
+    na, nb, nx, ny = binary_table.shape
+    if (nx, ny) != (2, 2):
+        raise ValueError(f"need binary outputs, got alphabets {(nx, ny)}")
+    rows = []
+    for a in range(na):
+        row = []
+        for b in range(nb):
+            agree = binary_table.prob(a, b, 0, 0) + binary_table.prob(a, b, 1, 1)
+            row.append(2 * agree - 1)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# the trine strategy, exactly
+
+
+class _QSqrt3:
+    """The exact number a + b sqrt(3), for rational (int or Fraction) a and b."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a, self.b = a, b
+
+    def __add__(self, other):
+        return _QSqrt3(self.a + other.a, self.b + other.b)
+
+    def __mul__(self, other):
+        return _QSqrt3(
+            self.a * other.a + 3 * self.b * other.b,
+            self.a * other.b + self.b * other.a,
+        )
+
+    def __neg__(self):
+        return _QSqrt3(-self.a, -self.b)
+
+    def rational(self) -> Fraction:
+        if self.b:
+            raise ArithmeticError(f"{self.a} + {self.b} sqrt(3) is irrational")
+        return Fraction(self.a)
+
+
+def _dot(u, v) -> _QSqrt3:
+    return sum((s * t for s, t in zip(u, v)), _QSqrt3(0))
+
+
+#: The kets cos(t/2)|0> + sin(t/2)|1> of the trine projectors at the Bloch
+#: angles t = 0, -120 and +120 degrees (red, green, blue): (1, 0) and
+#: (1/2, -+sqrt(3)/2), the last two scaled by 2 to integer coordinates.
+_TRINE_KETS = (
+    (_QSqrt3(1), _QSqrt3(0)),
+    (_QSqrt3(1), _QSqrt3(0, -1)),
+    (_QSqrt3(1), _QSqrt3(0, 1)),
+)
+
+#: The singlet |01> - |10>, unnormalised (its norm squared is 2).
+_SINGLET = tuple(_QSqrt3(v) for v in (0, 1, -1, 0))
+
+
+def trine_table() -> StrategyTable:
+    """The table of the trine strategy on the singlet, exactly: it wins 11/12.
+
+    On colour c a party measures the projector onto trine ket k; when it
+    fires the effect projects onto k, otherwise onto k' = (-k1, k0).  With
+    unnormalised kets a joint outcome has probability
+    <k_a (x) k_b | psi>^2 / (|k_a|^2 |k_b|^2 |psi|^2), and the answers
+    follow ``cyclic_rule``.  Every number lies in Q(sqrt 3); the sqrt(3)
+    part of each probability must cancel, and does.
+    """
+
+    def effect_ket(colour, outcome):
+        k0, k1 = _TRINE_KETS[colour]
+        return (k0, k1) if outcome else (-k1, k0)
+
+    norm2 = _dot(_SINGLET, _SINGLET).rational()
+    entries: dict[tuple[int, int, int, int], Fraction] = {}
+    for a, b, out_a, out_b in itertools.product(range(3), range(3), (0, 1), (0, 1)):
+        u, v = effect_ket(a, out_a), effect_ket(b, out_b)
+        # Alice's factor first, in the amplitude order |00>, |01>, |10>, |11>.
+        amplitude = _dot([s * t for s in u for t in v], _SINGLET)
+        weight = norm2 * _dot(u, u).rational() * _dot(v, v).rational()
+        key = (a, b, cyclic_rule(a, out_a), cyclic_rule(b, out_b))
+        entries[key] = entries.get(key, 0) + (amplitude * amplitude).rational() / weight
+    return StrategyTable.from_dict((3, 3, 3, 3), entries)
+
+
+# ---------------------------------------------------------------------------
 # certificate data
 
 
-def w_matrix() -> np.ndarray:
-    """The 6x6 Bell objective matrix: R = (1/2) tr(G W) on Gram matrices G.
+def _blocks(diagonal, cross) -> tuple[tuple[Fraction, ...], ...]:
+    """The symmetric 6x6 matrix [[D, C], [C^T, D]] from 3x3 blocks D and C."""
+    top = [[*diagonal[i], *cross[i]] for i in range(3)]
+    bottom = [[*(cross[j][i] for j in range(3)), *diagonal[i]] for i in range(3)]
+    return tuple(tuple(Fraction(v) for v in row) for row in top + bottom)
 
-    Zero diagonal blocks; each off-diagonal block couples x_i to y_j with
-    weight -2 on the diagonal and +1 elsewhere.
-    """
-    block = np.array([_bell_row(np.eye(3), i) for i in range(3)])
-    w = np.zeros((6, 6))
-    w[:3, 3:] = block
-    w[3:, :3] = block.T
-    return w
+
+def _pattern(on_diagonal, off_diagonal):
+    return [[on_diagonal if i == j else off_diagonal for j in range(3)] for i in range(3)]
+
+
+#: The Bell objective matrix: R = (1/2) tr(G W) on Gram matrices G.  Zero
+#: diagonal blocks; each off-diagonal block couples x_i to y_j with the
+#: functional's coefficient of c[i][j], -2 on the diagonal and +1 elsewhere.
+W_EXACT = _blocks(
+    _pattern(0, 0),
+    [[_bell_row([int(k == j) for k in range(3)], i) for j in range(3)] for i in range(3)],
+)
+
+#: The rank-2 Gram matrix attaining 9: three unit vectors at mutual angle
+#: 120 degrees for Alice and their negatives for Bob, so x_i . x_j =
+#: y_i . y_j = -1/2 off the diagonal and x_i . y_j is -1 on it, +1/2 off it.
+GRAM_EXACT = _blocks(_pattern(1, Fraction(-1, 2)), _pattern(-1, Fraction(1, 2)))
+
+#: The diagonal dual multipliers closing the certificate: (3/2) I.
+MULTIPLIERS_EXACT = _blocks(_pattern(Fraction(3, 2), 0), _pattern(0, 0))
+
+
+def _float_view(matrix) -> np.ndarray:
+    import numpy as np
+
+    return np.array(matrix, dtype=float)
+
+
+def w_matrix() -> np.ndarray:
+    """``W_EXACT`` as a float numpy array."""
+    return _float_view(W_EXACT)
 
 
 def optimal_gram() -> np.ndarray:
-    """The rank-2 Gram matrix attaining the quantum value 9.
-
-    Realized by three unit vectors at mutual angle 120 degrees for Alice and
-    their negatives for Bob, so x_i . x_j = y_i . y_j = -1/2 off the diagonal
-    and x_i . y_j is -1 on the diagonal and +1/2 off it.
-    """
-    same = np.full((3, 3), -0.5)
-    np.fill_diagonal(same, 1.0)
-    cross = np.full((3, 3), 0.5)
-    np.fill_diagonal(cross, -1.0)
-    gram = np.zeros((6, 6))
-    gram[:3, :3] = same
-    gram[3:, 3:] = same
-    gram[:3, 3:] = cross
-    gram[3:, :3] = cross.T
-    return gram
+    """``GRAM_EXACT`` as a float numpy array."""
+    return _float_view(GRAM_EXACT)
 
 
 def optimal_multipliers() -> np.ndarray:
-    """Diagonal dual multipliers closing the certificate: (3/2) I."""
-    return 1.5 * np.eye(6)
+    """``MULTIPLIERS_EXACT`` as a float numpy array."""
+    return _float_view(MULTIPLIERS_EXACT)
 
 
 def gram_from_vectors(vectors) -> np.ndarray:
     """Gram matrix of six unit vectors (Alice's three rows, then Bob's)."""
+    import numpy as np
+
     rows = np.asarray(vectors, dtype=float)
     if rows.ndim != 2 or rows.shape[0] != 6:
         raise ValueError(f"need exactly 6 vectors, got array of shape {rows.shape}")
@@ -161,50 +331,85 @@ def gram_from_vectors(vectors) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues
+# positive semidefiniteness: exact LDL^T, float eigenvalues
+
+
+def is_positive_semidefinite(matrix) -> bool:
+    """Whether a symmetric matrix is positive semidefinite, decided exactly.
+
+    Entries are taken as Fractions (floats by their exact binary value).
+    Symmetric elimination (LDL^T without pivoting): the matrix is positive
+    semidefinite iff every pivot is nonnegative and every zero pivot leaves
+    a zero row in the remaining Schur complement.
+    """
+    a = [[Fraction(v) for v in row] for row in matrix]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            if any(a[k][j] for j in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            ratio = a[i][k] / pivot
+            if ratio:
+                for j in range(k + 1, n):
+                    a[i][j] -= ratio * a[k][j]
+    return True
 
 
 def sym_eigenvalues(matrix, off_tol: float = JACOBI_OFF_TOL) -> tuple[float, ...]:
     """All eigenvalues of a symmetric matrix, descending, via cyclic Jacobi.
 
     Rotations run in sweeps until the off-diagonal Frobenius norm drops
-    below ``off_tol``.
+    below ``off_tol``.  Plain Python floats; each rotation updates the two
+    rows and then the two columns, so every entry is rounded exactly as in
+    the array formulation ``a[p, :] = c * a[p, :] - s * a[q, :]`` etc.
     """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if np.abs(a - a.T).max() > 1e-12:
+    try:
+        a = [[float(v) for v in row] for row in matrix]
+    except TypeError:
+        raise ValueError("matrix must be a square 2-D array") from None
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"matrix must be square, got rows of lengths {[len(r) for r in a]}")
+    if max((abs(a[i][j] - a[j][i]) for i in range(n) for j in range(n)), default=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric")
-    a = (a + a.T) / 2
-    n = a.shape[0]
+    a = [[(a[i][j] + a[j][i]) / 2 for j in range(n)] for i in range(n)]
     skip = off_tol / max(n, 2)
     for _ in range(100):
         # summed from the off-diagonal entries themselves: subtracting the
         # diagonal mass from the full Frobenius norm cancels to rounding noise
         # far above off_tol once the matrix is nearly diagonal
-        off_part = a - np.diag(np.diag(a))
-        off = math.sqrt(float((off_part * off_part).sum()))
+        off = math.sqrt(sum(a[i][j] * a[i][j] for i in range(n) for j in range(n) if i != j))
         if off < off_tol:
-            return tuple(sorted((float(v) for v in np.diag(a)), reverse=True))
+            return tuple(sorted((a[i][i] for i in range(n)), reverse=True))
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a[p][q]
                 if abs(apq) <= skip:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2 * apq)
+                tau = (a[q][q] - a[p][p]) / (2 * apq)
                 if tau >= 0:
                     t = 1.0 / (tau + math.hypot(1.0, tau))
                 else:
                     t = -1.0 / (-tau + math.hypot(1.0, tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
+                row_p, row_q = a[p], a[q]
+                a[p] = [c * u - s * v for u, v in zip(row_p, row_q)]
+                a[q] = [s * u + c * v for u, v in zip(row_p, row_q)]
+                for row in a:
+                    u, v = row[p], row[q]
+                    row[p] = c * u - s * v
+                    row[q] = s * u + c * v
+                a[p][q] = a[q][p] = 0.0
     raise ArithmeticError("Jacobi iteration did not reach the target accuracy")
 
 
@@ -212,38 +417,59 @@ def sym_eigenvalues(matrix, off_tol: float = JACOBI_OFF_TOL) -> tuple[float, ...
 # primal / dual verification
 
 
-def verify_primal(gram) -> tuple[float, bool]:
+def _candidate(matrix, what: str) -> tuple[list[list], bool]:
+    """A 6x6 candidate as rows of Python numbers, and whether all are exact."""
+    rows = [
+        [v if isinstance(v, (int, Fraction)) else float(v) for v in row] for row in matrix
+    ]
+    if len(rows) != 6 or any(len(row) != 6 for row in rows):
+        raise ValueError(f"{what} must be 6x6, got rows of lengths {[len(r) for r in rows]}")
+    exact = all(isinstance(v, (int, Fraction)) for row in rows for v in row)
+    return rows, exact
+
+
+def _is_feasible(matrix, exact: bool) -> bool:
+    if exact:
+        return is_positive_semidefinite(matrix)
+    return sym_eigenvalues(matrix)[-1] >= -CERT_TOL
+
+
+def _dual_slack(multipliers):
+    """The dual slack matrix -(1/2) W + Lambda."""
+    return [
+        [-w / 2 + lam for w, lam in zip(w_row, lam_row)]
+        for w_row, lam_row in zip(W_EXACT, multipliers)
+    ]
+
+
+def verify_primal(gram) -> tuple:
     """Objective value (1/2) tr(G W) and feasibility of a candidate Gram matrix.
 
-    Feasible means: symmetric 6x6, minimum eigenvalue >= -1e-9, and every
+    Exact entries (ints, Fractions) are checked exactly: unit diagonal and
+    positive semidefinite by LDL^T, with a Fraction value.  Float entries
+    are checked within 1e-9: minimum Jacobi eigenvalue >= -1e-9 and every
     diagonal entry within 1e-9 of 1.
     """
-    gram = np.asarray(gram, dtype=float)
-    if gram.shape != (6, 6):
-        raise ValueError(f"primal candidate must be 6x6, got {gram.shape}")
-    value = 0.5 * float(np.trace(gram @ w_matrix()))
-    eigenvalues = sym_eigenvalues(gram)
-    feasible = (
-        eigenvalues[-1] >= -CERT_TOL
-        and np.abs(np.diag(gram) - 1).max() <= CERT_TOL
-    )
-    return value, feasible
+    rows, exact = _candidate(gram, "primal candidate")
+    value = sum(g * w for g_row, w_row in zip(rows, W_EXACT) for g, w in zip(g_row, w_row)) / 2
+    diagonal_tol = 0 if exact else CERT_TOL
+    feasible = _is_feasible(rows, exact)
+    return value, feasible and all(abs(rows[i][i] - 1) <= diagonal_tol for i in range(6))
 
 
-def verify_dual(multipliers) -> tuple[float, bool]:
+def verify_dual(multipliers) -> tuple:
     """Dual value tr(Lambda) and feasibility of diagonal multipliers.
 
     Feasible means the slack matrix -(1/2) W + Lambda is positive
-    semidefinite (minimum eigenvalue >= -1e-9).
+    semidefinite: exactly (LDL^T, Fraction value) for exact entries, with
+    minimum Jacobi eigenvalue >= -1e-9 for float ones.
     """
-    lam = np.asarray(multipliers, dtype=float)
-    if lam.shape != (6, 6):
-        raise ValueError(f"dual candidate must be 6x6, got {lam.shape}")
-    if np.abs(lam - np.diag(np.diag(lam))).max() > 1e-12:
+    lam, exact = _candidate(multipliers, "dual candidate")
+    off_limit = 0 if exact else 1e-12
+    if any(abs(lam[i][j]) > off_limit for i in range(6) for j in range(6) if i != j):
         raise ValueError("dual multipliers must be a diagonal matrix")
-    slack = -0.5 * w_matrix() + lam
-    eigenvalues = sym_eigenvalues(slack)
-    return float(np.trace(lam)), eigenvalues[-1] >= -CERT_TOL
+    value = sum(lam[i][i] for i in range(6))
+    return value, _is_feasible(_dual_slack(lam), exact)
 
 
 @dataclass(frozen=True)
@@ -273,29 +499,29 @@ class CertificateReport:
 def certify_quantum_bound(tol: float = CERT_TOL) -> CertificateReport:
     """Verify the matching primal/dual pair at value 9 and report it.
 
-    Any feasibility failure or a primal/dual gap beyond ``tol`` raises
-    CertificationError: the certificate is recomputed, never assumed.
+    The pair is exact: ``GRAM_EXACT`` and ``MULTIPLIERS_EXACT`` are checked
+    by LDL^T over Fractions, and primal and dual are both exactly 9.  Any
+    feasibility failure or a gap beyond ``tol`` raises CertificationError:
+    the certificate is recomputed, never assumed.  The report holds floats;
+    its eigenvalues are the Jacobi cross-check.
     """
-    gram = optimal_gram()
-    lam = optimal_multipliers()
-    primal_value, primal_ok = verify_primal(gram)
-    dual_value, dual_ok = verify_dual(lam)
+    primal_value, primal_ok = verify_primal(GRAM_EXACT)
+    dual_value, dual_ok = verify_dual(MULTIPLIERS_EXACT)
     gap = abs(dual_value - primal_value)
     if not primal_ok:
         raise CertificationError("primal candidate is infeasible")
     if not dual_ok:
-        raise CertificationError("dual multipliers leave a negative slack eigenvalue")
+        raise CertificationError("dual slack matrix is not positive semidefinite")
     if gap > tol:
-        raise CertificationError(f"primal/dual gap {gap} exceeds {tol}")
-    bound = dual_value
+        raise CertificationError(f"primal/dual gap {float(gap)} exceeds {tol}")
     return CertificateReport(
-        primal_value=primal_value,
-        dual_value=dual_value,
-        gap=gap,
-        primal_eigenvalues=sym_eigenvalues(gram),
-        dual_slack_eigenvalues=sym_eigenvalues(-0.5 * w_matrix() + lam),
-        bound=bound,
-        implied_win_bound=(bound + 24) / 36,
+        primal_value=float(primal_value),
+        dual_value=float(dual_value),
+        gap=float(gap),
+        primal_eigenvalues=sym_eigenvalues(GRAM_EXACT),
+        dual_slack_eigenvalues=sym_eigenvalues(_dual_slack(MULTIPLIERS_EXACT)),
+        bound=float(dual_value),
+        implied_win_bound=float((dual_value + 24) / 36),
     )
 
 
@@ -312,6 +538,8 @@ class VectorStrategy:
     bob: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         for name, rows in (("alice", self.alice), ("bob", self.bob)):
             if rows.shape[0] != 3 or rows.ndim != 2:
                 raise ValueError(f"{name} must hold 3 row vectors")
@@ -341,13 +569,13 @@ def _objective(xs, ys) -> float:
     return total
 
 
-def _unit(vector, rng) -> np.ndarray:
-    norm = float(np.linalg.norm(vector))
-    while norm < 1e-15:
+def _unit(vector, rng, norm) -> np.ndarray:
+    length = float(norm(vector))
+    while length < 1e-15:
         # Degenerate update direction: re-seed this vector from the stream.
         vector = rng.standard_normal(vector.shape[0])
-        norm = float(np.linalg.norm(vector))
-    return vector / norm
+        length = float(norm(vector))
+    return vector / length
 
 
 def alternating_ascent(
@@ -364,19 +592,22 @@ def alternating_ascent(
     half-steps maximize the objective exactly, so sweeps are monotone.
     Restart k uses generator seed ``seed + k``; the best restart wins.
     """
+    import numpy as np
+
     if restarts < 1:
         raise ValueError("need at least one restart")
+    norm = np.linalg.norm
     best: AscentResult | None = None
     for k in range(restarts):
         rng = np.random.default_rng(seed + k)
-        xs = [_unit(rng.standard_normal(dim), rng) for _ in range(3)]
-        ys = [_unit(rng.standard_normal(dim), rng) for _ in range(3)]
+        xs = [_unit(rng.standard_normal(dim), rng, norm) for _ in range(3)]
+        ys = [_unit(rng.standard_normal(dim), rng, norm) for _ in range(3)]
         values = [_objective(xs, ys)]
         for _ in range(max_sweeps):
             for i in range(3):
-                xs[i] = _unit(_bell_row(ys, i), rng)
+                xs[i] = _unit(_bell_row(ys, i), rng, norm)
             for j in range(3):
-                ys[j] = _unit(_bell_row(xs, j), rng)
+                ys[j] = _unit(_bell_row(xs, j), rng, norm)
             values.append(_objective(xs, ys))
             if values[-1] - values[-2] < min_gain:
                 break

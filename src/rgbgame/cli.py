@@ -3,11 +3,11 @@
 Given the same arguments (and seed, where one applies) stdout is
 byte-identical across runs; the command's own wall time is reported on stderr
 so timing noise never touches the canonical output.  That time excludes
-interpreter start and imports, which are most of a short process.  Only
-``bounds`` (rgb game), ``quantum``, ``sdp-certify`` and ``sdp-optimize``
-import the numpy-backed quantum and bell layers, before the clock starts.  Exit
-codes: 0 success, 1 a verification failed, 2 bad input.  ``--json`` swaps the
-table rendering for a JSON report carrying the same values.
+interpreter start and imports, which are most of a short process: the layers
+a command imports on demand are loaded before the clock starts.  Only
+``quantum`` and ``sdp-optimize`` load numpy.  Exit codes: 0 success, 1 a
+verification failed, 2 bad input.  ``--json`` swaps the table rendering for a
+JSON report carrying the same values.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def cmd_bounds(args):
         results = {"rows": [{"class": name, "win": win} for name, win in rows]}
         return 0, lines, _report("bounds", {"game": "chsh"}, results)
 
-    from . import bell, quantum
+    from . import bell
 
     game = strategies.rgb_game()
     inputs = {"game": "rgb", "tolerance": args.tolerance}
@@ -73,28 +73,22 @@ def cmd_bounds(args):
     bell_local, _ = bell.deterministic_bell_maximum()
     ns_win = strategies.win_probability(strategies.rgrb(), game)
     bell_ns = bell.bell_quantity(
-        quantum.correlations_from_table(quantum.reduce_to_binary(strategies.rgrb()))
+        bell.correlations_from_table(bell.reduce_to_binary(strategies.rgrb()))
     )
 
-    table = quantum.quantum_strategy_table(
-        quantum.singlet(), quantum.trine_strategy(), quantum.trine_strategy()
-    )
-    sim_win = strategies.win_probability(table, game)
+    quantum_win = strategies.win_probability(bell.trine_table(), game)
     try:
         certificate = bell.certify_quantum_bound(args.tolerance)
     except bell.CertificationError as err:
         line = f"FAIL: {err}"
         return 1, [line], _report("bounds", inputs, {"error": str(err)})
-    if abs(sim_win - 11 / 12) > args.tolerance:
-        line = (
-            f"FAIL: simulated quantum win {value_str(sim_win)} "
-            f"is not 11/12 within {value_str(args.tolerance)}"
-        )
+    if quantum_win != Fraction(11, 12):
+        line = f"FAIL: trine strategy wins {value_str(quantum_win)}, not 11/12"
         return 1, [line], _report("bounds", inputs, {"error": line[6:]})
 
     rows = [
         ("local", value_str(local_value), value_str(bell_local)),
-        ("quantum", "11/12", value_str(certificate.bound)),
+        ("quantum", value_str(quantum_win), value_str(certificate.bound)),
         ("no-signalling", value_str(ns_win), value_str(bell_ns)),
     ]
     lines = [" | ".join(row) for row in rows]
@@ -217,11 +211,11 @@ def cmd_sdp_certify(args):
     }
     lines = _result_lines(results) + [
         "objective matrix:",
-        *_matrix_lines(bell.w_matrix()),
+        *_matrix_lines(bell.W_EXACT),
         "optimal gram matrix:",
-        *_matrix_lines(bell.optimal_gram()),
+        *_matrix_lines(bell.GRAM_EXACT),
         "dual multipliers:",
-        *_matrix_lines(bell.optimal_multipliers()),
+        *_matrix_lines(bell.MULTIPLIERS_EXACT),
     ]
     return 0, lines, _report("sdp-certify", inputs, results)
 
@@ -463,17 +457,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _imports_float_layers(args) -> bool:
-    """Whether the handler imports the numpy-backed quantum and bell layers."""
+    """Whether the handler needs numpy, through the quantum and bell layers."""
+    return args.handler in (cmd_quantum, cmd_sdp_optimize)
+
+
+def _imports_bell(args) -> bool:
+    """Whether the handler imports the numpy-free bell layer alone."""
     if args.handler is cmd_bounds:
         return args.game == "rgb"
-    return args.handler in (cmd_quantum, cmd_sdp_certify, cmd_sdp_optimize)
+    return args.handler is cmd_sdp_certify
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Imported before the clock starts, so the wall time stays command-only.
     if _imports_float_layers(args):
-        # Imported before the clock starts, so the wall time stays command-only.
         from . import bell, quantum  # noqa: F401
+    elif _imports_bell(args):
+        from . import bell  # noqa: F401
     start = time.perf_counter()
     try:
         code, lines, report = args.handler(args)

@@ -6,8 +6,10 @@ assigned to the colour they were given, then answers colour+1 on the
 With the singlet state and the three trine projectors (Bloch angles 0 and
 +-120 degrees in the x-z plane) this wins with probability 11/12.
 
-Tensor products put Alice's factor first.  All numerics are float; exact
-arithmetic stays in the classical modules.
+Tensor products put Alice's factor first.  The simulation is float, for
+arbitrary angles; the trine point itself is derived exactly by
+``bell.trine_table``.  ``reduce_to_binary`` and ``correlations_from_table``
+live in the numpy-free ``bell`` module and are re-exported here.
 """
 
 from __future__ import annotations
@@ -18,9 +20,13 @@ from typing import Callable
 
 import numpy as np
 
+from .bell import (  # noqa: F401 (reduce_to_binary, correlations_from_table re-exported)
+    ALGEBRA_TOL,
+    correlations_from_table,
+    cyclic_rule,
+    reduce_to_binary,
+)
 from .strategies import StrategyTable, next_colour, prev_colour
-
-ALGEBRA_TOL = 1e-12
 
 
 def singlet() -> np.ndarray:
@@ -48,10 +54,6 @@ def trine_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _cyclic_rule(colour: int, outcome: int) -> int:
-    return next_colour(colour) if outcome else prev_colour(colour)
-
-
 @dataclass(frozen=True)
 class QubitStrategy:
     """A per-colour projective measurement with an outcome-to-colour rule.
@@ -62,7 +64,7 @@ class QubitStrategy:
     """
 
     projectors: tuple[np.ndarray, np.ndarray, np.ndarray]
-    output_rule: Callable[[int, int], int] = _cyclic_rule
+    output_rule: Callable[[int, int], int] = cyclic_rule
 
     def __post_init__(self):
         if len(self.projectors) != 3:
@@ -112,9 +114,12 @@ def _check_state(state) -> np.ndarray:
 
 
 def _born_prob(state: np.ndarray, effect_a, effect_b) -> float:
-    # The unchecked kernel of joint_prob: the caller has validated all three.
-    value = (state.conj() @ (np.kron(effect_a, effect_b) @ state)).real
-    return min(1.0, max(0.0, float(value)))
+    # The kernel of joint_prob: the caller has validated all three, so only
+    # rounding (within ALGEBRA_TOL) can leave [0, 1]; that much is clamped.
+    value = float((state.conj() @ (np.kron(effect_a, effect_b) @ state)).real)
+    if not abs(value - 0.5) <= 0.5 + ALGEBRA_TOL:
+        raise ValueError(f"Born probability {value!r} lies outside [0, 1]")
+    return min(1.0, max(0.0, value))
 
 
 def joint_prob(state: np.ndarray, effect_a, effect_b) -> float:
@@ -155,70 +160,3 @@ def quantum_strategy_table(
     return StrategyTable.from_function(
         (3, 3, 3, 3), lambda a, b, x, y: entries.get((a, b, x, y), 0.0)
     )
-
-
-def reduce_to_binary(table: StrategyTable, atol: float = ALGEBRA_TOL) -> StrategyTable:
-    """Relabel a never-plays-its-own-colour table onto binary outputs.
-
-    Requires P(x = a | a, b) and P(y = b | a, b) to vanish (exactly for
-    rational tables, within ``atol`` for float ones); then x = a - 1 maps to
-    0 and x = a + 1 to 1, and likewise for y around b.  Float rows are
-    renormalized afterwards, absorbing the at-most-``atol`` forbidden mass.
-    """
-    if table.shape != (3, 3, 3, 3):
-        raise ValueError(f"expected colour alphabets (3,3,3,3), got {table.shape}")
-    exact = table.is_exact
-    for a in range(3):
-        for b in range(3):
-            own = sum(table.prob(a, b, a, y) for y in range(3)) + sum(
-                table.prob(a, b, x, b) for x in range(3)
-            )
-            limit = 0 if exact else atol
-            if own > limit:
-                raise ValueError(
-                    f"strategy plays a sure-losing colour on input ({a},{b}) "
-                    f"with probability {own}"
-                )
-
-    def entry(a, b, x_bit, y_bit):
-        x = next_colour(a) if x_bit else prev_colour(a)
-        y = next_colour(b) if y_bit else prev_colour(b)
-        return table.prob(a, b, x, y)
-
-    reduced = {
-        (a, b, xb, yb): entry(a, b, xb, yb)
-        for a in range(3)
-        for b in range(3)
-        for xb in (0, 1)
-        for yb in (0, 1)
-    }
-    if not exact:
-        # Per-row renormalization absorbs the (at most atol) forbidden mass.
-        for a in range(3):
-            for b in range(3):
-                total = sum(reduced[(a, b, xb, yb)] for xb in (0, 1) for yb in (0, 1))
-                for xb in (0, 1):
-                    for yb in (0, 1):
-                        reduced[(a, b, xb, yb)] /= total
-    return StrategyTable.from_function(
-        (3, 3, 2, 2), lambda a, b, x, y: reduced[(a, b, x, y)]
-    )
-
-
-def correlations_from_table(binary_table: StrategyTable):
-    """Per-input correlations <A_a B_b> = 2 P(x = y | a, b) - 1.
-
-    Input must be a binary-output table over the 3x3 colour inputs.  Exact
-    tables give exact correlations.
-    """
-    na, nb, nx, ny = binary_table.shape
-    if (nx, ny) != (2, 2):
-        raise ValueError(f"need binary outputs, got alphabets {(nx, ny)}")
-    rows = []
-    for a in range(na):
-        row = []
-        for b in range(nb):
-            agree = binary_table.prob(a, b, 0, 0) + binary_table.prob(a, b, 1, 1)
-            row.append(2 * agree - 1)
-        rows.append(tuple(row))
-    return tuple(rows)

@@ -1,23 +1,31 @@
 """The Bell functional, the eigensolver, and the optimality certificates."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgbgame.bell import (
+    GRAM_EXACT,
+    MULTIPLIERS_EXACT,
+    W_EXACT,
     CertificationError,
     alternating_ascent,
     bell_quantity,
     certify_quantum_bound,
     deterministic_bell_maximum,
     gram_from_vectors,
+    is_positive_semidefinite,
     lemma1_win,
     optimal_gram,
     optimal_multipliers,
     sym_eigenvalues,
+    trine_table,
     verify_dual,
     verify_primal,
     w_matrix,
@@ -43,6 +51,85 @@ F = Fraction
 
 # ---------------------------------------------------------------------------
 # eigensolver, checked against an independent implementation first
+
+
+def _numpy_sym_eigenvalues(matrix, off_tol=1e-13):
+    """The library's cyclic Jacobi as it was written over numpy arrays: the
+    oracle that the plain-float version must match bit for bit."""
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if np.abs(a - a.T).max() > 1e-12:
+        raise ValueError("matrix is not symmetric")
+    a = (a + a.T) / 2
+    n = a.shape[0]
+    skip = off_tol / max(n, 2)
+    for _ in range(100):
+        off_part = a - np.diag(np.diag(a))
+        off = math.sqrt(float((off_part * off_part).sum()))
+        if off < off_tol:
+            return tuple(sorted((float(v) for v in np.diag(a)), reverse=True))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2 * apq)
+                if tau >= 0:
+                    t = 1.0 / (tau + math.hypot(1.0, tau))
+                else:
+                    t = -1.0 / (-tau + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                a[p, q] = a[q, p] = 0.0
+    raise ArithmeticError("Jacobi iteration did not reach the target accuracy")
+
+
+_ENTRIES = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    upper = draw(st.lists(_ENTRIES, min_size=21, max_size=21))
+    m = np.zeros((6, 6))
+    m[np.triu_indices(6)] = upper
+    return m + np.triu(m, 1).T
+
+
+@st.composite
+def gram_matrices(draw):
+    dim = draw(st.integers(1, 6))
+    rows = np.array(draw(st.lists(
+        st.lists(_ENTRIES, min_size=dim, max_size=dim), min_size=6, max_size=6
+    )))
+    return rows @ rows.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(symmetric_matrices(), gram_matrices()))
+def test_jacobi_matches_the_numpy_oracle_bit_for_bit(matrix):
+    try:
+        expected = _numpy_sym_eigenvalues(matrix)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            sym_eigenvalues(matrix)
+        return
+    assert sym_eigenvalues(matrix) == expected
+
+
+def test_jacobi_matches_the_numpy_oracle_on_the_certificate():
+    slack = -0.5 * w_matrix() + optimal_multipliers()
+    for matrix in (optimal_gram(), slack, -0.5 * w_matrix()):
+        assert sym_eigenvalues(matrix) == _numpy_sym_eigenvalues(matrix)
+    report = certify_quantum_bound()
+    assert report.primal_eigenvalues == _numpy_sym_eigenvalues(optimal_gram())
+    assert report.dual_slack_eigenvalues == _numpy_sym_eigenvalues(slack)
 
 
 def test_jacobi_against_numpy():
@@ -245,6 +332,81 @@ def test_certification_report():
         "bound",
         "implied_win_bound",
     }
+
+
+def test_certificate_is_exact():
+    assert verify_primal(GRAM_EXACT) == (F(9), True)
+    assert verify_dual(MULTIPLIERS_EXACT) == (F(9), True)
+    assert certify_quantum_bound(tol=0).gap == 0
+    assert all(isinstance(v, F) for m in (W_EXACT, GRAM_EXACT, MULTIPLIERS_EXACT)
+               for row in m for v in row)
+    np.testing.assert_array_equal(w_matrix(), np.array(W_EXACT, dtype=float))
+
+
+def _multipliers(value):
+    return [[value if i == j else 0 for j in range(6)] for i in range(6)]
+
+
+def test_multipliers_a_hair_below_three_halves_are_rejected():
+    # The slack's least eigenvalue is -1e-12: inside the float slack of 1e-9,
+    # but the exact LDL^T sees the negative pivot.
+    lam = _multipliers(F(3, 2) - F(1, 10**12))
+    value, feasible = verify_dual(lam)
+    assert value == 9 - F(6, 10**12)
+    assert not feasible
+    assert sym_eigenvalues(-0.5 * w_matrix() + np.array(lam, dtype=float))[-1] > -1e-9
+
+
+def test_multipliers_of_149_hundredths_are_rejected():
+    assert verify_dual(_multipliers(F(149, 100))) == (F(447, 50), False)
+
+
+def test_primal_exact_path_demands_a_unit_diagonal():
+    gram = [list(row) for row in GRAM_EXACT]
+    gram[0][0] = F(1) + F(1, 10**12)  # still positive semidefinite
+    value, feasible = verify_primal(gram)
+    assert value == 9
+    assert not feasible
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=6, max_size=6
+        )
+    )
+)
+def test_ldlt_on_singular_integer_grams(rows):
+    # B B^T with B of rank < 6 is positive semidefinite and singular, so any
+    # negative shift of the diagonal, however small, leaves the cone.
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
+    assert is_positive_semidefinite(gram)
+    shifted = [[g - (F(1, 10**12) if i == j else 0) for j, g in enumerate(row)]
+               for i, row in enumerate(gram)]
+    assert not is_positive_semidefinite(shifted)
+
+
+def test_ldlt_input_validation():
+    with pytest.raises(ValueError):
+        is_positive_semidefinite([[1, 2], [0, 1]])
+    with pytest.raises(ValueError):
+        is_positive_semidefinite([[1, 0, 0], [0, 1, 0]])
+    assert is_positive_semidefinite([[0, 0], [0, 0]])
+    assert not is_positive_semidefinite([[0, 1], [1, 0]])
+
+
+def test_exact_trine_table():
+    table = trine_table()
+    assert table.is_exact
+    assert win_probability(table, rgb_game()) == F(11, 12)
+    simulated = quantum_strategy_table(singlet(), trine_strategy(), trine_strategy())
+    assert all(
+        abs(exact - float_) <= 1e-15 for exact, float_ in zip(table.probs, simulated.probs)
+    )
+    corr = correlations_from_table(reduce_to_binary(table))
+    assert bell_quantity(corr) == 9
+    assert corr == tuple(tuple(F(-1) if a == b else F(1, 2) for b in range(3)) for a in range(3))
 
 
 def test_certification_error_on_impossible_tolerance():

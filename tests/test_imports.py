@@ -1,8 +1,9 @@
-"""numpy is loaded only by the float layers, quantum and bell.
+"""numpy is loaded only by the quantum layer and bell's numpy-array functions.
 
-The exact layers (strategies, locality, wiring, formats) and the CLI
-subcommands built on them must start without it.  Every check runs in a
-fresh interpreter, because this test process imported numpy long ago.
+The exact layers (strategies, locality, wiring, formats), bell's exact
+checks, and the CLI subcommands built on them must start without it.  Every
+check runs in a fresh interpreter, because this test process imported numpy
+long ago.
 """
 
 import json
@@ -44,7 +45,8 @@ wiring_to_json_dict x_marginal y_marginal
 """.split()
 
 # Runs CLI subcommands in-process; prints, per command, its exit code and
-# whether numpy was loaded when the wall-time clock started and at the end.
+# whether numpy (and bell) were loaded when the wall-time clock started, and
+# whether numpy was loaded at the end.
 CLI_PROBE = """
 import contextlib, io, json, sys, time
 from rgbgame import cli
@@ -53,7 +55,7 @@ real_clock = time.perf_counter
 clock_reads = []
 
 def clock():
-    clock_reads.append("numpy" in sys.modules)
+    clock_reads.append({m: m in sys.modules for m in ("numpy", "rgbgame.bell")})
     return real_clock()
 
 time.perf_counter = clock
@@ -66,7 +68,8 @@ for argv in json.loads(sys.argv[1]):
     report.append({
         "argv": argv,
         "code": code,
-        "numpy_at_clock_start": clock_reads[0],
+        "numpy_at_clock_start": clock_reads[0]["numpy"],
+        "bell_at_clock_start": clock_reads[0]["rgbgame.bell"],
         "numpy_at_end": "numpy" in sys.modules,
     })
 print(json.dumps(report))
@@ -128,6 +131,24 @@ def test_float_reexports_resolve_on_first_access():
     assert result["dir"] == DIR_RGBGAME
 
 
+def test_bell_exact_checks_leave_numpy_unloaded():
+    result = run_python(
+        "import json, sys\n"
+        "import rgbgame\n"
+        "for name, layer in rgbgame._LAZY.items():\n"
+        "    if layer == 'bell':\n"
+        "        getattr(rgbgame, name)\n"
+        "from rgbgame import bell, strategies\n"
+        "report = bell.certify_quantum_bound()\n"
+        "win = strategies.win_probability(bell.trine_table(), strategies.rgb_game())\n"
+        "binary = bell.reduce_to_binary(strategies.rgrb())\n"
+        "r = bell.bell_quantity(bell.correlations_from_table(binary))\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules, 'win': str(win),\n"
+        "                  'r': str(r), 'bound': report.bound}))\n"
+    )
+    assert result == {"numpy": False, "win": "11/12", "r": "12", "bound": 9.0}
+
+
 def test_star_import_binds_every_public_name():
     names = run_python(
         "import json\n"
@@ -152,6 +173,8 @@ def test_exact_subcommands_leave_numpy_unloaded(tmp_path):
         ["distance", str(box), str(other)],
         ["apply-wiring", str(wiring), str(box)],
         ["bounds", "--game", "chsh"],
+        ["bounds"],
+        ["sdp-certify"],
     ]
     report = run_python(CLI_PROBE, json.dumps(commands))
     assert [r["argv"] for r in report] == commands
@@ -160,12 +183,20 @@ def test_exact_subcommands_leave_numpy_unloaded(tmp_path):
         assert not r["numpy_at_end"], r
 
 
+@pytest.mark.parametrize("argv", [["bounds"], ["sdp-certify"]])
+def test_exact_quantum_checks_load_bell_before_the_clock(argv):
+    (r,) = run_python(CLI_PROBE, json.dumps([argv]))
+    assert r["code"] == 0
+    assert r["bell_at_clock_start"]
+    assert not r["numpy_at_end"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bounds"],
+        ["quantum", "--json"],
         ["quantum"],
-        ["sdp-certify"],
+        ["sdp-optimize", "--seed", "2", "--restarts", "1", "--json"],
         ["sdp-optimize", "--seed", "1", "--restarts", "2"],
     ],
 )

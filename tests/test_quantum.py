@@ -7,7 +7,9 @@ import pytest
 
 from rgbgame.locality import id_box, is_no_signalling
 from rgbgame.quantum import (
+    ALGEBRA_TOL,
     QubitStrategy,
+    _born_prob,
     correlations_from_table,
     joint_prob,
     projector_from_angle,
@@ -72,6 +74,17 @@ def test_joint_prob_rejects_bad_inputs():
         joint_prob(singlet(), 2 * np.eye(2), np.eye(2))
     with pytest.raises(ValueError, match="not normalized"):
         quantum_strategy_table(2 * singlet(), trine_strategy(), trine_strategy())
+
+
+def test_born_kernel_clamps_rounding_and_rejects_larger_excursions():
+    eye = np.eye(2, dtype=complex)
+    # <singlet| c I (x) I |singlet> = c: rounding-sized excursions are clamped.
+    assert _born_prob(singlet(), (1 + ALGEBRA_TOL / 2) * eye, eye) == 1.0
+    assert _born_prob(singlet(), -ALGEBRA_TOL / 2 * eye, eye) == 0.0
+    with pytest.raises(ValueError, match="outside"):
+        _born_prob(singlet(), 2 * eye, eye)
+    with pytest.raises(ValueError, match="outside"):
+        _born_prob(singlet(), -4 * ALGEBRA_TOL * eye, eye)
 
 
 def test_qubit_strategy_validation():

@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgbgame.locality import is_no_signalling, pr_box
 from rgbgame.strategies import (
     chsh_game,
+    deterministic_strategy,
     l1_distance,
     mix,
     rgb_game,
@@ -166,6 +169,44 @@ def test_random_wirings_preserve_no_signalling():
             table = evaluate_wiring(protocol, base)
             ok, witness = is_no_signalling(table)
             assert ok, witness
+
+
+@st.composite
+def ns_boxes(draw):
+    """Random exact mixtures of no-signalling boxes: deterministic boxes of a
+    random shape, joined by the PR box or rgrb where the shape is theirs."""
+    shape = draw(st.sampled_from([(2, 2, 2, 2), (3, 3, 3, 3)]) | st.tuples(
+        *[st.integers(1, 3)] * 4
+    ))
+    na, nb, nx, ny = shape
+    tables = [
+        deterministic_strategy(
+            draw(st.lists(st.integers(0, nx - 1), min_size=na, max_size=na)),
+            draw(st.lists(st.integers(0, ny - 1), min_size=nb, max_size=nb)),
+            shape,
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    tables += [box for box in (pr_box(), rgrb()) if box.shape == shape]
+    weights = draw(
+        st.lists(st.integers(0, 4), min_size=len(tables), max_size=len(tables)).filter(sum)
+    )
+    return mix(tables, [F(w, sum(weights)) for w in weights])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ns_boxes(),
+    st.tuples(*[st.integers(1, 3)] * 4),
+    st.integers(0, 2),
+    st.integers(1, 2),
+    st.randoms(use_true_random=False),
+)
+def test_wirings_of_random_ns_boxes_stay_no_signalling(base, outer, calls, randomness, rng):
+    assert is_no_signalling(base)[0]
+    protocol = random_wiring(rng, outer, base.shape, calls, randomness)
+    ok, witness = is_no_signalling(evaluate_wiring(protocol, base))
+    assert ok, witness
 
 
 # ---------------------------------------------------------------------------
