@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -312,6 +313,17 @@ def cmd_export_wiring(args):
 # parser
 
 
+def _tolerance(text: str) -> float:
+    """A --tolerance value: a finite, nonnegative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite nonnegative number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rgbgame",
@@ -340,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=1e-9,
         help="slack for the quantum certificate checks (default 1e-9)",
     )
@@ -405,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=1e-9,
         help="feasibility and gap slack (default 1e-9)",
     )

@@ -83,16 +83,11 @@ def _entry_text(p) -> str:
 
 
 def box_to_json_dict(table: StrategyTable) -> dict:
-    na, nb, nx, ny = table.shape
-    records = []
-    for a in range(na):
-        for b in range(nb):
-            for x in range(nx):
-                for y in range(ny):
-                    p = table.prob(a, b, x, y)
-                    if p == 0:
-                        continue
-                    records.append({"a": a, "b": b, "x": x, "y": y, "p": _entry_text(p)})
+    records = [
+        {"a": a, "b": b, "x": x, "y": y, "p": _entry_text(p)}
+        for a, b in table.inputs()
+        for (x, y), p in table.row(a, b).items()
+    ]
     return {"alphabets": list(table.shape), "table": records}
 
 

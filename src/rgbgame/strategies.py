@@ -44,10 +44,16 @@ def rgb_predicate(a: int, b: int, x: int, y: int) -> bool:
     return a != x and x != y and y != b
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _coerce(p):
-    # Exact entries stay exact; only genuine floats stay floats.
-    if isinstance(p, float):
+    # Exact entries stay exact; only genuine floats stay floats.  Fractions
+    # are immutable, so a Fraction and the constants 0 and 1 are shared.
+    if isinstance(p, float) or type(p) is Fraction:
         return p
+    if type(p) is int and 0 <= p <= 1:
+        return _ONE if p else _ZERO
     return Fraction(p)
 
 
@@ -58,7 +64,8 @@ class StrategyTable:
     ``shape`` is (|A|, |B|, |X|, |Y|); symbols are 0-based.  ``probs`` is the
     dense row-major tuple of entries.  Exact tables (every entry a Fraction)
     must have every row summing to 1 exactly; float tables within 1e-9, and
-    their entries must be finite.
+    their entries must be finite.  Exact rows are validated in integers, on
+    the numerators over a common denominator.
     """
 
     shape: tuple[int, int, int, int]
@@ -73,24 +80,32 @@ class StrategyTable:
                 f"need {na * nb * nx * ny} entries for shape {self.shape}, "
                 f"got {len(self.probs)}"
             )
+        n = nx * ny
         exact = self.is_exact
-        for a in range(na):
-            for b in range(nb):
-                row = self.row(a, b)
-                total = sum(row.values())
-                if exact:
-                    if total != 1:
-                        raise ValueError(f"row ({a},{b}) sums to {total}, not 1")
-                    if any(p < 0 or p > 1 for p in row.values()):
-                        raise ValueError(f"row ({a},{b}) has an entry outside [0,1]")
-                else:
-                    # NaN fails every comparison below, so it is caught here.
-                    if not all(math.isfinite(p) for p in row.values()):
-                        raise ValueError(f"row ({a},{b}) has a non-finite entry")
-                    if abs(total - 1) > FLOAT_ROW_TOL:
-                        raise ValueError(f"row ({a},{b}) sums to {total!r}, not 1")
-                    if any(p < -1e-12 or p > 1 + 1e-9 for p in row.values()):
-                        raise ValueError(f"row ({a},{b}) has an entry outside [0,1]")
+        for k, (a, b) in enumerate(self.inputs()):
+            row = self.probs[k * n : (k + 1) * n]
+            if exact:
+                # The row sum over a running common denominator, in integers.
+                num, den = 0, 1
+                for p in row:
+                    d = p.denominator
+                    if den % d:
+                        scale = d // math.gcd(den, d)
+                        num, den = num * scale, den * scale
+                    num += p.numerator * (den // d)
+                if num != den:
+                    raise ValueError(f"row ({a},{b}) sums to {Fraction(num, den)}, not 1")
+                if not all(0 <= p.numerator <= p.denominator for p in row):
+                    raise ValueError(f"row ({a},{b}) has an entry outside [0,1]")
+            else:
+                # NaN fails every comparison below, so it is caught here.
+                if not all(math.isfinite(p) for p in row):
+                    raise ValueError(f"row ({a},{b}) has a non-finite entry")
+                total = sum(p for p in row if p != 0)
+                if abs(total - 1) > FLOAT_ROW_TOL:
+                    raise ValueError(f"row ({a},{b}) sums to {total!r}, not 1")
+                if any(p < -1e-12 or p > 1 + 1e-9 for p in row):
+                    raise ValueError(f"row ({a},{b}) has an entry outside [0,1]")
 
     @property
     def is_exact(self) -> bool:
@@ -116,9 +131,10 @@ class StrategyTable:
 
     def _index(self, a, b, x, y) -> int:
         na, nb, nx, ny = self.shape
-        for value, size, name in ((a, na, "a"), (b, nb, "b"), (x, nx, "x"), (y, ny, "y")):
-            if not 0 <= value < size:
-                raise ValueError(f"symbol {name}={value} outside range(0, {size})")
+        if not (0 <= a < na and 0 <= b < nb and 0 <= x < nx and 0 <= y < ny):
+            for value, size, name in ((a, na, "a"), (b, nb, "b"), (x, nx, "x"), (y, ny, "y")):
+                if not 0 <= value < size:
+                    raise ValueError(f"symbol {name}={value} outside range(0, {size})")
         return ((a * nb + b) * nx + x) * ny + y
 
     def prob(self, a: int, b: int, x: int, y: int):
@@ -128,12 +144,9 @@ class StrategyTable:
     def row(self, a: int, b: int) -> dict:
         """Nonzero output probabilities for one input pair, as {(x, y): p}."""
         _, _, nx, ny = self.shape
-        entries = {
-            (x, y): self.probs[self._index(a, b, x, y)]
-            for x in range(nx)
-            for y in range(ny)
-        }
-        return {xy: p for xy, p in entries.items() if p != 0}
+        start = self._index(a, b, 0, 0)
+        cells = itertools.product(range(nx), range(ny))
+        return {xy: p for xy, p in zip(cells, self.probs[start : start + nx * ny]) if p != 0}
 
     def support(self, a: int, b: int) -> set:
         """Output pairs with nonzero probability for one input pair."""
@@ -413,8 +426,16 @@ def mix(tables: Sequence[StrategyTable], weights: Sequence) -> StrategyTable:
     slack = FLOAT_ROW_TOL if any(isinstance(w, float) for w in weights) else 0
     if any(w < 0 for w in weights) or abs(sum(weights) - 1) > slack:
         raise ValueError("weights must be nonnegative and sum to 1")
-    probs = tuple(
-        sum(w * t.probs[i] for w, t in zip(weights, tables))
-        for i in range(len(tables[0].probs))
-    )
-    return StrategyTable(shape, probs)
+    # Zero terms are skipped, except a float zero among exact terms: it turns
+    # the running sum into a float, and later terms are then added as floats.
+    all_float = all(isinstance(w, float) for w in weights)
+    zero = 0.0 if all_float else _ZERO
+    probs = []
+    for column in zip(*(t.probs for t in tables)):
+        terms = [
+            w * p
+            for w, p in zip(weights, column)
+            if p != 0 or not all_float and (isinstance(w, float) or isinstance(p, float))
+        ]
+        probs.append(sum(terms) if terms else zero)
+    return StrategyTable(shape, tuple(probs))

@@ -68,8 +68,10 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
             f"base box shape {base.shape} != wiring inner shape {protocol.inner_shape}"
         )
     oa, ob, ox, oy = protocol.outer_shape
-    ia, ib, ix, iy = protocol.inner_shape
+    ia, ib = protocol.inner_shape[:2]
     share = Fraction(1, protocol.randomness)
+    # Nonzero ((x, y), p) items of each base row, read once per call.
+    rows: dict[tuple[int, int], list] = {}
     entries: dict[tuple[int, int, int, int], object] = {}
     for a in range(oa):
         for b in range(ob):
@@ -84,12 +86,11 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
                             raise ValueError(
                                 f"call {k} maps ({a},{b}) outside the base alphabets"
                             )
-                        for x_k in range(ix):
-                            for y_k in range(iy):
-                                p = base.prob(a_k, b_k, x_k, y_k)
-                                if p == 0:
-                                    continue
-                                grown.append((xs + (x_k,), ys + (y_k,), weight * p))
+                        items = rows.get((a_k, b_k))
+                        if items is None:
+                            items = rows[a_k, b_k] = list(base.row(a_k, b_k).items())
+                        for (x_k, y_k), p in items:
+                            grown.append((xs + (x_k,), ys + (y_k,), weight * p))
                     branches = grown
                 for xs, ys, weight in branches:
                     x = protocol.alice_output(a, xs, r)

@@ -186,6 +186,17 @@ def test_sdp_optimize_requires_seed(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["bounds", "sdp-certify"])
+@pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf", "-inf", "abc"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, f"--tolerance={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --tolerance: {value!r} is not a finite nonnegative number" in captured.err
+
+
 def test_distance_and_export_pipeline(tmp_path, capsys):
     wiring_path = tmp_path / "w.json"
     base_path = tmp_path / "rgrb.box"

@@ -3,13 +3,16 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgbgame.locality import r_sig_box
 from rgbgame.strategies import (
+    FLOAT_ROW_TOL,
     Game,
     StrategyTable,
     WinningFamilyParams,
@@ -264,6 +267,192 @@ class TestStrategyTable:
     def test_prob_bounds_checks(self):
         with pytest.raises(ValueError, match="outside"):
             rgrb().prob(3, 0, 0, 0)
+
+
+def _reference_row_check(shape, probs):
+    """Oracle: the row-by-row check StrategyTable made through row() and a
+    Fraction sum; returns its first error message, or None."""
+    na, nb, nx, ny = shape
+    exact = not any(isinstance(p, float) for p in probs)
+    for a in range(na):
+        for b in range(nb):
+            row = {
+                (x, y): probs[((a * nb + b) * nx + x) * ny + y]
+                for x in range(nx)
+                for y in range(ny)
+            }
+            row = {xy: p for xy, p in row.items() if p != 0}
+            total = sum(row.values())
+            if exact:
+                if total != 1:
+                    return f"row ({a},{b}) sums to {total}, not 1"
+                if any(p < 0 or p > 1 for p in row.values()):
+                    return f"row ({a},{b}) has an entry outside [0,1]"
+            else:
+                if not all(math.isfinite(p) for p in row.values()):
+                    return f"row ({a},{b}) has a non-finite entry"
+                if abs(total - 1) > FLOAT_ROW_TOL:
+                    return f"row ({a},{b}) sums to {total!r}, not 1"
+                if any(p < -1e-12 or p > 1 + 1e-9 for p in row.values()):
+                    return f"row ({a},{b}) has an entry outside [0,1]"
+    return None
+
+
+def _exact_row(draw, n):
+    """n Fractions of denominator k summing to 1, zeros included."""
+    k = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.integers(0, k), min_size=n - 1, max_size=n - 1)))
+    return [F(hi - lo, k) for lo, hi in zip([0] + cuts, cuts + [k])]
+
+
+@st.composite
+def table_rows(draw, n, kind):
+    """One row of n entries: valid, or broken the way a caller might break it."""
+    row = _exact_row(draw, n)
+    if kind == "int":
+        row = [0] * n
+        row[draw(st.integers(0, n - 1))] = 1
+    elif kind == "float":
+        row = [float(p) for p in row]
+    elif kind == "mixed":
+        row = [float(p) if draw(st.booleans()) else p for p in row]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    faults = ["none"] * 4 + ["off", "over", "int", "zeros", "nan", "inf", "slack"]
+    fault = draw(st.sampled_from(faults))
+    if fault == "off":
+        row[i] += draw(st.sampled_from([1, -1])) * F(1, draw(st.integers(1, 6)))
+    elif fault == "over" and i != j:
+        # Sums to 1 with every entry out of range.
+        row = [0] * n
+        row[i], row[j] = F(3, 2), F(-1, 2)
+    elif fault == "int":
+        row = [0] * n
+        row[i] = draw(st.sampled_from([1, 2, -1]))
+        if i != j:
+            row[j] = 1 - row[i]
+    elif fault == "zeros":
+        row = [p * 0 for p in row]
+    elif fault == "nan":
+        row[i] = math.nan
+    elif fault == "inf":
+        row[i] = draw(st.sampled_from([math.inf, -math.inf]))
+    elif fault == "slack":
+        row[i] = float(row[i]) + draw(st.sampled_from([1e-10, -1e-10, 1e-6, -1e-13]))
+    return row
+
+
+@st.composite
+def table_data(draw):
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    kinds = st.sampled_from(["exact", "int", "float", "mixed"])
+    table_kind = draw(kinds)
+    probs = []
+    for _ in range(shape[0] * shape[1]):
+        kind = draw(kinds) if table_kind == "mixed" else table_kind
+        probs += draw(table_rows(shape[2] * shape[3], kind))
+    return shape, tuple(probs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(table_data())
+def test_row_check_matches_the_reference(data):
+    shape, probs = data
+    try:
+        StrategyTable(shape, probs)
+        message = None
+    except ValueError as err:
+        message = str(err)
+    assert message == _reference_row_check(shape, probs)
+
+
+def test_row_check_reports_the_first_bad_row():
+    rows = [F(1), F(0), F(1, 2), F(1, 3), F(3, 2), F(-1, 2), F(1, 2), F(1, 2)]
+    with pytest.raises(ValueError, match=re.escape("row (0,1) sums to 5/6, not 1")):
+        StrategyTable((2, 2, 2, 1), tuple(rows))
+    with pytest.raises(ValueError, match=re.escape("row (1,0) has an entry outside [0,1]")):
+        StrategyTable((2, 2, 2, 1), tuple(rows[:2] + rows[:2] + rows[4:]))
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [(-1, 0, "a=-1"), (3, 0, "a=3"), (0, -1, "b=-1"), (0, 3, "b=3"), (-1, -1, "a=-1")],
+)
+def test_accessors_reject_symbols_outside_the_alphabets(a, b, message):
+    table = rgrb()
+    expected = re.escape(f"symbol {message} outside range(0, 3)")
+    for read in (lambda: table.prob(a, b, 0, 0), lambda: table.row(a, b), lambda: table.support(a, b)):
+        with pytest.raises(ValueError, match=expected):
+            read()
+    for x, y, name in ((-1, 0, "x=-1"), (0, 3, "y=3")):
+        with pytest.raises(ValueError, match=re.escape(f"symbol {name} outside range(0, 3)")):
+            table.prob(0, 0, x, y)
+
+
+def test_from_function_makes_every_exact_entry_a_fraction():
+    t = StrategyTable.from_function((2, 1, 2, 1), lambda a, b, x, y: [1, 0, F(0), True][2 * a + x])
+    assert t.probs == (1, 0, 0, 1)
+    assert all(type(p) is F for p in t.probs)
+
+
+def _reference_mix(tables, weights):
+    """Oracle: mix as one Fraction or float sum per entry, zero terms included."""
+    weights = [w if isinstance(w, float) else F(w) for w in weights]
+    return tuple(
+        sum(w * t.probs[i] for w, t in zip(weights, tables))
+        for i in range(len(tables[0].probs))
+    )
+
+
+def _typed(probs):
+    """Entries with their types; repr tells float bits apart, -0.0 included."""
+    return [(type(p), repr(p)) for p in probs]
+
+
+@st.composite
+def mixes(draw):
+    """Valid tables of one shape (exact, float or both) and weights summing
+    to 1 (exact, float or both)."""
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    n = shape[2] * shape[3]
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+        probs = []
+        for _ in range(shape[0] * shape[1]):
+            row = _exact_row(draw, n)
+            if kind != "exact":
+                row = [float(p) if kind == "float" or draw(st.booleans()) else p for p in row]
+            probs += row
+        tables.append(StrategyTable(shape, tuple(probs)))
+    parts = draw(st.lists(st.integers(0, 4), min_size=len(tables), max_size=len(tables)).filter(sum))
+    weights = [F(w, sum(parts)) for w in parts]
+    weight_kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    if weight_kind != "exact":
+        weights = [float(w) if weight_kind == "float" or draw(st.booleans()) else w for w in weights]
+    return tables, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixes())
+def test_mix_matches_the_entry_by_entry_sum(data):
+    tables, weights = data
+    try:
+        expected = _typed(StrategyTable(tables[0].shape, _reference_mix(tables, weights)).probs)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            mix(tables, weights)
+        return
+    assert _typed(mix(tables, weights).probs) == expected
+
+
+def test_float_weight_mix_stays_float():
+    tables = [rgrb(), r_sig_box()]
+    mixed = mix(tables, [0.5, 0.5])
+    assert all(type(p) is float for p in mixed.probs)
+    assert _typed(mixed.probs) == _typed(_reference_mix(tables, [0.5, 0.5]))
+    exact = mix(tables, [F(1, 2), F(1, 2)])
+    assert all(type(p) is F for p in exact.probs)
+    assert exact.probs == _reference_mix(tables, [F(1, 2), F(1, 2)])
 
 
 def test_rgb0_is_the_expected_deterministic_box():

@@ -1,6 +1,7 @@
 """Wiring evaluation, both named reductions, and noise propagation."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from rgbgame.locality import is_no_signalling, pr_box
 from rgbgame.strategies import (
+    StrategyTable,
     chsh_game,
     deterministic_strategy,
     l1_distance,
@@ -130,13 +132,20 @@ def test_reductions_compose_to_the_identity():
 # no-signalling preservation (wirings cannot create signalling)
 
 
-def random_wiring(rng, outer_shape, inner_shape, calls=2, randomness=2):
+def random_wiring(rng, outer_shape, inner_shape, calls=2, randomness=2, spill=0.0):
+    """A tabulated wiring; each map value falls just outside its alphabet
+    with probability ``spill``."""
     oa, ob, ox, oy = outer_shape
     ia, ib, ix, iy = inner_shape
 
+    def value(size):
+        if spill and rng.random() < spill:
+            return rng.choice((-1, size))
+        return rng.randrange(size)
+
     def random_map(own_size, prior_size, priors_len, value_size):
         table = {
-            (own, priors, r): rng.randrange(value_size)
+            (own, priors, r): value(value_size)
             for own in range(own_size)
             for priors in _tuples(prior_size, priors_len)
             for r in range(randomness)
@@ -207,6 +216,121 @@ def test_wirings_of_random_ns_boxes_stay_no_signalling(base, outer, calls, rando
     protocol = random_wiring(rng, outer, base.shape, calls, randomness)
     ok, witness = is_no_signalling(evaluate_wiring(protocol, base))
     assert ok, witness
+
+
+# ---------------------------------------------------------------------------
+# evaluate_wiring against the per-cell loop
+
+
+def _reference_evaluate_wiring(protocol, base):
+    """Oracle: evaluate_wiring reading the base box one prob() per cell."""
+    if base.shape != protocol.inner_shape:
+        raise ValueError(
+            f"base box shape {base.shape} != wiring inner shape {protocol.inner_shape}"
+        )
+    oa, ob, ox, oy = protocol.outer_shape
+    ia, ib, ix, iy = protocol.inner_shape
+    share = Fraction(1, protocol.randomness)
+    entries = {}
+    for a in range(oa):
+        for b in range(ob):
+            for r in range(protocol.randomness):
+                branches = [((), (), share)]
+                for k in range(protocol.calls):
+                    grown = []
+                    for xs, ys, weight in branches:
+                        a_k = protocol.alice_inputs[k](a, xs, r)
+                        b_k = protocol.bob_inputs[k](b, ys, r)
+                        if not (0 <= a_k < ia and 0 <= b_k < ib):
+                            raise ValueError(
+                                f"call {k} maps ({a},{b}) outside the base alphabets"
+                            )
+                        for x_k in range(ix):
+                            for y_k in range(iy):
+                                p = base.prob(a_k, b_k, x_k, y_k)
+                                if p == 0:
+                                    continue
+                                grown.append((xs + (x_k,), ys + (y_k,), weight * p))
+                    branches = grown
+                for xs, ys, weight in branches:
+                    x = protocol.alice_output(a, xs, r)
+                    y = protocol.bob_output(b, ys, r)
+                    if not (0 <= x < ox and 0 <= y < oy):
+                        raise ValueError(
+                            f"output map value ({x},{y}) outside the outer alphabets"
+                        )
+                    key = (a, b, x, y)
+                    entries[key] = entries.get(key, 0) + weight
+    return StrategyTable.from_dict(protocol.outer_shape, entries)
+
+
+@st.composite
+def base_boxes(draw):
+    """Random boxes, not necessarily no-signalling: exact rows of small
+    denominators, or float rows of random weights normalised by their sum,
+    zeros included in both."""
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    exact = draw(st.booleans())
+    n = shape[2] * shape[3]
+    probs = []
+    for _ in range(shape[0] * shape[1]):
+        raw = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(sum))
+        if exact:
+            probs += [F(v, sum(raw)) for v in raw]
+        else:
+            scaled = [v * draw(st.floats(0.1, 1.0)) for v in raw]
+            probs += [v / sum(scaled) for v in scaled]
+    return StrategyTable(shape, tuple(probs))
+
+
+def _typed(probs):
+    return [(type(p), repr(p)) for p in probs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base_boxes(),
+    st.tuples(*[st.integers(1, 3)] * 4),
+    st.integers(0, 2),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.05]),
+    st.randoms(use_true_random=False),
+)
+def test_evaluate_wiring_matches_the_per_cell_loop(base, outer, calls, randomness, spill, rng):
+    protocol = random_wiring(rng, outer, base.shape, calls, randomness, spill)
+    try:
+        expected = _typed(_reference_evaluate_wiring(protocol, base).probs)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            evaluate_wiring(protocol, base)
+        return
+    assert _typed(evaluate_wiring(protocol, base).probs) == expected
+
+
+def test_evaluate_wiring_reads_each_base_row_once():
+    reads = []
+
+    class CountingTable(StrategyTable):
+        def prob(self, a, b, x, y):
+            reads.append(("prob", a, b))
+            return super().prob(a, b, x, y)
+
+        def row(self, a, b):
+            reads.append(("row", a, b))
+            return super().row(a, b)
+
+    rng = random.Random(71)
+    cases = [
+        (rgrb_from_pr(), noisy_pr(F(2, 7))),
+        (pr_from_rgrb(), rgrb()),
+        (random_wiring(rng, (3, 3, 2, 2), (2, 2, 2, 2), 2, 3), pr_box()),
+    ]
+    for protocol, box in cases:
+        base = CountingTable(box.shape, box.probs)
+        reads.clear()
+        assert evaluate_wiring(protocol, base).probs == evaluate_wiring(protocol, box).probs
+        assert not [read for read in reads if read[0] == "prob"]
+        assert len(reads) == len(set(reads)) > 0
 
 
 # ---------------------------------------------------------------------------
