@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_string
 
 from .strategies import StrategyTable
 from .wiring import WiringProtocol
@@ -137,8 +138,46 @@ def box_from_json_dict(data) -> StrategyTable:
         raise BoxFormatError(str(err)) from err
 
 
+def _write_json(value, pad: str, out: list) -> None:
+    """Append the text of json.dumps(value, indent=2) to out, nested at pad.
+
+    With an indent, json.dumps uses the pure-Python encoder, whose closures
+    leave reference cycles behind on every call; this writer leaves none.
+    """
+    kind = type(value)
+    if kind is int:
+        out.append(str(value))
+    elif kind is str:
+        out.append(_encode_string(value))
+    elif not value or kind not in (dict, list, tuple):
+        out.append(json.dumps(value))  # empty containers and other scalars
+    elif kind is dict:
+        inner = sep = pad + "  "
+        out.append("{")
+        for key, item in value.items():
+            out += (sep, _encode_string(key), ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out += (pad, "}")
+    else:
+        inner = sep = pad + "  "
+        out.append("[")
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out += (pad, "]")
+
+
+def _json_document(data) -> str:
+    out: list = []
+    _write_json(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def dump_box(table: StrategyTable) -> str:
-    return json.dumps(box_to_json_dict(table), indent=2) + "\n"
+    return _json_document(box_to_json_dict(table))
 
 
 def load_box(text: str) -> StrategyTable:
@@ -313,7 +352,7 @@ def wiring_from_json_dict(data) -> WiringProtocol:
 
 
 def dump_wiring(protocol: WiringProtocol) -> str:
-    return json.dumps(wiring_to_json_dict(protocol), indent=2) + "\n"
+    return _json_document(wiring_to_json_dict(protocol))
 
 
 def load_wiring(text: str) -> WiringProtocol:

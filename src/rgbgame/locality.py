@@ -13,6 +13,7 @@ Gaussian elimination over the 15 family parameters.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -21,15 +22,17 @@ from .formats import probability_to_string
 from .strategies import (
     StrategyTable,
     WinningFamilyParams,
+    _coerce,
     next_colour,
     parameter_names,
     prev_colour,
 )
 
 # ---------------------------------------------------------------------------
-# canonical boxes
+# canonical boxes: tables are immutable, so each is built once and shared
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def id_box(k: int = 3) -> StrategyTable:
     """Both parties output their own input: (x, y) = (a, b)."""
     _check_alphabet(k)
@@ -38,6 +41,7 @@ def id_box(k: int = 3) -> StrategyTable:
     )
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def r_sig_box(k: int = 3) -> StrategyTable:
     """Alice's input appears on both sides: (x, y) = (a, a)."""
     _check_alphabet(k)
@@ -46,6 +50,7 @@ def r_sig_box(k: int = 3) -> StrategyTable:
     )
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def l_sig_box(k: int = 3) -> StrategyTable:
     """Bob's input appears on both sides: (x, y) = (b, b)."""
     _check_alphabet(k)
@@ -54,6 +59,7 @@ def l_sig_box(k: int = 3) -> StrategyTable:
     )
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def sig_box(k: int = 3) -> StrategyTable:
     """Inputs swap sides: (x, y) = (b, a).  Signals both ways."""
     _check_alphabet(k)
@@ -62,6 +68,7 @@ def sig_box(k: int = 3) -> StrategyTable:
     )
 
 
+@functools.cache
 def pr_box() -> StrategyTable:
     """The binary box winning the XOR game with certainty: uniform over
     the two output pairs with x ^ y = a & b."""
@@ -130,18 +137,32 @@ class _Swapped:
     """Read-only view of a box with the parties' roles exchanged.
 
     P'(x, y | a, b) = P(y, x | b, a), so every left-side question about a box
-    is the right-side question about its view.  Deliberately not a
-    StrategyTable: building and validating a copy costs more than the check
-    it serves.
+    is the right-side question about its view.  The view holds its own
+    entries, each row of the box transposed, in the same row-major order as
+    a table.  Deliberately not a StrategyTable: validating a copy costs more
+    than the check it serves.
     """
 
     def __init__(self, table):
         na, nb, nx, ny = table.shape
         self.table = table
         self.shape = (nb, na, ny, nx)
+        self.probs = _transposed(table.shape, table.probs)
 
-    def prob(self, a, b, x, y):
-        return self.table.prob(b, a, y, x)
+    _index = StrategyTable._index
+
+
+def _transposed(shape, probs) -> tuple:
+    """Row-major entries of P'(x, y | a, b) = P(y, x | b, a), from P's."""
+    na, nb, nx, ny = shape
+    n = nx * ny
+    swapped = []
+    for b in range(nb):
+        for a in range(na):
+            row = probs[(a * nb + b) * n : (a * nb + b + 1) * n]
+            for y in range(ny):
+                swapped += row[y::ny]
+    return tuple(swapped)
 
 
 def _swap(table):
@@ -149,15 +170,25 @@ def _swap(table):
     return table.table if isinstance(table, _Swapped) else _Swapped(table)
 
 
+def _cells(table, a: int, b: int) -> tuple:
+    """Row (a, b) of a box or view as one slice, entry (x, y) at x * ny + y."""
+    _, _, nx, ny = table.shape
+    start = table._index(a, b, 0, 0)
+    return table.probs[start : start + nx * ny]
+
+
 def x_marginal(table: StrategyTable, a: int, b: int) -> dict:
     """Alice's output distribution {x: P(x | a, b)}."""
     _, _, nx, ny = table.shape
-    return {x: sum(table.prob(a, b, x, y) for y in range(ny)) for x in range(nx)}
+    row = _cells(table, a, b)
+    return {x: sum(row[x * ny : (x + 1) * ny]) for x in range(nx)}
 
 
 def y_marginal(table: StrategyTable, a: int, b: int) -> dict:
     """Bob's output distribution {y: P(y | a, b)}."""
-    return x_marginal(_swap(table), b, a)
+    _, _, _, ny = table.shape
+    row = _cells(table, a, b)
+    return {y: sum(row[y::ny]) for y in range(ny)}
 
 
 def _right_witness(table, atol, side="right"):
@@ -195,13 +226,7 @@ def is_symmetric(table: StrategyTable, atol=0) -> bool:
     na, nb, nx, ny = table.shape
     if na != nb or nx != ny:
         return False
-    return all(
-        abs(table.prob(a, b, x, y) - table.prob(b, a, y, x)) <= atol
-        for a in range(na)
-        for b in range(nb)
-        for x in range(nx)
-        for y in range(ny)
-    )
+    return all(abs(p - q) <= atol for p, q in zip(table.probs, _swap(table).probs))
 
 
 # ---------------------------------------------------------------------------
@@ -248,27 +273,35 @@ def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProto
     receiver = {}
     for a in range(na):
         for b in range(nb):
+            row = _cells(view, a, b)
             for x in range(nx):
                 mass = sender[a][x]
                 if mass == 0:
                     receiver[(a, b, x)] = {y: Fraction(1, ny) for y in range(ny)}
                 else:
-                    receiver[(a, b, x)] = {
-                        y: view.prob(a, b, x, y) / mass for y in range(ny)
-                    }
+                    cells = row[x * ny : (x + 1) * ny]
+                    receiver[(a, b, x)] = {y: p / mass for y, p in enumerate(cells)}
     return OneWayProtocol(direction, table.shape, sender, receiver)
 
 
 def recompose_one_way(protocol: OneWayProtocol) -> StrategyTable:
     """Multiply a one-way protocol back into a strategy table."""
-    def entry(a, b, x, y):
-        return protocol.sender[a][x] * protocol.receiver[(a, b, x)][y]
-
-    if protocol.direction is Direction.LEFT_TO_RIGHT:
-        return StrategyTable.from_function(protocol.shape, entry)
-    return StrategyTable.from_function(
-        protocol.shape, lambda a, b, x, y: entry(b, a, y, x)
-    )
+    # A right-to-left protocol is left-to-right on the swapped view, so its
+    # product is built on the view's alphabets and swapped back.
+    na, nb, nx, ny = protocol.shape
+    left_to_right = protocol.direction is Direction.LEFT_TO_RIGHT
+    if not left_to_right:
+        na, nb, nx, ny = nb, na, ny, nx
+    probs = []
+    for a in range(na):
+        sender = protocol.sender[a]
+        for b in range(nb):
+            for x in range(nx):
+                s, receiver = sender[x], protocol.receiver[(a, b, x)]
+                probs += [_coerce(s * receiver[y]) for y in range(ny)]
+    if not left_to_right:
+        probs = _transposed((na, nb, nx, ny), probs)
+    return StrategyTable(protocol.shape, tuple(probs))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ validated with tolerances instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -57,6 +58,17 @@ def _coerce(p):
     return Fraction(p)
 
 
+def _numerators(values) -> tuple[list, int]:
+    """Exact values as integer numerators over their least common denominator.
+
+    Returns (numerators, denominator); the exact kernels do their sums and
+    products on these integers and build each output Fraction once.
+    """
+    dens = [p.denominator for p in values]
+    den = math.lcm(*set(dens))
+    return [p.numerator * (den // d) for p, d in zip(values, dens)], den
+
+
 @dataclass(frozen=True)
 class StrategyTable:
     """A conditional distribution P(x, y | a, b) over finite alphabets.
@@ -65,7 +77,7 @@ class StrategyTable:
     dense row-major tuple of entries.  Exact tables (every entry a Fraction)
     must have every row summing to 1 exactly; float tables within 1e-9, and
     their entries must be finite.  Exact rows are validated in integers, on
-    the numerators over a common denominator.
+    the numerators over the table's common denominator.
     """
 
     shape: tuple[int, int, int, int]
@@ -82,22 +94,18 @@ class StrategyTable:
             )
         n = nx * ny
         exact = self.is_exact
+        if exact:
+            nums, den = _numerators(self.probs)
         for k, (a, b) in enumerate(self.inputs()):
-            row = self.probs[k * n : (k + 1) * n]
             if exact:
-                # The row sum over a running common denominator, in integers.
-                num, den = 0, 1
-                for p in row:
-                    d = p.denominator
-                    if den % d:
-                        scale = d // math.gcd(den, d)
-                        num, den = num * scale, den * scale
-                    num += p.numerator * (den // d)
-                if num != den:
-                    raise ValueError(f"row ({a},{b}) sums to {Fraction(num, den)}, not 1")
-                if not all(0 <= p.numerator <= p.denominator for p in row):
+                # Numerators over the table's common denominator den.
+                row = nums[k * n : (k + 1) * n]
+                if sum(row) != den:
+                    raise ValueError(f"row ({a},{b}) sums to {Fraction(sum(row), den)}, not 1")
+                if min(row) < 0 or max(row) > den:
                     raise ValueError(f"row ({a},{b}) has an entry outside [0,1]")
             else:
+                row = self.probs[k * n : (k + 1) * n]
                 # NaN fails every comparison below, so it is caught here.
                 if not all(math.isfinite(p) for p in row):
                     raise ValueError(f"row ({a},{b}) has a non-finite entry")
@@ -309,6 +317,8 @@ def family_strategy(params: WinningFamilyParams) -> StrategyTable:
     return StrategyTable.from_dict((3, 3, 3, 3), entries)
 
 
+# The constant boxes are immutable, so each is built once and shared.
+@functools.cache
 def rgb0() -> StrategyTable:
     """The deterministic winning box: x = a+1; y = a if b = a-1, else a-1."""
     def rule(a, b, x, y):
@@ -318,6 +328,7 @@ def rgb0() -> StrategyTable:
     return StrategyTable.from_function((3, 3, 3, 3), rule)
 
 
+@functools.cache
 def rgrb() -> StrategyTable:
     """The symmetric winning box: every valid output except (b, a), each 1/2.
 
@@ -426,6 +437,17 @@ def mix(tables: Sequence[StrategyTable], weights: Sequence) -> StrategyTable:
     slack = FLOAT_ROW_TOL if any(isinstance(w, float) for w in weights) else 0
     if any(w < 0 for w in weights) or abs(sum(weights) - 1) > slack:
         raise ValueError("weights must be nonnegative and sum to 1")
+    if not slack and all(t.is_exact for t in tables):
+        # Each column summed in integers over one common denominator.
+        units, unit = _numerators(weights)
+        nums, den = _numerators([p for t in tables for p in t.probs])
+        n = len(tables[0].probs)
+        totals = [0] * n
+        for i, u in enumerate(units):
+            if u:
+                totals = [s + u * v for s, v in zip(totals, nums[i * n : (i + 1) * n])]
+        den *= unit
+        return StrategyTable(shape, tuple(Fraction(s, den) if s else _ZERO for s in totals))
     # Zero terms are skipped, except a float zero among exact terms: it turns
     # the running sum into a float, and later terms are then added as floats.
     all_float = all(isinstance(w, float) for w in weights)

@@ -20,6 +20,9 @@ from typing import Callable
 
 from .strategies import (
     StrategyTable,
+    _ZERO,
+    _coerce,
+    _numerators,
     next_colour,
     prev_colour,
     rgb_game,
@@ -62,17 +65,26 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
 
     Sums over shared randomness and every branch of sub-outputs; exact when
     the base is exact.  Alphabet mismatches and out-of-range map values raise.
+    An exact base is read as integer numerators over its common denominator
+    D, so every branch weight is an integer over R * D**calls (R the shared
+    randomness), and each outer entry becomes a Fraction once, at the end.
     """
     if base.shape != protocol.inner_shape:
         raise ValueError(
             f"base box shape {base.shape} != wiring inner shape {protocol.inner_shape}"
         )
     oa, ob, ox, oy = protocol.outer_shape
-    ia, ib = protocol.inner_shape[:2]
-    share = Fraction(1, protocol.randomness)
-    # Nonzero ((x, y), p) items of each base row, read once per call.
+    ia, ib, ix, iy = protocol.inner_shape
+    exact = base.is_exact
+    if exact:
+        nums, unit = _numerators(base.probs)
+        share, den = 1, protocol.randomness * unit**protocol.calls
+    else:
+        share = Fraction(1, protocol.randomness)
+    # Nonzero ((x, y), p) items of each base row, read once per call; an
+    # exact row holds its numerators over D.
     rows: dict[tuple[int, int], list] = {}
-    entries: dict[tuple[int, int, int, int], object] = {}
+    entries: dict[int, object] = {}
     for a in range(oa):
         for b in range(ob):
             for r in range(protocol.randomness):
@@ -88,7 +100,11 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
                             )
                         items = rows.get((a_k, b_k))
                         if items is None:
-                            items = rows[a_k, b_k] = list(base.row(a_k, b_k).items())
+                            row = base.row(a_k, b_k)
+                            if exact:
+                                start = (a_k * ib + b_k) * ix * iy
+                                row = {(x, y): nums[start + x * iy + y] for x, y in row}
+                            items = rows[a_k, b_k] = list(row.items())
                         for (x_k, y_k), p in items:
                             grown.append((xs + (x_k,), ys + (y_k,), weight * p))
                     branches = grown
@@ -99,9 +115,12 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
                         raise ValueError(
                             f"output map value ({x},{y}) outside the outer alphabets"
                         )
-                    key = (a, b, x, y)
+                    key = ((a * ob + b) * ox + x) * oy + y
                     entries[key] = entries.get(key, 0) + weight
-    return StrategyTable.from_dict(protocol.outer_shape, entries)
+    probs = [_ZERO] * (oa * ob * ox * oy)
+    for key, total in entries.items():
+        probs[key] = Fraction(total, den) if exact else _coerce(total)
+    return StrategyTable(protocol.outer_shape, tuple(probs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Round trips and diagnostics for the box and wiring file formats."""
 
 import dataclasses
+import gc
 import itertools
 import json
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from rgbgame.formats import (
     BoxFormatError,
     WiringFormatError,
+    _json_document,
     box_from_json_dict,
     box_to_json_dict,
     dump_box,
@@ -312,3 +314,40 @@ def test_wiring_json_text_round_trip():
     assert json.loads(text)["randomness"] == 1
     again = load_wiring(text)
     assert dump_wiring(again) == text
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(random_tables), random_wirings())
+def test_dumps_match_json_dumps_byte_for_byte(table, protocol):
+    assert dump_box(table) == json.dumps(box_to_json_dict(table), indent=2) + "\n"
+    assert dump_wiring(protocol) == json.dumps(wiring_to_json_dict(protocol), indent=2) + "\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_writer_matches_json_dumps_on_any_document(value):
+    assert _json_document(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_dumps_leave_no_cyclic_garbage():
+    box, protocol = rgrb(), rgrb_from_pr()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(4):
+            dump_box(box)
+            dump_wiring(protocol)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

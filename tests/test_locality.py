@@ -1,6 +1,7 @@
 """Signalling checks, one-way decompositions, and the uniqueness computation."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from rgbgame.locality import (
     Direction,
+    OneWayProtocol,
     SignallingError,
+    SignallingWitness,
     build_ns_constraints,
     decompose_one_way,
     id_box,
@@ -34,6 +37,7 @@ from rgbgame.strategies import (
     mix,
     parameter_names,
     rgb0,
+    rgb_game,
     rgrb,
     win_probability,
 )
@@ -77,6 +81,20 @@ def test_canonical_boxes_are_deterministic_relabelings():
     assert sig_box().row(1, 2) == {(2, 1): 1}
     with pytest.raises(ValueError):
         id_box(0)
+
+
+def test_constant_boxes_are_built_once_and_shared():
+    for make in (rgrb, rgb0, pr_box, id_box, r_sig_box, l_sig_box, sig_box):
+        assert make() is make()
+    for make in (id_box, r_sig_box, l_sig_box, sig_box):
+        assert make(2) is make(2)
+        assert make(2).shape == (2, 2, 2, 2)
+        assert make(2) is not make(3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="at least 1"):
+                make(0)
+    # The colour game holds a mutable dict, so every call builds a new one.
+    assert rgb_game() is not rgb_game()
 
 
 def test_marginals_are_distributions():
@@ -238,6 +256,215 @@ def test_sig_box_is_rejected_both_ways():
         with pytest.raises(SignallingError) as err:
             decompose_one_way(sig_box(), direction)
         assert err.value.witness is not None
+
+
+# ---------------------------------------------------------------------------
+# row slices against the per-cell code
+
+
+class _ReferenceSwapped:
+    """Oracle view: P'(x, y | a, b) = P(y, x | b, a), one prob() per cell."""
+
+    def __init__(self, table):
+        na, nb, nx, ny = table.shape
+        self.table = table
+        self.shape = (nb, na, ny, nx)
+
+    def prob(self, a, b, x, y):
+        return self.table.prob(b, a, y, x)
+
+
+def _reference_swap(table):
+    return table.table if isinstance(table, _ReferenceSwapped) else _ReferenceSwapped(table)
+
+
+def _reference_x_marginal(table, a, b):
+    _, _, nx, ny = table.shape
+    return {x: sum(table.prob(a, b, x, y) for y in range(ny)) for x in range(nx)}
+
+
+def _reference_y_marginal(table, a, b):
+    return _reference_x_marginal(_reference_swap(table), b, a)
+
+
+def _reference_right_witness(table, atol, side="right"):
+    na, nb, _, ny = table.shape
+    for b in range(nb):
+        reference = _reference_y_marginal(table, 0, b)
+        for a in range(1, na):
+            current = _reference_y_marginal(table, a, b)
+            for y in range(ny):
+                if abs(current[y] - reference[y]) > atol:
+                    return SignallingWitness(side, b, y, (0, a), (reference[y], current[y]))
+    return None
+
+
+def _reference_left_witness(table, atol):
+    return _reference_right_witness(_reference_swap(table), atol, side="left")
+
+
+def _reference_is_symmetric(table, atol):
+    na, nb, nx, ny = table.shape
+    if na != nb or nx != ny:
+        return False
+    return all(
+        abs(table.prob(a, b, x, y) - table.prob(b, a, y, x)) <= atol
+        for a in range(na)
+        for b in range(nb)
+        for x in range(nx)
+        for y in range(ny)
+    )
+
+
+def _reference_decompose(table, direction):
+    if direction is Direction.LEFT_TO_RIGHT:
+        witness, view = _reference_left_witness(table, 0), table
+    else:
+        witness, view = _reference_right_witness(table, 0), _reference_swap(table)
+    if witness is not None:
+        raise SignallingError(witness)
+    na, nb, nx, ny = view.shape
+    sender = {a: _reference_x_marginal(view, a, 0) for a in range(na)}
+    receiver = {}
+    for a in range(na):
+        for b in range(nb):
+            for x in range(nx):
+                mass = sender[a][x]
+                if mass == 0:
+                    receiver[(a, b, x)] = {y: Fraction(1, ny) for y in range(ny)}
+                else:
+                    receiver[(a, b, x)] = {y: view.prob(a, b, x, y) / mass for y in range(ny)}
+    return OneWayProtocol(direction, table.shape, sender, receiver)
+
+
+def _reference_recompose(protocol):
+    def entry(a, b, x, y):
+        return protocol.sender[a][x] * protocol.receiver[(a, b, x)][y]
+
+    if protocol.direction is Direction.LEFT_TO_RIGHT:
+        return StrategyTable.from_function(protocol.shape, entry)
+    return StrategyTable.from_function(protocol.shape, lambda a, b, x, y: entry(b, a, y, x))
+
+
+def _typed(values):
+    """Keys, types and reprs: repr tells float bits apart, -0.0 included."""
+    if isinstance(values, dict):
+        return [(key, type(v), repr(v)) for key, v in values.items()]
+    return [(type(v), repr(v)) for v in values]
+
+
+def _typed_witness(witness):
+    if witness is None:
+        return None
+    head = (witness.side, witness.fixed_input, witness.output, witness.sender_inputs)
+    return head + (_typed(witness.marginals),)
+
+
+def _typed_protocol(protocol):
+    return (
+        protocol.direction,
+        protocol.shape,
+        [(a, _typed(dist)) for a, dist in protocol.sender.items()],
+        [(key, _typed(dist)) for key, dist in protocol.receiver.items()],
+    )
+
+
+@st.composite
+def locality_tables(draw):
+    """Exact, float or mixed tables of any small shape: mixtures of local
+    deterministic boxes, boxes where one party's output follows both inputs,
+    and random rows, so that every verdict and both directions occur."""
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    na, nb, nx, ny = shape
+
+    def choices(size, count):
+        return draw(st.lists(st.integers(0, size - 1), min_size=count, max_size=count))
+
+    f_a, f_b = choices(nx, na), choices(ny, nb)
+    to_bob, to_alice = choices(ny, na * nb), choices(nx, na * nb)
+    boxes = [
+        deterministic_strategy(choices(nx, na), choices(ny, nb), shape),
+        StrategyTable.from_function(
+            shape, lambda a, b, x, y: int(x == f_a[a] and y == to_bob[a * nb + b])
+        ),
+        StrategyTable.from_function(
+            shape, lambda a, b, x, y: int(x == to_alice[a * nb + b] and y == f_b[b])
+        ),
+    ]
+    cells = nx * ny
+    random_rows = []
+    for _ in range(na * nb):
+        raw = draw(st.lists(st.integers(0, 5), min_size=cells, max_size=cells).filter(sum))
+        random_rows += [F(v, sum(raw)) for v in raw]
+    boxes.append(StrategyTable(shape, tuple(random_rows)))
+    weights = draw(
+        st.lists(st.integers(0, 4), min_size=len(boxes), max_size=len(boxes)).filter(sum)
+    )
+    table = mix(boxes, [F(w, sum(weights)) for w in weights])
+    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    if kind == "exact":
+        return table
+    probs = [float(p) if kind == "float" or draw(st.booleans()) else p for p in table.probs]
+    return StrategyTable(shape, tuple(probs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(locality_tables(), st.sampled_from([0, 1e-9]))
+def test_row_slices_match_the_per_cell_code(table, atol):
+    for a, b in table.inputs():
+        assert _typed(x_marginal(table, a, b)) == _typed(_reference_x_marginal(table, a, b))
+        assert _typed(y_marginal(table, a, b)) == _typed(_reference_y_marginal(table, a, b))
+    ok, witness = is_no_signalling(table, atol)
+    expected = _reference_right_witness(table, atol) or _reference_left_witness(table, atol)
+    assert ok == (expected is None)
+    assert _typed_witness(witness) == _typed_witness(expected)
+    assert is_symmetric(table, atol) == _reference_is_symmetric(table, atol)
+    for direction in Direction:
+        try:
+            expected = _reference_decompose(table, direction)
+        except SignallingError as err:
+            with pytest.raises(SignallingError, match=re.escape(str(err))) as raised:
+                decompose_one_way(table, direction)
+            assert _typed_witness(raised.value.witness) == _typed_witness(err.witness)
+            continue
+        protocol = decompose_one_way(table, direction)
+        assert _typed_protocol(protocol) == _typed_protocol(expected)
+        try:
+            recomposed = _typed(_reference_recompose(expected).probs)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                recompose_one_way(protocol)
+            continue
+        assert _typed(recompose_one_way(protocol).probs) == recomposed
+
+
+def test_marginals_witnesses_and_decompositions_never_read_cells():
+    reads = []
+
+    class CountingTable(StrategyTable):
+        def prob(self, a, b, x, y):
+            reads.append(("prob", a, b, x, y))
+            return super().prob(a, b, x, y)
+
+        def row(self, a, b):
+            reads.append(("row", a, b))
+            return super().row(a, b)
+
+    boxes = [rgrb(), pr_box(), r_sig_box(), l_sig_box(), sig_box(2), rgb0()]
+    boxes.append(mix([rgrb(), r_sig_box()], [F(2, 3), F(1, 3)]))
+    boxes.append(StrategyTable((2, 3, 3, 2), (F(1, 6),) * 36))
+    for box in boxes:
+        table = CountingTable(box.shape, box.probs)
+        for a, b in table.inputs():
+            x_marginal(table, a, b)
+            y_marginal(table, a, b)
+        is_no_signalling(table)
+        for direction in Direction:
+            try:
+                decompose_one_way(table, direction)
+            except SignallingError:
+                pass
+        assert reads == []
 
 
 # ---------------------------------------------------------------------------

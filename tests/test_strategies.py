@@ -299,8 +299,9 @@ def _reference_row_check(shape, probs):
 
 
 def _exact_row(draw, n):
-    """n Fractions of denominator k summing to 1, zeros included."""
-    k = draw(st.integers(1, 6))
+    """n Fractions of denominator k summing to 1, zeros included; k is small
+    or up to 10^6."""
+    k = draw(st.integers(1, 6) | st.integers(1, 10**6))
     cuts = sorted(draw(st.lists(st.integers(0, k), min_size=n - 1, max_size=n - 1)))
     return [F(hi - lo, k) for lo, hi in zip([0] + cuts, cuts + [k])]
 
@@ -394,6 +395,15 @@ def test_from_function_makes_every_exact_entry_a_fraction():
     assert all(type(p) is F for p in t.probs)
 
 
+def test_row_check_reads_any_rational_entry():
+    # The check asks only for numerator and denominator, as numbers.Rational
+    # defines them, so numpy integers handed straight to the constructor pass.
+    np = pytest.importorskip("numpy")
+    assert StrategyTable((1, 1, 1, 2), (np.int64(1), np.int64(0))).is_exact
+    with pytest.raises(ValueError, match=re.escape("row (0,0) has an entry outside [0,1]")):
+        StrategyTable((1, 1, 1, 2), (np.int64(2), np.int64(-1)))
+
+
 def _reference_mix(tables, weights):
     """Oracle: mix as one Fraction or float sum per entry, zero terms included."""
     weights = [w if isinstance(w, float) else F(w) for w in weights]
@@ -424,7 +434,8 @@ def mixes(draw):
                 row = [float(p) if kind == "float" or draw(st.booleans()) else p for p in row]
             probs += row
         tables.append(StrategyTable(shape, tuple(probs)))
-    parts = draw(st.lists(st.integers(0, 4), min_size=len(tables), max_size=len(tables)).filter(sum))
+    part = st.integers(0, 4) | st.integers(0, 10**6)
+    parts = draw(st.lists(part, min_size=len(tables), max_size=len(tables)).filter(sum))
     weights = [F(w, sum(parts)) for w in parts]
     weight_kind = draw(st.sampled_from(["exact", "float", "mixed"]))
     if weight_kind != "exact":

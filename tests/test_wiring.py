@@ -265,16 +265,17 @@ def _reference_evaluate_wiring(protocol, base):
 
 
 @st.composite
-def base_boxes(draw):
+def base_boxes(draw, max_side=3):
     """Random boxes, not necessarily no-signalling: exact rows of small
-    denominators, or float rows of random weights normalised by their sum,
-    zeros included in both."""
-    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    denominators or of denominators up to ~10^6, or float rows of random
+    weights normalised by their sum, zeros included in all of them."""
+    shape = tuple(draw(st.integers(1, max_side)) for _ in range(4))
     exact = draw(st.booleans())
     n = shape[2] * shape[3]
+    top = draw(st.sampled_from([5, 10**5]))
     probs = []
     for _ in range(shape[0] * shape[1]):
-        raw = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(sum))
+        raw = draw(st.lists(st.integers(0, top), min_size=n, max_size=n).filter(sum))
         if exact:
             probs += [F(v, sum(raw)) for v in raw]
         else:
@@ -298,6 +299,10 @@ def _typed(probs):
 )
 def test_evaluate_wiring_matches_the_per_cell_loop(base, outer, calls, randomness, spill, rng):
     protocol = random_wiring(rng, outer, base.shape, calls, randomness, spill)
+    _check_against_the_per_cell_loop(protocol, base)
+
+
+def _check_against_the_per_cell_loop(protocol, base):
     try:
         expected = _typed(_reference_evaluate_wiring(protocol, base).probs)
     except ValueError as err:
@@ -305,6 +310,23 @@ def test_evaluate_wiring_matches_the_per_cell_loop(base, outer, calls, randomnes
             evaluate_wiring(protocol, base)
         return
     assert _typed(evaluate_wiring(protocol, base).probs) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base_boxes(max_side=2),
+    st.tuples(*[st.integers(1, 3)] * 4),
+    st.integers(2, 3),
+    st.integers(2, 4),
+    st.sampled_from([0.0, 0.05]),
+    st.randoms(use_true_random=False),
+)
+def test_evaluate_wiring_matches_the_per_cell_loop_over_several_calls(
+    base, outer, calls, randomness, spill, rng
+):
+    # Branch weights are products of up to three entries over R * D**calls.
+    protocol = random_wiring(rng, outer, base.shape, calls, randomness, spill)
+    _check_against_the_per_cell_loop(protocol, base)
 
 
 def test_evaluate_wiring_reads_each_base_row_once():
