@@ -20,6 +20,13 @@ from a cyclic Jacobi sweep in plain floats are reported as a cross-check.
 numpy is imported only by the functions that take or return numpy arrays
 (the float views of the certificate, ``gram_from_vectors``,
 ``VectorStrategy`` and the ascent), so the exact checks run without it.
+
+The ascent forms each sweep's Bell rows of Bob's vectors once, for both the
+objective and Alice's next targets, and normalizes with ``math.sqrt(v @ v)``,
+which is numpy's own norm of a real vector.  Its dot products stay numpy
+``@`` on 1-D float64 arrays: BLAS sums them as a chain of fused
+multiply-adds, which plain Python floats do not reproduce, and the
+``sdp-optimize`` output depends on every last bit.
 """
 
 from __future__ import annotations
@@ -562,19 +569,19 @@ class AscentResult:
     sweep_values: tuple[float, ...]
 
 
-def _objective(xs, ys) -> float:
+def _objective(xs, rows) -> float:
     total = 0.0
     for i in range(3):
-        total += float(xs[i] @ _bell_row(ys, i))
+        total += float(xs[i] @ rows[i])
     return total
 
 
-def _unit(vector, rng, norm) -> np.ndarray:
-    length = float(norm(vector))
+def _unit(vector, rng) -> np.ndarray:
+    length = math.sqrt(vector @ vector)
     while length < 1e-15:
         # Degenerate update direction: re-seed this vector from the stream.
         vector = rng.standard_normal(vector.shape[0])
-        length = float(norm(vector))
+        length = math.sqrt(vector @ vector)
     return vector / length
 
 
@@ -596,19 +603,21 @@ def alternating_ascent(
 
     if restarts < 1:
         raise ValueError("need at least one restart")
-    norm = np.linalg.norm
+    if dim < 1:
+        raise ValueError("need at least one dimension")
     best: AscentResult | None = None
     for k in range(restarts):
         rng = np.random.default_rng(seed + k)
-        xs = [_unit(rng.standard_normal(dim), rng, norm) for _ in range(3)]
-        ys = [_unit(rng.standard_normal(dim), rng, norm) for _ in range(3)]
-        values = [_objective(xs, ys)]
+        xs = [_unit(rng.standard_normal(dim), rng) for _ in range(3)]
+        ys = [_unit(rng.standard_normal(dim), rng) for _ in range(3)]
+        rows = [_bell_row(ys, i) for i in range(3)]
+        values = [_objective(xs, rows)]
         for _ in range(max_sweeps):
-            for i in range(3):
-                xs[i] = _unit(_bell_row(ys, i), rng, norm)
-            for j in range(3):
-                ys[j] = _unit(_bell_row(xs, j), rng, norm)
-            values.append(_objective(xs, ys))
+            # Bob's Bell rows are both the objective's and Alice's next targets.
+            xs = [_unit(row, rng) for row in rows]
+            ys = [_unit(_bell_row(xs, j), rng) for j in range(3)]
+            rows = [_bell_row(ys, i) for i in range(3)]
+            values.append(_objective(xs, rows))
             if values[-1] - values[-2] < min_gain:
                 break
         candidate = AscentResult(

@@ -313,15 +313,23 @@ def cmd_export_wiring(args):
 # parser
 
 
-def _tolerance(text: str) -> float:
-    """A --tolerance value: a finite, nonnegative float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite nonnegative number")
-    return value
+def _finite_float(what: str, minimum: float = -math.inf):
+    """An argparse type for finite floats no smaller than ``minimum``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= minimum):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what}")
+        return value
+
+    return parse
+
+
+_tolerance = _finite_float("finite nonnegative number", minimum=0.0)
+_angle = _finite_float("finite number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--alice-angles",
-        type=float,
+        type=_angle,
         nargs=3,
         default=(0.0, -120.0, 120.0),
         metavar=("A0", "A1", "A2"),
@@ -401,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--bob-angles",
-        type=float,
+        type=_angle,
         nargs=3,
         default=(0.0, -120.0, 120.0),
         metavar=("B0", "B1", "B2"),

@@ -10,6 +10,13 @@ Tensor products put Alice's factor first.  The simulation is float, for
 arbitrary angles; the trine point itself is derived exactly by
 ``bell.trine_table``.  ``reduce_to_binary`` and ``correlations_from_table``
 live in the numpy-free ``bell`` module and are re-exported here.
+
+``quantum_strategy_table`` forms each party's six effects (P and I - P) and
+their answers once per call, and each 4x4 product with the elementwise
+multiply that ``np.kron`` uses, so its floats are those of per-cell
+``np.kron`` code bit for bit.  The Born sums stay numpy matrix-vector and
+vector-vector products: BLAS accumulates them in an order (fused
+multiply-adds) that plain Python floats do not reproduce.
 """
 
 from __future__ import annotations
@@ -73,6 +80,8 @@ class QubitStrategy:
             proj = np.asarray(proj, dtype=complex)
             if proj.shape != (2, 2):
                 raise ValueError(f"projector for colour {c} is not 2x2")
+            if not np.isfinite(proj).all():
+                raise ValueError(f"projector for colour {c} has non-finite entries")
             if np.abs(proj - proj.conj().T).max() > ALGEBRA_TOL:
                 raise ValueError(f"projector for colour {c} is not Hermitian")
             if np.abs(proj @ proj - proj).max() > ALGEBRA_TOL:
@@ -116,7 +125,9 @@ def _check_state(state) -> np.ndarray:
 def _born_prob(state: np.ndarray, effect_a, effect_b) -> float:
     # The kernel of joint_prob: the caller has validated all three, so only
     # rounding (within ALGEBRA_TOL) can leave [0, 1]; that much is clamped.
-    value = float((state.conj() @ (np.kron(effect_a, effect_b) @ state)).real)
+    # The 4x4 product is np.kron's own elementwise multiply, minus its overhead.
+    product = (effect_a[:, None, :, None] * effect_b[None, :, None, :]).reshape(4, 4)
+    value = float((state.conj() @ (product @ state)).real)
     if not abs(value - 0.5) <= 0.5 + ALGEBRA_TOL:
         raise ValueError(f"Born probability {value!r} lies outside [0, 1]")
     return min(1.0, max(0.0, value))
@@ -144,19 +155,21 @@ def quantum_strategy_table(
     """
     state = _check_state(state)
     identity = np.eye(2, dtype=complex)
+
+    def effects(strategy):
+        # Per colour, (answer, effect) for outcome 0 (I - P) and outcome 1 (P).
+        return [
+            [(strategy.output_rule(c, out), proj if out else identity - proj) for out in (0, 1)]
+            for c, proj in enumerate(map(np.asarray, strategy.projectors))
+        ]
+
     entries: dict[tuple[int, int, int, int], float] = {}
-    for a in range(3):
-        for b in range(3):
-            for out_a in (0, 1):
-                effect_a = alice.projectors[a] if out_a else identity - alice.projectors[a]
-                for out_b in (0, 1):
-                    effect_b = bob.projectors[b] if out_b else identity - bob.projectors[b]
-                    x = alice.output_rule(a, out_a)
-                    y = bob.output_rule(b, out_b)
-                    key = (a, b, x, y)
-                    entries[key] = entries.get(key, 0.0) + _born_prob(
-                        state, effect_a, effect_b
-                    )
+    bob_effects = effects(bob)
+    for a, row_a in enumerate(effects(alice)):
+        for b, row_b in enumerate(bob_effects):
+            for x, effect_a in row_a:
+                for y, effect_b in row_b:
+                    entries[a, b, x, y] = _born_prob(state, effect_a, effect_b)
     return StrategyTable.from_function(
         (3, 3, 3, 3), lambda a, b, x, y: entries.get((a, b, x, y), 0.0)
     )

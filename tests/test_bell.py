@@ -14,7 +14,10 @@ from rgbgame.bell import (
     GRAM_EXACT,
     MULTIPLIERS_EXACT,
     W_EXACT,
+    AscentResult,
     CertificationError,
+    VectorStrategy,
+    _bell_row,
     alternating_ascent,
     bell_quantity,
     certify_quantum_bound,
@@ -461,3 +464,76 @@ def test_ascent_correlations_match_objective():
 def test_ascent_validates_restarts():
     with pytest.raises(ValueError):
         alternating_ascent(seed=1, restarts=0)
+
+
+def test_ascent_validates_dim():
+    # Unchecked, dim=0 would re-seed an empty vector of norm 0 forever.
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            alternating_ascent(seed=1, restarts=1, dim=dim)
+
+
+def _reference_objective(xs, ys):
+    total = 0.0
+    for i in range(3):
+        total += float(xs[i] @ _bell_row(ys, i))
+    return total
+
+
+def _reference_unit(vector, rng, norm):
+    length = float(norm(vector))
+    while length < 1e-15:
+        vector = rng.standard_normal(vector.shape[0])
+        length = float(norm(vector))
+    return vector / length
+
+
+def _reference_alternating_ascent(seed, restarts=20, dim=6, max_sweeps=10_000, min_gain=1e-12):
+    """alternating_ascent as it was: np.linalg.norm, and every Bell row of
+    Bob's vectors formed twice, once for the objective and once as a target."""
+    norm = np.linalg.norm
+    best = None
+    for k in range(restarts):
+        rng = np.random.default_rng(seed + k)
+        xs = [_reference_unit(rng.standard_normal(dim), rng, norm) for _ in range(3)]
+        ys = [_reference_unit(rng.standard_normal(dim), rng, norm) for _ in range(3)]
+        values = [_reference_objective(xs, ys)]
+        for _ in range(max_sweeps):
+            for i in range(3):
+                xs[i] = _reference_unit(_bell_row(ys, i), rng, norm)
+            for j in range(3):
+                ys[j] = _reference_unit(_bell_row(xs, j), rng, norm)
+            values.append(_reference_objective(xs, ys))
+            if values[-1] - values[-2] < min_gain:
+                break
+        candidate = AscentResult(
+            value=values[-1],
+            strategy=VectorStrategy(np.vstack(xs), np.vstack(ys)),
+            sweep_values=tuple(values),
+        )
+        if best is None or candidate.value > best.value:
+            best = candidate
+    return best
+
+
+def _assert_same_ascent(result, expected):
+    assert result.value == expected.value
+    assert result.sweep_values == expected.sweep_values
+    assert np.array_equal(result.strategy.alice, expected.strategy.alice)
+    assert np.array_equal(result.strategy.bob, expected.strategy.bob)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**63), st.integers(1, 5), st.integers(1, 8))
+def test_ascent_matches_the_norm_based_code_bit_for_bit(seed, restarts, dim):
+    # dim=1 makes every Bell row of three equal signs zero, so the
+    # degenerate-vector reseed and its draws from the stream are exercised.
+    _assert_same_ascent(
+        alternating_ascent(seed, restarts, dim=dim),
+        _reference_alternating_ascent(seed, restarts, dim=dim),
+    )
+
+
+@pytest.mark.parametrize("seed", [*range(10), 2019])
+def test_default_ascent_matches_the_norm_based_code_bit_for_bit(seed):
+    _assert_same_ascent(alternating_ascent(seed), _reference_alternating_ascent(seed))

@@ -197,6 +197,19 @@ def test_tolerance_must_be_finite_and_nonnegative(capsys, command, value):
     assert f"argument --tolerance: {value!r} is not a finite nonnegative number" in captured.err
 
 
+@pytest.mark.parametrize("option", ["--alice-angles", "--bob-angles"])
+@pytest.mark.parametrize("value", ["nan", "inf", "NaN", "1e400", "abc"])
+def test_angles_must_be_finite(capsys, option, value):
+    # Unchecked, these reach the simulation and fail there with a
+    # misleading Born probability or a math domain error.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["quantum", option, "0", value, "120"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: {value!r} is not a finite number" in captured.err
+
+
 def test_distance_and_export_pipeline(tmp_path, capsys):
     wiring_path = tmp_path / "w.json"
     base_path = tmp_path / "rgrb.box"

@@ -4,12 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rgbgame.bell import cyclic_rule
 from rgbgame.locality import id_box, is_no_signalling
 from rgbgame.quantum import (
     ALGEBRA_TOL,
     QubitStrategy,
     _born_prob,
+    _check_state,
     correlations_from_table,
     joint_prob,
     projector_from_angle,
@@ -19,7 +23,15 @@ from rgbgame.quantum import (
     trine_projectors,
     trine_strategy,
 )
-from rgbgame.strategies import rgb_game, rgb_predicate, rgrb, win_probability
+from rgbgame.strategies import (
+    StrategyTable,
+    next_colour,
+    prev_colour,
+    rgb_game,
+    rgb_predicate,
+    rgrb,
+    win_probability,
+)
 
 from fractions import Fraction
 
@@ -93,6 +105,19 @@ def test_qubit_strategy_validation():
     # Output rule must avoid the input colour.
     with pytest.raises(ValueError):
         QubitStrategy(trine_projectors(), output_rule=lambda colour, outcome: colour)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_qubit_strategy_rejects_non_finite_projectors(bad):
+    # Every tolerance comparison is False on NaN, so the Hermitian,
+    # idempotence and trace checks alone would let these through.
+    proj = np.full((2, 2), bad, dtype=complex)
+    with pytest.raises(ValueError, match="projector for colour 2 has non-finite entries"):
+        QubitStrategy((*trine_projectors()[:2], proj))
+    partly = projector_from_angle(0.0)
+    partly[1, 0] = bad
+    with pytest.raises(ValueError, match="projector for colour 0 has non-finite entries"):
+        QubitStrategy((partly, *trine_projectors()[1:]))
 
 
 class TestTrineTable:
@@ -172,3 +197,109 @@ def test_off_trine_angles_still_normalize():
     assert 0 <= win <= 1
     ok, _ = is_no_signalling(t, atol=1e-9)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# the table kernel, bit for bit against the per-cell code it replaced
+
+
+def _reference_born_prob(state, effect_a, effect_b):
+    """The Born kernel as it was: np.kron per cell, same range check."""
+    value = float((state.conj() @ (np.kron(effect_a, effect_b) @ state)).real)
+    if not abs(value - 0.5) <= 0.5 + ALGEBRA_TOL:
+        raise ValueError(f"Born probability {value!r} lies outside [0, 1]")
+    return min(1.0, max(0.0, value))
+
+
+def _reference_quantum_strategy_table(state, alice, bob):
+    """quantum_strategy_table as it was: effects, kron products and output
+    rules formed again for every (a, b, out_a, out_b) cell."""
+    state = _check_state(state)
+    identity = np.eye(2, dtype=complex)
+    entries = {}
+    for a in range(3):
+        for b in range(3):
+            for out_a in (0, 1):
+                effect_a = alice.projectors[a] if out_a else identity - alice.projectors[a]
+                for out_b in (0, 1):
+                    effect_b = bob.projectors[b] if out_b else identity - bob.projectors[b]
+                    key = (a, b, alice.output_rule(a, out_a), bob.output_rule(b, out_b))
+                    entries[key] = entries.get(key, 0.0) + _reference_born_prob(
+                        state, effect_a, effect_b
+                    )
+    return StrategyTable.from_function(
+        (3, 3, 3, 3), lambda a, b, x, y: entries.get((a, b, x, y), 0.0)
+    )
+
+
+def _swapped_rule(colour, outcome):
+    return prev_colour(colour) if outcome else next_colour(colour)
+
+
+_ANGLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 180.0, -180.0, 120.0, -120.0, 90.0, 360.0]),
+    st.floats(-720.0, 720.0),
+)
+_ANGLES = st.one_of(
+    st.just((0.0, -120.0, 120.0)),
+    st.tuples(_ANGLE, _ANGLE, _ANGLE),
+    _ANGLE.map(lambda t: (t, t, t)),
+    st.tuples(_ANGLE, _ANGLE).map(lambda ts: (ts[0], ts[1], ts[0])),
+)
+
+
+@st.composite
+def _states(draw):
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    state = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    norm = np.linalg.norm(state)
+    if norm < 1e-3:
+        return singlet()
+    return state / norm
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _ANGLES,
+    _ANGLES,
+    st.sampled_from([cyclic_rule, _swapped_rule]),
+    st.sampled_from([cyclic_rule, _swapped_rule]),
+    st.one_of(st.just(None), _states()),
+)
+def test_table_matches_the_per_cell_kernel_bit_for_bit(
+    alice_angles, bob_angles, alice_rule, bob_rule, state
+):
+    state = singlet() if state is None else state
+    alice = QubitStrategy(tuple(projector_from_angle(t) for t in alice_angles), alice_rule)
+    bob = QubitStrategy(tuple(projector_from_angle(t) for t in bob_angles), bob_rule)
+    expected = _reference_quantum_strategy_table(state, alice, bob)
+    table = quantum_strategy_table(state, alice, bob)
+    assert table.probs == expected.probs
+    assert [type(p) for p in table.probs] == [type(p) for p in expected.probs]
+
+
+def test_table_calls_each_output_rule_once_per_colour_and_outcome():
+    calls = []
+
+    def counting_rule(colour, outcome):
+        calls.append((colour, outcome))
+        return cyclic_rule(colour, outcome)
+
+    alice = QubitStrategy(trine_projectors(), counting_rule)
+    bob = QubitStrategy(trine_projectors(), counting_rule)
+    calls.clear()
+    quantum_strategy_table(singlet(), alice, bob)
+    assert sorted(calls) == sorted(2 * list(itertools.product(range(3), (0, 1))))
+
+
+def test_born_kernel_matches_np_kron_on_mixed_dtypes():
+    # Float and complex effects are multiplied by the same ufunc as np.kron.
+    eye = np.eye(2)
+    for effect_a, effect_b in (
+        (eye, np.eye(2, dtype=complex) - projector_from_angle(33.0)),
+        (projector_from_angle(-71.5), 0.5 * eye),
+        (trine_projectors()[1], trine_projectors()[2]),
+    ):
+        assert _born_prob(singlet(), effect_a, effect_b) == _reference_born_prob(
+            singlet(), effect_a, effect_b
+        )
