@@ -21,12 +21,17 @@ numpy is imported only by the functions that take or return numpy arrays
 (the float views of the certificate, ``gram_from_vectors``,
 ``VectorStrategy`` and the ascent), so the exact checks run without it.
 
-The ascent forms each sweep's Bell rows of Bob's vectors once, for both the
-objective and Alice's next targets, and normalizes with ``math.sqrt(v @ v)``,
-which is numpy's own norm of a real vector.  Its dot products stay numpy
-``@`` on 1-D float64 arrays: BLAS sums them as a chain of fused
-multiply-adds, which plain Python floats do not reproduce, and the
-``sdp-optimize`` output depends on every last bit.
+The ascent runs all its restarts as one batch: each party's vectors are one
+restarts x 3 x dim array, so a sweep forms the Bell rows, the norms, the
+divisions and the objective once for every restart still running, and a
+restart leaves the batch at the sweep where it stops gaining.  Every float
+is the one the restarts give when run one after another, bit for bit, and
+the ``sdp-optimize`` output depends on every last bit.  Norms are the
+square roots of dot products, as numpy's own norm of a real vector is.  The
+dot products are a batched ``matmul`` of 1 x dim by dim x 1 rows, which
+runs the BLAS dot of a 1-D ``u @ v`` on each row: a chain of fused
+multiply-adds that neither ``einsum`` nor ``(u * v).sum(-1)`` (other
+summation orders) nor plain Python floats reproduce.
 """
 
 from __future__ import annotations
@@ -60,14 +65,26 @@ class CertificationError(ArithmeticError):
 # the Bell functional
 
 
+def _bell_terms(own, after, before):
+    """The functional's coefficients: -2 own + after + before.
+
+    The float outputs of the CLI depend on this exact evaluation order.
+    """
+    return -2 * own + after + before
+
+
 def _bell_row(rows, i):
     """Term i of the functional: -2 rows[i] + rows[i+1] + rows[i-1].
 
     ``rows`` is one correlation row c[i] (scalars) or one party's three unit
-    vectors (numpy rows).  The float outputs of the CLI depend on this exact
-    evaluation order.
+    vectors (numpy rows).
     """
-    return -2 * rows[i] + rows[next_colour(i)] + rows[prev_colour(i)]
+    return _bell_terms(rows[i], rows[next_colour(i)], rows[prev_colour(i)])
+
+
+#: Each colour's successor and predecessor, as indices for numpy rows.
+_NEXT = tuple(next_colour(i) for i in range(3))
+_PREV = tuple(prev_colour(i) for i in range(3))
 
 
 def _signed_bell(correlations):
@@ -331,6 +348,8 @@ def gram_from_vectors(vectors) -> np.ndarray:
     rows = np.asarray(vectors, dtype=float)
     if rows.ndim != 2 or rows.shape[0] != 6:
         raise ValueError(f"need exactly 6 vectors, got array of shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValueError("vectors have non-finite entries")
     norms = np.linalg.norm(rows, axis=1)
     if np.abs(norms - 1).max() > CERT_TOL:
         raise ValueError(f"vectors must be unit norm, got norms {norms}")
@@ -386,6 +405,8 @@ def sym_eigenvalues(matrix, off_tol: float = JACOBI_OFF_TOL) -> tuple[float, ...
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError(f"matrix must be square, got rows of lengths {[len(r) for r in a]}")
+    if not all(math.isfinite(v) for row in a for v in row):
+        raise ValueError("matrix has non-finite entries")
     if max((abs(a[i][j] - a[j][i]) for i in range(n) for j in range(n)), default=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric")
     a = [[(a[i][j] + a[j][i]) / 2 for j in range(n)] for i in range(n)]
@@ -550,6 +571,8 @@ class VectorStrategy:
         for name, rows in (("alice", self.alice), ("bob", self.bob)):
             if rows.shape[0] != 3 or rows.ndim != 2:
                 raise ValueError(f"{name} must hold 3 row vectors")
+            if not np.isfinite(rows).all():
+                raise ValueError(f"{name} has non-finite entries")
             if np.abs(np.linalg.norm(rows, axis=1) - 1).max() > 1e-12:
                 raise ValueError(f"{name} rows must be unit vectors")
 
@@ -569,20 +592,40 @@ class AscentResult:
     sweep_values: tuple[float, ...]
 
 
-def _objective(xs, rows) -> float:
-    total = 0.0
-    for i in range(3):
-        total += float(xs[i] @ rows[i])
-    return total
+def _dots(u, v) -> np.ndarray:
+    """Row-by-row dot products of two stacks of vectors of the same shape.
+
+    The batched ``matmul`` of 1 x dim by dim x 1 runs on each row the dot
+    kernel of a 1-D ``u[k] @ v[k]``, so every sum rounds as it would alone.
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _unit(vector, rng) -> np.ndarray:
-    length = math.sqrt(vector @ vector)
-    while length < 1e-15:
-        # Degenerate update direction: re-seed this vector from the stream.
-        vector = rng.standard_normal(vector.shape[0])
-        length = math.sqrt(vector @ vector)
-    return vector / length
+def _units(rows, rngs) -> np.ndarray:
+    """Every vector of ``rows`` (restarts x k x dim) scaled to unit length.
+
+    A degenerate vector (length < 1e-15) is re-seeded from its own
+    restart's generator until it is not, in row order.
+    """
+    import numpy as np
+
+    lengths = np.sqrt(_dots(rows, rows))
+    for j, r in zip(*(lengths < 1e-15).nonzero()):
+        while lengths[j, r] < 1e-15:
+            rows[j, r] = rngs[j].standard_normal(rows.shape[-1])
+            lengths[j, r] = math.sqrt(rows[j, r] @ rows[j, r])
+    return rows / lengths[..., None]
+
+
+def _bell_rows(vectors) -> np.ndarray:
+    """The three Bell rows of each restart's vectors (restarts x 3 x dim)."""
+    return _bell_terms(vectors, vectors.take(_NEXT, axis=1), vectors.take(_PREV, axis=1))
+
+
+def _objectives(xs, rows) -> np.ndarray:
+    """Each restart's objective, summed in row order from 0.0."""
+    dots = _dots(xs, rows)
+    return 0.0 + dots[:, 0] + dots[:, 1] + dots[:, 2]
 
 
 def alternating_ascent(
@@ -597,34 +640,53 @@ def alternating_ascent(
     Each sweep replaces every Alice vector with the normalized combination
     -2 y_i + y_{i+1} + y_{i-1} of Bob's, then symmetrically for Bob; both
     half-steps maximize the objective exactly, so sweeps are monotone.
-    Restart k uses generator seed ``seed + k``; the best restart wins.
+    Restart k uses generator seed ``seed + k``; the first best restart wins.
+    The restarts sweep together as one batch.  Each leaves it, its vectors
+    and values frozen, after the sweep whose gain falls below ``min_gain``.
     """
     import numpy as np
 
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if restarts < 1:
         raise ValueError("need at least one restart")
     if dim < 1:
         raise ValueError("need at least one dimension")
-    best: AscentResult | None = None
-    for k in range(restarts):
-        rng = np.random.default_rng(seed + k)
-        xs = [_unit(rng.standard_normal(dim), rng) for _ in range(3)]
-        ys = [_unit(rng.standard_normal(dim), rng) for _ in range(3)]
-        rows = [_bell_row(ys, i) for i in range(3)]
-        values = [_objective(xs, rows)]
-        for _ in range(max_sweeps):
-            # Bob's Bell rows are both the objective's and Alice's next targets.
-            xs = [_unit(row, rng) for row in rows]
-            ys = [_unit(_bell_row(xs, j), rng) for j in range(3)]
-            rows = [_bell_row(ys, i) for i in range(3)]
-            values.append(_objective(xs, rows))
-            if values[-1] - values[-2] < min_gain:
+    rngs = [np.random.default_rng(seed + k) for k in range(restarts)]
+    # Alice's three starting vectors, then Bob's, in one draw per restart.
+    draws = np.stack([rng.standard_normal((6, dim)) for rng in rngs])
+    for j in set((np.sqrt(_dots(draws, draws)) < 1e-15).nonzero()[0].tolist()):
+        # A degenerate vector is re-seeded before the next one is drawn, so
+        # the restart starts from the first six draws that are not degenerate.
+        kept = [v for v in draws[j] if math.sqrt(v @ v) >= 1e-15]
+        while len(kept) < 6:
+            v = rngs[j].standard_normal(dim)
+            if math.sqrt(v @ v) >= 1e-15:
+                kept.append(v)
+        draws[j] = kept
+    start = _units(draws, rngs)
+    xs, ys = start[:, :3], start[:, 3:]
+    rows = _bell_rows(ys)
+    history = [[value] for value in _objectives(xs, rows).tolist()]
+    live = list(range(restarts))
+    ends = {k: (xs, ys, k) for k in live}  # restart -> its batch arrays and row
+    for _ in range(max_sweeps):
+        # Bob's Bell rows are both the objective's and Alice's next targets.
+        xs = _units(rows, rngs)
+        ys = _units(_bell_rows(xs), rngs)
+        rows = _bell_rows(ys)
+        for j, (k, value) in enumerate(zip(live, _objectives(xs, rows).tolist())):
+            history[k].append(value)
+            ends[k] = xs, ys, j
+        keep = [j for j, k in enumerate(live) if not history[k][-1] - history[k][-2] < min_gain]
+        if len(keep) < len(live):
+            live, rngs, rows = [live[j] for j in keep], [rngs[j] for j in keep], rows[keep]
+            if not live:
                 break
-        candidate = AscentResult(
-            value=values[-1],
-            strategy=VectorStrategy(np.vstack(xs), np.vstack(ys)),
-            sweep_values=tuple(values),
-        )
-        if best is None or candidate.value > best.value:
-            best = candidate
-    return best
+    best = max(range(restarts), key=lambda k: history[k][-1])
+    xs, ys, j = ends[best]
+    return AscentResult(
+        value=history[best][-1],
+        strategy=VectorStrategy(xs[j].copy(), ys[j].copy()),
+        sweep_values=tuple(history[best]),
+    )

@@ -328,8 +328,25 @@ def _finite_float(what: str, minimum: float = -math.inf):
     return parse
 
 
+def _int_at_least(minimum: int, what: str):
+    """An argparse type for integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what}")
+        return value
+
+    return parse
+
+
 _tolerance = _finite_float("finite nonnegative number", minimum=0.0)
 _angle = _finite_float("finite number")
+_seed = _int_at_least(0, "nonnegative integer")
+_restarts = _int_at_least(1, "positive integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="seeded alternating ascent over unit-vector strategies",
     )
-    p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
+    p.add_argument("--seed", type=_seed, required=True, help="RNG seed (required)")
     p.add_argument(
-        "--restarts", type=int, default=20, help="independent restarts (default 20)"
+        "--restarts", type=_restarts, default=20, help="independent restarts (default 20)"
     )
     p.set_defaults(handler=cmd_sdp_optimize)
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rgbgame.bell import (
     GRAM_EXACT,
@@ -18,6 +19,7 @@ from rgbgame.bell import (
     CertificationError,
     VectorStrategy,
     _bell_row,
+    _dots,
     alternating_ascent,
     bell_quantity,
     certify_quantum_bound,
@@ -295,6 +297,30 @@ def test_zero_multipliers_are_infeasible():
     assert abs(eigs[-1] + 1.5) < 1e-9
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_checks_reject_non_finite_entries(bad):
+    # Unchecked, NaN passes every tolerance test (each comparison is False),
+    # and the eigensolver runs 100 sweeps before a misleading ArithmeticError.
+    rows = np.vstack([np.eye(3), -np.eye(3)])
+    rows[4, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        gram_from_vectors(rows)
+    with pytest.raises(ValueError, match="bob has non-finite entries"):
+        VectorStrategy(rows[:3], rows[3:])
+    with pytest.raises(ValueError, match="alice has non-finite entries"):
+        VectorStrategy(np.full((3, 2), bad), rows[3:, :2])
+    matrix = optimal_gram()
+    matrix[2, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sym_eigenvalues(matrix)
+    with pytest.raises(ValueError, match="non-finite"):
+        verify_primal(matrix)
+    multipliers = optimal_multipliers()
+    multipliers[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        verify_dual(multipliers)
+
+
 def test_verify_input_validation():
     with pytest.raises(ValueError):
         verify_primal(np.eye(3))
@@ -466,11 +492,39 @@ def test_ascent_validates_restarts():
         alternating_ascent(seed=1, restarts=0)
 
 
+def test_ascent_validates_seed():
+    # Unchecked, numpy's seeding fails with a message that names no argument.
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        alternating_ascent(seed=-5, restarts=1)
+
+
 def test_ascent_validates_dim():
     # Unchecked, dim=0 would re-seed an empty vector of norm 0 forever.
     for dim in (0, -1):
         with pytest.raises(ValueError, match="at least one dimension"):
             alternating_ascent(seed=1, restarts=1, dim=dim)
+
+
+# Zeros, both signs, magnitudes from subnormal to 1e150 (whose products
+# still fit a float64).
+_DOT_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(-1e150, 1e150, allow_nan=False),
+    st.floats(-1e-150, 1e-150, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 8), st.data())
+def test_batched_matmul_dot_is_the_one_dimensional_dot_bit_for_bit(batch, dim, data):
+    # The ascent's batched dots must round exactly as one 1-D ``@`` per row;
+    # einsum and (u * v).sum(-1) sum in other orders and differ in the last bit.
+    u = data.draw(arrays(np.float64, (batch, dim), elements=_DOT_ENTRIES))
+    v = data.draw(arrays(np.float64, (batch, dim), elements=_DOT_ENTRIES))
+    expected = np.array([u[i] @ v[i] for i in range(batch)])
+    assert _dots(u, v).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    stacked = _dots(u[:, None, :], v[:, None, :])[:, 0]
+    assert stacked.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def _reference_objective(xs, ys):
@@ -523,14 +577,81 @@ def _assert_same_ascent(result, expected):
     assert np.array_equal(result.strategy.bob, expected.strategy.bob)
 
 
+_MAX_SWEEPS = st.sampled_from([0, 1, 2, 10_000])
+_MIN_GAINS = st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.1])
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**63), st.integers(1, 5), st.integers(1, 8))
-def test_ascent_matches_the_norm_based_code_bit_for_bit(seed, restarts, dim):
-    # dim=1 makes every Bell row of three equal signs zero, so the
-    # degenerate-vector reseed and its draws from the stream are exercised.
+@given(st.integers(0, 2**63), st.integers(1, 40), st.integers(1, 8), _MAX_SWEEPS, _MIN_GAINS)
+@example(seed=0, restarts=8, dim=6, max_sweeps=10_000, min_gain=1e-3)
+@example(seed=2019, restarts=40, dim=6, max_sweeps=10_000, min_gain=1e-12)
+@example(seed=0, restarts=8, dim=1, max_sweeps=10_000, min_gain=1e-12)
+@example(seed=5, restarts=3, dim=6, max_sweeps=0, min_gain=1e-12)
+@example(seed=5, restarts=3, dim=6, max_sweeps=1, min_gain=1e-12)
+@example(seed=5, restarts=3, dim=6, max_sweeps=2, min_gain=1e-12)
+def test_ascent_matches_the_norm_based_code_bit_for_bit(seed, restarts, dim, max_sweeps, min_gain):
+    # Restarts leave the batch at different sweeps: with seed 0 and 8
+    # restarts they stop after 3 to 5 sweeps at min_gain=1e-3.  dim=1 makes
+    # every Bell row of three equal signs zero, so the degenerate-vector
+    # reseed and its draws from each restart's stream are exercised.
     _assert_same_ascent(
-        alternating_ascent(seed, restarts, dim=dim),
-        _reference_alternating_ascent(seed, restarts, dim=dim),
+        alternating_ascent(seed, restarts, dim, max_sweeps, min_gain),
+        _reference_alternating_ascent(seed, restarts, dim, max_sweeps, min_gain),
+    )
+
+
+def test_restarts_leave_the_batch_at_different_sweeps():
+    # The examples above pin these cases; check that they stay meaningful.
+    alone = [alternating_ascent(k, 1, min_gain=1e-3) for k in range(8)]
+    assert len({len(result.sweep_values) for result in alone}) > 1
+    alone = [alternating_ascent(k, 1, dim=1) for k in range(8)]
+    assert len({len(result.sweep_values) for result in alone}) > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**63), st.integers(1, 12), st.integers(1, 8), _MIN_GAINS)
+def test_each_restart_runs_as_if_alone(seed, restarts, dim, min_gain):
+    alone = [alternating_ascent(seed + k, 1, dim, min_gain=min_gain) for k in range(restarts)]
+    first_best = max(alone, key=lambda result: result.value)
+    _assert_same_ascent(alternating_ascent(seed, restarts, dim, min_gain=min_gain), first_best)
+
+
+class _ZeroedDraws:
+    """A seeded generator whose chosen draws of one vector come out zero.
+
+    Draws are counted in vectors of ``dim`` entries, whether they are taken
+    one at a time or several at once, so a zeroed vector is degenerate at
+    the same place in the stream for the per-vector and the batched code.
+    """
+
+    def __init__(self, seed, dim, zeroed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._dim, self._zeroed, self._drawn = dim, zeroed, 0
+
+    def standard_normal(self, size):
+        values = self._rng.standard_normal(size)
+        for row in values.reshape(-1, self._dim):
+            if self._drawn in self._zeroed:
+                row[:] = 0.0
+            self._drawn += 1
+        return values
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6])
+@pytest.mark.parametrize(
+    "zeroed",
+    [{0}, {2}, {5}, {1, 2}, {0, 6}, {5, 6, 7}, set(range(6)), {6, 7, 8, 9}, {8, 10, 11}],
+)
+def test_degenerate_draws_are_reseeded_in_stream_order(monkeypatch, dim, zeroed):
+    # Zeroed starting draws exercise the reseed of the starting vectors, and
+    # zeroed later draws (with dim=1) that of the reseeds inside a sweep.
+    seed = 40
+    streams = {seed + k: zeroed if k % 2 == 0 else {v + 1 for v in zeroed} for k in range(4)}
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda s: _ZeroedDraws(s, dim, streams[s])
+    )
+    _assert_same_ascent(
+        alternating_ascent(seed, 4, dim), _reference_alternating_ascent(seed, 4, dim)
     )
 
 

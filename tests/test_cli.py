@@ -186,6 +186,29 @@ def test_sdp_optimize_requires_seed(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    ("option", "value", "what"),
+    [
+        ("--seed", "-5", "nonnegative integer"),
+        ("--seed", "-1", "nonnegative integer"),
+        ("--seed", "1.5", "nonnegative integer"),
+        ("--seed", "abc", "nonnegative integer"),
+        ("--restarts", "0", "positive integer"),
+        ("--restarts", "-3", "positive integer"),
+        ("--restarts", "2.0", "positive integer"),
+    ],
+)
+def test_sdp_optimize_seed_and_restarts_are_checked_by_the_parser(capsys, option, value, what):
+    # Unchecked, a negative seed fails inside numpy ("expected non-negative
+    # integer") with a message that names no option.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sdp-optimize", "--seed", "1", "--restarts", "1", option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: {value!r} is not a {what}" in captured.err
+
+
 @pytest.mark.parametrize("command", ["bounds", "sdp-certify"])
 @pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf", "-inf", "abc"])
 def test_tolerance_must_be_finite_and_nonnegative(capsys, command, value):
