@@ -17,35 +17,25 @@ multipliers making the dual slack matrix positive semidefinite at value 9.
 Feasibility is decided by an LDL^T factorization over Fractions; eigenvalues
 from a cyclic Jacobi sweep in plain floats are reported as a cross-check.
 
-numpy is imported only by the functions that take or return numpy arrays
-(the float views of the certificate, ``gram_from_vectors``,
-``VectorStrategy`` and the ascent), so the exact checks run without it.
-
-The ascent runs all its restarts as one batch: each party's vectors are one
-restarts x 3 x dim array, so a sweep forms the Bell rows, the norms, the
-divisions and the objective once for every restart still running, and a
-restart leaves the batch at the sweep where it stops gaining.  Every float
-is the one the restarts give when run one after another, bit for bit, and
-the ``sdp-optimize`` output depends on every last bit.  Norms are the
-square roots of dot products, as numpy's own norm of a real vector is.  The
-dot products are a batched ``matmul`` of 1 x dim by dim x 1 rows, which
-runs the BLAS dot of a 1-D ``u @ v`` on each row: a chain of fused
-multiply-adds that neither ``einsum`` nor ``(u * v).sum(-1)`` (other
-summation orders) nor plain Python floats reproduce.
+The float layer is plain Python.  A dot product is ``math.fsum`` over the
+rounded coordinate products, so its one rounding does not depend on a
+summation order.  A norm is ``math.hypot``, CPython's own algorithm (within
+1 ulp, not guaranteed correctly rounded).  The ascent's start vectors come
+from ``random.Random``, whose sequence Python keeps stable across versions.
+``sdp-optimize`` prints these floats to the last digit, and they do not
+depend on the host's BLAS.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .strategies import StrategyTable, next_colour, prev_colour
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Feasibility slack for certificate checks of float candidates.
 CERT_TOL = 1e-9
@@ -76,15 +66,9 @@ def _bell_terms(own, after, before):
 def _bell_row(rows, i):
     """Term i of the functional: -2 rows[i] + rows[i+1] + rows[i-1].
 
-    ``rows`` is one correlation row c[i] (scalars) or one party's three unit
-    vectors (numpy rows).
+    ``rows`` is one correlation row c[i], or any three scalars in colour order.
     """
     return _bell_terms(rows[i], rows[next_colour(i)], rows[prev_colour(i)])
-
-
-#: Each colour's successor and predecessor, as indices for numpy rows.
-_NEXT = tuple(next_colour(i) for i in range(3))
-_PREV = tuple(prev_colour(i) for i in range(3))
 
 
 def _signed_bell(correlations):
@@ -320,40 +304,54 @@ GRAM_EXACT = _blocks(_pattern(1, Fraction(-1, 2)), _pattern(-1, Fraction(1, 2)))
 MULTIPLIERS_EXACT = _blocks(_pattern(Fraction(3, 2), 0), _pattern(0, 0))
 
 
-def _float_view(matrix) -> np.ndarray:
-    import numpy as np
-
-    return np.array(matrix, dtype=float)
+def _floats(matrix) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(map(float, row)) for row in matrix)
 
 
-def w_matrix() -> np.ndarray:
-    """``W_EXACT`` as a float numpy array."""
-    return _float_view(W_EXACT)
+def w_matrix() -> tuple[tuple[float, ...], ...]:
+    """``W_EXACT`` in floats, as a tuple of rows."""
+    return _floats(W_EXACT)
 
 
-def optimal_gram() -> np.ndarray:
-    """``GRAM_EXACT`` as a float numpy array."""
-    return _float_view(GRAM_EXACT)
+def optimal_gram() -> tuple[tuple[float, ...], ...]:
+    """``GRAM_EXACT`` in floats, as a tuple of rows."""
+    return _floats(GRAM_EXACT)
 
 
-def optimal_multipliers() -> np.ndarray:
-    """``MULTIPLIERS_EXACT`` as a float numpy array."""
-    return _float_view(MULTIPLIERS_EXACT)
+def optimal_multipliers() -> tuple[tuple[float, ...], ...]:
+    """``MULTIPLIERS_EXACT`` in floats, as a tuple of rows."""
+    return _floats(MULTIPLIERS_EXACT)
 
 
-def gram_from_vectors(vectors) -> np.ndarray:
+def _inner(u, v) -> float:
+    """The dot product of two float vectors: fsum of the rounded products."""
+    return math.fsum(map(operator.mul, u, v))
+
+
+def _unit_rows(rows, count: int, what: str, tol: float) -> tuple[tuple[float, ...], ...]:
+    """``rows`` as ``count`` unit vectors of floats, all of one nonzero dimension.
+
+    Anything else, including a scalar, a flat list or non-numeric entries,
+    raises ValueError; so do norms further than ``tol`` from 1.
+    """
+    try:
+        vectors = tuple(tuple(map(float, row)) for row in rows)
+    except (TypeError, ValueError):
+        vectors = ()
+    if len(vectors) != count or len({len(v) for v in vectors}) != 1 or not vectors[0]:
+        raise ValueError(f"{what}: need {count} vectors of one nonzero dimension")
+    if not all(map(math.isfinite, itertools.chain.from_iterable(vectors))):
+        raise ValueError(f"{what} has non-finite entries")
+    norms = [math.hypot(*v) for v in vectors]
+    if max(abs(n - 1) for n in norms) > tol:
+        raise ValueError(f"{what} rows must be unit vectors, got norms {norms}")
+    return vectors
+
+
+def gram_from_vectors(vectors) -> tuple[tuple[float, ...], ...]:
     """Gram matrix of six unit vectors (Alice's three rows, then Bob's)."""
-    import numpy as np
-
-    rows = np.asarray(vectors, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] != 6:
-        raise ValueError(f"need exactly 6 vectors, got array of shape {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise ValueError("vectors have non-finite entries")
-    norms = np.linalg.norm(rows, axis=1)
-    if np.abs(norms - 1).max() > CERT_TOL:
-        raise ValueError(f"vectors must be unit norm, got norms {norms}")
-    return rows @ rows.T
+    rows = _unit_rows(vectors, 6, "Gram input", CERT_TOL)
+    return tuple(tuple(_inner(u, v) for v in rows) for u in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -560,27 +558,19 @@ def certify_quantum_bound(tol: float = CERT_TOL) -> CertificateReport:
 @dataclass(frozen=True, eq=False)
 class VectorStrategy:
     """Unit vector triples (Alice rows, Bob rows) representing correlations
-    c[a][b] = alice[a] . bob[b]."""
+    c[a][b] = alice[a] . bob[b], stored as tuples of floats."""
 
-    alice: np.ndarray
-    bob: np.ndarray
+    alice: tuple[tuple[float, ...], ...]
+    bob: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        import numpy as np
-
-        for name, rows in (("alice", self.alice), ("bob", self.bob)):
-            if rows.shape[0] != 3 or rows.ndim != 2:
-                raise ValueError(f"{name} must hold 3 row vectors")
-            if not np.isfinite(rows).all():
-                raise ValueError(f"{name} has non-finite entries")
-            if np.abs(np.linalg.norm(rows, axis=1) - 1).max() > 1e-12:
-                raise ValueError(f"{name} rows must be unit vectors")
+        for name in ("alice", "bob"):
+            object.__setattr__(self, name, _unit_rows(getattr(self, name), 3, name, 1e-12))
+        if len(self.alice[0]) != len(self.bob[0]):
+            raise ValueError("alice and bob vectors differ in dimension")
 
     def correlations(self) -> tuple:
-        return tuple(
-            tuple(float(self.alice[a] @ self.bob[b]) for b in range(3))
-            for a in range(3)
-        )
+        return tuple(tuple(_inner(x, y) for y in self.bob) for x in self.alice)
 
 
 @dataclass(frozen=True, eq=False)
@@ -592,40 +582,32 @@ class AscentResult:
     sweep_values: tuple[float, ...]
 
 
-def _dots(u, v) -> np.ndarray:
-    """Row-by-row dot products of two stacks of vectors of the same shape.
+def _draw(rng: random.Random, dim: int) -> list[float]:
+    """A start vector: ``dim`` coordinates uniform in [-1, 1)."""
+    return [2 * rng.random() - 1 for _ in range(dim)]
 
-    The batched ``matmul`` of 1 x dim by dim x 1 runs on each row the dot
-    kernel of a 1-D ``u[k] @ v[k]``, so every sum rounds as it would alone.
+
+def _unit(vector, rng: random.Random) -> list[float]:
+    """``vector`` scaled to unit length.
+
+    A degenerate vector (length < 1e-15) is replaced by fresh draws from
+    its restart's generator until one is not.
     """
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+    length = math.hypot(*vector)
+    while length < 1e-15:
+        vector = _draw(rng, len(vector))
+        length = math.hypot(*vector)
+    return [v / length for v in vector]
 
 
-def _units(rows, rngs) -> np.ndarray:
-    """Every vector of ``rows`` (restarts x k x dim) scaled to unit length.
-
-    A degenerate vector (length < 1e-15) is re-seeded from its own
-    restart's generator until it is not, in row order.
-    """
-    import numpy as np
-
-    lengths = np.sqrt(_dots(rows, rows))
-    for j, r in zip(*(lengths < 1e-15).nonzero()):
-        while lengths[j, r] < 1e-15:
-            rows[j, r] = rngs[j].standard_normal(rows.shape[-1])
-            lengths[j, r] = math.sqrt(rows[j, r] @ rows[j, r])
-    return rows / lengths[..., None]
-
-
-def _bell_rows(vectors) -> np.ndarray:
-    """The three Bell rows of each restart's vectors (restarts x 3 x dim)."""
-    return _bell_terms(vectors, vectors.take(_NEXT, axis=1), vectors.take(_PREV, axis=1))
-
-
-def _objectives(xs, rows) -> np.ndarray:
-    """Each restart's objective, summed in row order from 0.0."""
-    dots = _dots(xs, rows)
-    return 0.0 + dots[:, 0] + dots[:, 1] + dots[:, 2]
+def _targets(vectors) -> list[list[float]]:
+    """The Bell rows -2 v_i + v_{i+1} + v_{i-1} of one party's three vectors."""
+    red, green, blue = vectors
+    return [
+        list(map(_bell_terms, red, green, blue)),
+        list(map(_bell_terms, green, blue, red)),
+        list(map(_bell_terms, blue, red, green)),
+    ]
 
 
 def alternating_ascent(
@@ -639,54 +621,36 @@ def alternating_ascent(
 
     Each sweep replaces every Alice vector with the normalized combination
     -2 y_i + y_{i+1} + y_{i-1} of Bob's, then symmetrically for Bob; both
-    half-steps maximize the objective exactly, so sweeps are monotone.
-    Restart k uses generator seed ``seed + k``; the first best restart wins.
-    The restarts sweep together as one batch.  Each leaves it, its vectors
-    and values frozen, after the sweep whose gain falls below ``min_gain``.
+    half-steps maximize the objective exactly, so sweeps are monotone.  A
+    restart stops after the sweep whose gain falls below ``min_gain``.
+    Restart k draws from ``random.Random(seed + k)``: Alice's three start
+    vectors, then Bob's, then any replacement for a degenerate vector.  The
+    first best restart wins.
     """
-    import numpy as np
-
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if restarts < 1:
         raise ValueError("need at least one restart")
     if dim < 1:
         raise ValueError("need at least one dimension")
-    rngs = [np.random.default_rng(seed + k) for k in range(restarts)]
-    # Alice's three starting vectors, then Bob's, in one draw per restart.
-    draws = np.stack([rng.standard_normal((6, dim)) for rng in rngs])
-    for j in set((np.sqrt(_dots(draws, draws)) < 1e-15).nonzero()[0].tolist()):
-        # A degenerate vector is re-seeded before the next one is drawn, so
-        # the restart starts from the first six draws that are not degenerate.
-        kept = [v for v in draws[j] if math.sqrt(v @ v) >= 1e-15]
-        while len(kept) < 6:
-            v = rngs[j].standard_normal(dim)
-            if math.sqrt(v @ v) >= 1e-15:
-                kept.append(v)
-        draws[j] = kept
-    start = _units(draws, rngs)
-    xs, ys = start[:, :3], start[:, 3:]
-    rows = _bell_rows(ys)
-    history = [[value] for value in _objectives(xs, rows).tolist()]
-    live = list(range(restarts))
-    ends = {k: (xs, ys, k) for k in live}  # restart -> its batch arrays and row
-    for _ in range(max_sweeps):
-        # Bob's Bell rows are both the objective's and Alice's next targets.
-        xs = _units(rows, rngs)
-        ys = _units(_bell_rows(xs), rngs)
-        rows = _bell_rows(ys)
-        for j, (k, value) in enumerate(zip(live, _objectives(xs, rows).tolist())):
-            history[k].append(value)
-            ends[k] = xs, ys, j
-        keep = [j for j, k in enumerate(live) if not history[k][-1] - history[k][-2] < min_gain]
-        if len(keep) < len(live):
-            live, rngs, rows = [live[j] for j in keep], [rngs[j] for j in keep], rows[keep]
-            if not live:
+    best = None
+    for k in range(restarts):
+        rng = random.Random(seed + k)
+        xs = [_unit(_draw(rng, dim), rng) for _ in range(3)]
+        ys = [_unit(_draw(rng, dim), rng) for _ in range(3)]
+        rows = _targets(ys)
+        values = [sum(map(_inner, xs, rows))]
+        for _ in range(max_sweeps):
+            # Bob's Bell rows are both the objective's and Alice's next targets.
+            xs = [_unit(row, rng) for row in rows]
+            ys = [_unit(row, rng) for row in _targets(xs)]
+            rows = _targets(ys)
+            values.append(sum(map(_inner, xs, rows)))
+            if values[-1] - values[-2] < min_gain:
                 break
-    best = max(range(restarts), key=lambda k: history[k][-1])
-    xs, ys, j = ends[best]
+        if best is None or values[-1] > best[0][-1]:
+            best = values, xs, ys
+    values, xs, ys = best
     return AscentResult(
-        value=history[best][-1],
-        strategy=VectorStrategy(xs[j].copy(), ys[j].copy()),
-        sweep_values=tuple(history[best]),
+        value=values[-1], strategy=VectorStrategy(xs, ys), sweep_values=tuple(values)
     )

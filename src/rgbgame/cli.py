@@ -3,9 +3,9 @@
 Given the same arguments (and seed, where one applies) stdout is
 byte-identical across runs; the command's own wall time is reported on stderr
 so timing noise never touches the canonical output.  That time excludes
-interpreter start and imports, which are most of a short process: the layers
-a command imports on demand are loaded before the clock starts.  Only
-``quantum`` and ``sdp-optimize`` load numpy.  Exit codes: 0 success, 1 a
+interpreter start and imports, which are most of a short process: the bell
+and quantum layers, which four commands import on demand, are loaded before
+the clock starts.  No command loads numpy.  Exit codes: 0 success, 1 a
 verification failed, 2 bad input.  ``--json`` swaps the table rendering for a
 JSON report carrying the same values.
 """
@@ -493,25 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _imports_float_layers(args) -> bool:
-    """Whether the handler needs numpy, through the quantum and bell layers."""
-    return args.handler in (cmd_quantum, cmd_sdp_optimize)
-
-
-def _imports_bell(args) -> bool:
-    """Whether the handler imports the numpy-free bell layer alone."""
-    if args.handler is cmd_bounds:
-        return args.game == "rgb"
-    return args.handler is cmd_sdp_certify
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # Imported before the clock starts, so the wall time stays command-only.
-    if _imports_float_layers(args):
+    if args.handler in (cmd_bounds, cmd_quantum, cmd_sdp_certify, cmd_sdp_optimize):
         from . import bell, quantum  # noqa: F401
-    elif _imports_bell(args):
-        from . import bell  # noqa: F401
     start = time.perf_counter()
     try:
         code, lines, report = args.handler(args)

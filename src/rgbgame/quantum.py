@@ -9,23 +9,23 @@ With the singlet state and the three trine projectors (Bloch angles 0 and
 Tensor products put Alice's factor first.  The simulation is float, for
 arbitrary angles; the trine point itself is derived exactly by
 ``bell.trine_table``.  ``reduce_to_binary`` and ``correlations_from_table``
-live in the numpy-free ``bell`` module and are re-exported here.
+live in the ``bell`` module and are re-exported here.
 
-``quantum_strategy_table`` forms each party's six effects (P and I - P) and
-their answers once per call, and each 4x4 product with the elementwise
-multiply that ``np.kron`` uses, so its floats are those of per-cell
-``np.kron`` code bit for bit.  The Born sums stay numpy matrix-vector and
-vector-vector products: BLAS accumulates them in an order (fused
-multiply-adds) that plain Python floats do not reproduce.
+States are four amplitudes and operators 2x2 rows, as nested sequences of
+numbers (numpy arrays pass too); they are validated into Python ``complex``
+tuples.  Each Born probability is tr(rho A (x) B): its sixteen terms are
+Python complex products, and ``math.fsum`` adds their real parts with one
+rounding, so a table's floats do not depend on the host's BLAS or on the
+order of a vector kernel.  ``projector_from_angle`` takes its cosine and
+sine from the platform's libm.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .bell import (  # noqa: F401 (reduce_to_binary, correlations_from_table re-exported)
     ALGEBRA_TOL,
@@ -35,30 +35,49 @@ from .bell import (  # noqa: F401 (reduce_to_binary, correlations_from_table re-
 )
 from .strategies import StrategyTable, next_colour, prev_colour
 
+#: A 2x2 operator as its two rows.
+Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
 
-def singlet() -> np.ndarray:
+
+def singlet() -> tuple[float, float, float, float]:
     """The two-qubit state (|01> - |10>) / sqrt(2)."""
-    return np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
+    amplitude = 1 / math.sqrt(2)
+    return (0.0, amplitude, -amplitude, 0.0)
 
 
-def projector_from_angle(degrees: float) -> np.ndarray:
+def projector_from_angle(degrees: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """Rank-1 projector onto the x-z plane Bloch direction at ``degrees``.
 
     The state is cos(theta/2)|0> + sin(theta/2)|1>, so 0 degrees is |0><0|
     and +-120 degrees are the other two trine directions.
     """
     half = math.radians(degrees) / 2
-    ket = np.array([math.cos(half), math.sin(half)], dtype=complex)
-    return np.outer(ket, ket.conj())
+    c, s = math.cos(half), math.sin(half)
+    return ((c * c, c * s), (c * s, s * s))
 
 
-def trine_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def trine_projectors():
     """The three symmetric projectors: red 0, green -120, blue +120 degrees."""
     return (
         projector_from_angle(0.0),
         projector_from_angle(-120.0),
         projector_from_angle(120.0),
     )
+
+
+def _matrix(operator, what: str) -> Matrix:
+    """``operator`` as two rows of finite Python complex numbers."""
+    try:
+        rows = tuple(tuple(map(complex, row)) for row in operator)
+    except (TypeError, ValueError):
+        rows = ()
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        raise ValueError(f"{what} is not 2x2")
+    if not all(cmath.isfinite(v) for row in rows for v in row):
+        raise ValueError(f"{what} has non-finite entries")
+    if max(abs(rows[i][j] - rows[j][i].conjugate()) for i in (0, 1) for j in (0, 1)) > ALGEBRA_TOL:
+        raise ValueError(f"{what} is not Hermitian")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -68,26 +87,26 @@ class QubitStrategy:
     ``projectors[c]`` is the 2x2 projector measured on colour c; outcome 1
     means it fired.  The rule must answer with a neighbouring colour (one of
     c-1, c+1 per outcome), which keeps the answer off the asked colour.
+    The projectors are stored as validated rows of Python complex numbers.
     """
 
-    projectors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    projectors: tuple[Matrix, Matrix, Matrix]
     output_rule: Callable[[int, int], int] = cyclic_rule
 
     def __post_init__(self):
         if len(self.projectors) != 3:
             raise ValueError("need one projector per colour")
+        projectors = []
         for c, proj in enumerate(self.projectors):
-            proj = np.asarray(proj, dtype=complex)
-            if proj.shape != (2, 2):
-                raise ValueError(f"projector for colour {c} is not 2x2")
-            if not np.isfinite(proj).all():
-                raise ValueError(f"projector for colour {c} has non-finite entries")
-            if np.abs(proj - proj.conj().T).max() > ALGEBRA_TOL:
-                raise ValueError(f"projector for colour {c} is not Hermitian")
-            if np.abs(proj @ proj - proj).max() > ALGEBRA_TOL:
+            (p00, p01), (p10, p11) = proj = _matrix(proj, f"projector for colour {c}")
+            square = (p00 * p00 + p01 * p10, p00 * p01 + p01 * p11,
+                      p10 * p00 + p11 * p10, p10 * p01 + p11 * p11)
+            if max(abs(s - p) for s, p in zip(square, (p00, p01, p10, p11))) > ALGEBRA_TOL:
                 raise ValueError(f"projector for colour {c} is not idempotent")
-            if abs(np.trace(proj).real - 1) > ALGEBRA_TOL:
+            if abs((p00 + p11).real - 1) > ALGEBRA_TOL:
                 raise ValueError(f"projector for colour {c} is not rank one")
+            projectors.append(proj)
+        object.__setattr__(self, "projectors", tuple(projectors))
         for c in range(3):
             answers = {self.output_rule(c, 0), self.output_rule(c, 1)}
             if answers != {prev_colour(c), next_colour(c)}:
@@ -101,39 +120,52 @@ def trine_strategy() -> QubitStrategy:
     return QubitStrategy(trine_projectors())
 
 
-def _check_effect(effect, side: str) -> np.ndarray:
-    effect = np.asarray(effect, dtype=complex)
-    if effect.shape != (2, 2):
-        raise ValueError(f"{side} effect must be 2x2, got shape {effect.shape}")
-    if np.abs(effect - effect.conj().T).max() > ALGEBRA_TOL:
-        raise ValueError(f"{side} effect is not Hermitian")
-    eigs = np.linalg.eigvalsh(effect)
-    if eigs.min() < -ALGEBRA_TOL or eigs.max() > 1 + ALGEBRA_TOL:
+def _check_effect(effect, side: str) -> Matrix:
+    rows = _matrix(effect, f"{side} effect")
+    # The eigenvalues of a Hermitian [[a, b], [b*, d]]: (a+d)/2 -+ |((a-d)/2, b)|.
+    a, d = rows[0][0].real, rows[1][1].real
+    centre, radius = (a + d) / 2, math.hypot((a - d) / 2, abs(rows[0][1]))
+    eigs = (centre - radius, centre + radius)
+    if not (eigs[0] >= -ALGEBRA_TOL and eigs[1] <= 1 + ALGEBRA_TOL):
         raise ValueError(f"{side} effect has eigenvalues outside [0, 1]: {eigs}")
-    return effect
+    return rows
 
 
-def _check_state(state) -> np.ndarray:
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.shape != (4,):
-        raise ValueError(f"state must have 4 amplitudes, got {state.shape}")
-    if abs(np.linalg.norm(state) - 1) > 1e-10:
+def _check_state(state) -> tuple[complex, ...]:
+    try:
+        amplitudes = tuple(map(complex, state))
+    except (TypeError, ValueError):
+        amplitudes = ()
+    if len(amplitudes) != 4:
+        raise ValueError("state must be a sequence of 4 amplitudes")
+    if not abs(math.hypot(*(abs(v) for v in amplitudes)) - 1) <= 1e-10:
         raise ValueError("state is not normalized")
-    return state
+    return amplitudes
 
 
-def _born_prob(state: np.ndarray, effect_a, effect_b) -> float:
-    # The kernel of joint_prob: the caller has validated all three, so only
-    # rounding (within ALGEBRA_TOL) can leave [0, 1]; that much is clamped.
-    # The 4x4 product is np.kron's own elementwise multiply, minus its overhead.
-    product = (effect_a[:, None, :, None] * effect_b[None, :, None, :]).reshape(4, 4)
-    value = float((state.conj() @ (product @ state)).real)
+def _density(state) -> tuple[complex, ...]:
+    """conj(state[r]) * state[c] for the 16 pairs (r, c), row-major."""
+    return tuple(u.conjugate() * v for u in state for v in state)
+
+
+def _born_sum(density, effect_a, effect_b) -> float:
+    # The kernel of joint_prob and of the table: the caller has validated the
+    # state and both effects, so only rounding (within ALGEBRA_TOL) can leave
+    # [0, 1]; that much is clamped.  The kron product is built row-major, as
+    # np.kron lays it out, and fsum rounds the sum of the real parts once.
+    kron = (a * b for row_a in effect_a for row_b in effect_b for a in row_a for b in row_b)
+    value = math.fsum((rho * k).real for rho, k in zip(density, kron))
     if not abs(value - 0.5) <= 0.5 + ALGEBRA_TOL:
         raise ValueError(f"Born probability {value!r} lies outside [0, 1]")
     return min(1.0, max(0.0, value))
 
 
-def joint_prob(state: np.ndarray, effect_a, effect_b) -> float:
+def _born_prob(state, effect_a, effect_b) -> float:
+    """<state| effect_a (x) effect_b |state> for validated arguments."""
+    return _born_sum(_density(state), effect_a, effect_b)
+
+
+def joint_prob(state, effect_a, effect_b) -> float:
     """<state| effect_a (x) effect_b |state>, clamped into [0, 1].
 
     Effects must be valid measurement operators (Hermitian, spectrum in
@@ -145,22 +177,25 @@ def joint_prob(state: np.ndarray, effect_a, effect_b) -> float:
     return _born_prob(state, effect_a, effect_b)
 
 
-def quantum_strategy_table(
-    state: np.ndarray, alice: QubitStrategy, bob: QubitStrategy
-) -> StrategyTable:
+def _complement(proj: Matrix) -> Matrix:
+    """I - proj."""
+    (p00, p01), (p10, p11) = proj
+    return ((1 - p00, 0 - p01), (0 - p10, 1 - p11))
+
+
+def quantum_strategy_table(state, alice: QubitStrategy, bob: QubitStrategy) -> StrategyTable:
     """The float-valued conditional table of a pair of qubit strategies.
 
     The state is checked once; the effects are the strategies' projectors,
     validated when the strategies were built, and their complements.
     """
-    state = _check_state(state)
-    identity = np.eye(2, dtype=complex)
+    density = _density(_check_state(state))
 
     def effects(strategy):
         # Per colour, (answer, effect) for outcome 0 (I - P) and outcome 1 (P).
         return [
-            [(strategy.output_rule(c, out), proj if out else identity - proj) for out in (0, 1)]
-            for c, proj in enumerate(map(np.asarray, strategy.projectors))
+            [(strategy.output_rule(c, 0), _complement(proj)), (strategy.output_rule(c, 1), proj)]
+            for c, proj in enumerate(strategy.projectors)
         ]
 
     entries: dict[tuple[int, int, int, int], float] = {}
@@ -169,7 +204,7 @@ def quantum_strategy_table(
         for b, row_b in enumerate(bob_effects):
             for x, effect_a in row_a:
                 for y, effect_b in row_b:
-                    entries[a, b, x, y] = _born_prob(state, effect_a, effect_b)
+                    entries[a, b, x, y] = _born_sum(density, effect_a, effect_b)
     return StrategyTable.from_function(
         (3, 3, 3, 3), lambda a, b, x, y: entries.get((a, b, x, y), 0.0)
     )

@@ -12,7 +12,6 @@ import random
 import time
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from rgbgame.bell import (
@@ -148,7 +147,10 @@ def test_criterion_05_sdp_certificates():
         gram_eigs = sym_eigenvalues(optimal_gram())
         for got, want in zip(gram_eigs, (3, 3, 0, 0, 0, 0)):
             assert abs(got - want) < 1e-9
-        slack = -0.5 * w_matrix() + optimal_multipliers()
+        slack = [
+            [-0.5 * w + m for w, m in zip(w_row, m_row)]
+            for w_row, m_row in zip(w_matrix(), optimal_multipliers())
+        ]
         for got, want in zip(sym_eigenvalues(slack), (3, 3, 1.5, 1.5, 0, 0)):
             assert abs(got - want) < 1e-9
 

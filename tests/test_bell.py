@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from rgbgame.bell import (
     GRAM_EXACT,
@@ -19,7 +18,6 @@ from rgbgame.bell import (
     CertificationError,
     VectorStrategy,
     _bell_row,
-    _dots,
     alternating_ascent,
     bell_quantity,
     certify_quantum_bound,
@@ -129,8 +127,9 @@ def test_jacobi_matches_the_numpy_oracle_bit_for_bit(matrix):
 
 
 def test_jacobi_matches_the_numpy_oracle_on_the_certificate():
-    slack = -0.5 * w_matrix() + optimal_multipliers()
-    for matrix in (optimal_gram(), slack, -0.5 * w_matrix()):
+    w = np.array(w_matrix())
+    slack = -0.5 * w + optimal_multipliers()
+    for matrix in (optimal_gram(), slack, -0.5 * w):
         assert sym_eigenvalues(matrix) == _numpy_sym_eigenvalues(matrix)
     report = certify_quantum_bound()
     assert report.primal_eigenvalues == _numpy_sym_eigenvalues(optimal_gram())
@@ -248,7 +247,8 @@ def test_lemma1_win_shape_check():
 
 
 def test_w_matrix_layout():
-    w = w_matrix()
+    assert isinstance(w_matrix(), tuple)
+    w = np.array(w_matrix())
     assert w.shape == (6, 6)
     np.testing.assert_allclose(w[:3, :3], np.zeros((3, 3)))
     np.testing.assert_allclose(w[3:, 3:], np.zeros((3, 3)))
@@ -282,7 +282,7 @@ def test_dual_certificate():
     value, feasible = verify_dual(optimal_multipliers())
     assert value == 9.0
     assert feasible
-    slack = -0.5 * w_matrix() + optimal_multipliers()
+    slack = -0.5 * np.array(w_matrix()) + optimal_multipliers()
     np.testing.assert_allclose(
         sym_eigenvalues(slack), [3, 3, 1.5, 1.5, 0, 0], atol=1e-9
     )
@@ -293,7 +293,7 @@ def test_zero_multipliers_are_infeasible():
     assert value == 0.0
     assert not feasible
     # The unshifted slack has eigenvalues down to -3/2.
-    eigs = sym_eigenvalues(-0.5 * w_matrix())
+    eigs = sym_eigenvalues(-0.5 * np.array(w_matrix()))
     assert abs(eigs[-1] + 1.5) < 1e-9
 
 
@@ -309,13 +309,13 @@ def test_float_checks_reject_non_finite_entries(bad):
         VectorStrategy(rows[:3], rows[3:])
     with pytest.raises(ValueError, match="alice has non-finite entries"):
         VectorStrategy(np.full((3, 2), bad), rows[3:, :2])
-    matrix = optimal_gram()
+    matrix = np.array(optimal_gram())
     matrix[2, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         sym_eigenvalues(matrix)
     with pytest.raises(ValueError, match="non-finite"):
         verify_primal(matrix)
-    multipliers = optimal_multipliers()
+    multipliers = np.array(optimal_multipliers())
     multipliers[0, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         verify_dual(multipliers)
@@ -328,6 +328,50 @@ def test_verify_input_validation():
         verify_dual(np.full((6, 6), 0.1))  # not diagonal
     with pytest.raises(ValueError):
         gram_from_vectors(np.ones((6, 4)))  # rows not unit
+
+
+_E1, _E2 = (1.0, 0.0), (0.0, 1.0)
+
+#: Inputs that are not a stack of equal-length vectors of numbers.
+_MALFORMED = [
+    np.array(1.0),  # 0-d
+    [1.0, 0.0, 0.0],  # one flat vector
+    [_E1, (1.0,), _E2],  # ragged
+    [(), (), ()],  # no dimension
+    [_E1, _E2, ("a", 0.0)],  # not numbers
+    [_E1, _E2, (1j, 0.0)],
+]
+
+
+@pytest.mark.parametrize("rows", _MALFORMED + [[_E1, _E2], [_E1] * 4], ids=repr)
+def test_vector_strategy_rejects_malformed_input(rows):
+    # A 0-d array used to raise IndexError and a plain list AttributeError.
+    with pytest.raises(ValueError, match="alice: need 3 vectors of one nonzero dimension"):
+        VectorStrategy(rows, [_E1, _E2, _E1])
+    with pytest.raises(ValueError, match="bob: need 3 vectors"):
+        VectorStrategy([_E1, _E2, _E1], rows)
+
+
+def test_vector_strategy_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="differ in dimension"):
+        VectorStrategy([_E1, _E2, _E1], [(1.0, 0.0, 0.0)] * 3)
+
+
+@pytest.mark.parametrize("rows", _MALFORMED + [[_E1, _E2] * 2, [_E1] * 7], ids=repr)
+def test_gram_from_vectors_rejects_malformed_input(rows):
+    if isinstance(rows, list) and len(rows) == 3:
+        rows = rows + [_E1, _E2, _E1]
+    with pytest.raises(ValueError, match="need 6 vectors of one nonzero dimension"):
+        gram_from_vectors(rows)
+
+
+def test_vector_inputs_come_back_as_tuples_of_floats():
+    strategy = VectorStrategy(np.eye(3), [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert strategy.bob == ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    assert all(type(v) is float for row in strategy.alice for v in row)
+    assert strategy.correlations() == ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    gram = gram_from_vectors([*strategy.alice, *strategy.bob])
+    assert isinstance(gram, tuple) and gram[0] == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
 
 def test_weak_duality_caps_random_grams():
@@ -369,7 +413,7 @@ def test_certificate_is_exact():
     assert certify_quantum_bound(tol=0).gap == 0
     assert all(isinstance(v, F) for m in (W_EXACT, GRAM_EXACT, MULTIPLIERS_EXACT)
                for row in m for v in row)
-    np.testing.assert_array_equal(w_matrix(), np.array(W_EXACT, dtype=float))
+    assert w_matrix() == tuple(tuple(float(v) for v in row) for row in W_EXACT)
 
 
 def _multipliers(value):
@@ -383,7 +427,8 @@ def test_multipliers_a_hair_below_three_halves_are_rejected():
     value, feasible = verify_dual(lam)
     assert value == 9 - F(6, 10**12)
     assert not feasible
-    assert sym_eigenvalues(-0.5 * w_matrix() + np.array(lam, dtype=float))[-1] > -1e-9
+    slack = -0.5 * np.array(w_matrix()) + np.array(lam, dtype=float)
+    assert sym_eigenvalues(slack)[-1] > -1e-9
 
 
 def test_multipliers_of_149_hundredths_are_rejected():
@@ -459,7 +504,8 @@ def test_ascent_is_deterministic():
     second = alternating_ascent(seed=4, restarts=3)
     assert first.value == second.value
     assert first.sweep_values == second.sweep_values
-    np.testing.assert_array_equal(first.strategy.alice, second.strategy.alice)
+    assert first.strategy.alice == second.strategy.alice
+    assert first.strategy.bob == second.strategy.bob
 
 
 def test_single_restarts_are_monotone():
@@ -469,13 +515,13 @@ def test_single_restarts_are_monotone():
             b - a for a, b in zip(result.sweep_values, result.sweep_values[1:])
         ]
         assert all(d >= -1e-9 for d in diffs)
-        assert result.strategy.alice.shape == (3, 6)
-        assert result.strategy.bob.shape == (3, 6)
+        assert [len(v) for v in result.strategy.alice] == [6, 6, 6]
+        assert [len(v) for v in result.strategy.bob] == [6, 6, 6]
 
 
 def test_ascent_solution_is_essentially_planar():
     result = alternating_ascent(seed=2026, restarts=20)
-    gram = gram_from_vectors(np.vstack([result.strategy.alice, result.strategy.bob]))
+    gram = gram_from_vectors([*result.strategy.alice, *result.strategy.bob])
     eigs = sym_eigenvalues(gram)
     rank = sum(1 for e in eigs if e > 1e-6)
     assert rank == 2
@@ -493,7 +539,7 @@ def test_ascent_validates_restarts():
 
 
 def test_ascent_validates_seed():
-    # Unchecked, numpy's seeding fails with a message that names no argument.
+    # Unchecked, random.Random would seed with abs(seed), so -5 would rerun 5.
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         alternating_ascent(seed=-5, restarts=1)
 
@@ -505,64 +551,55 @@ def test_ascent_validates_dim():
             alternating_ascent(seed=1, restarts=1, dim=dim)
 
 
-# Zeros, both signs, magnitudes from subnormal to 1e150 (whose products
-# still fit a float64).
-_DOT_ENTRIES = st.one_of(
-    st.just(0.0),
-    st.floats(-1e150, 1e150, allow_nan=False),
-    st.floats(-1e-150, 1e-150, allow_nan=False),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 8), st.data())
-def test_batched_matmul_dot_is_the_one_dimensional_dot_bit_for_bit(batch, dim, data):
-    # The ascent's batched dots must round exactly as one 1-D ``@`` per row;
-    # einsum and (u * v).sum(-1) sum in other orders and differ in the last bit.
-    u = data.draw(arrays(np.float64, (batch, dim), elements=_DOT_ENTRIES))
-    v = data.draw(arrays(np.float64, (batch, dim), elements=_DOT_ENTRIES))
-    expected = np.array([u[i] @ v[i] for i in range(batch)])
-    assert _dots(u, v).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
-    stacked = _dots(u[:, None, :], v[:, None, :])[:, 0]
-    assert stacked.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+@pytest.mark.parametrize("seed", [0, 1, 7, 2019, 2026, 10**6])
+def test_ascent_reaches_nine_with_a_rank_two_gram(seed):
+    result = alternating_ascent(seed)
+    assert abs(result.value - 9) <= 1e-9
+    values = result.sweep_values
+    assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
+    gram = gram_from_vectors([*result.strategy.alice, *result.strategy.bob])
+    assert sum(1 for e in sym_eigenvalues(gram) if e > 1e-6) == 2
 
 
 def _reference_objective(xs, ys):
     total = 0.0
     for i in range(3):
-        total += float(xs[i] @ _bell_row(ys, i))
+        total += math.fsum(x * r for x, r in zip(xs[i], _reference_row(ys, i)))
     return total
 
 
-def _reference_unit(vector, rng, norm):
-    length = float(norm(vector))
+def _reference_row(vectors, i):
+    """Bell row i of three vectors, one coordinate at a time."""
+    return [_bell_row(coordinates, i) for coordinates in zip(*vectors)]
+
+
+def _reference_unit(vector, rng):
+    length = math.hypot(*vector)
     while length < 1e-15:
-        vector = rng.standard_normal(vector.shape[0])
-        length = float(norm(vector))
-    return vector / length
+        vector = [2 * rng.random() - 1 for _ in vector]
+        length = math.hypot(*vector)
+    return [v / length for v in vector]
 
 
 def _reference_alternating_ascent(seed, restarts=20, dim=6, max_sweeps=10_000, min_gain=1e-12):
-    """alternating_ascent as it was: np.linalg.norm, and every Bell row of
-    Bob's vectors formed twice, once for the objective and once as a target."""
-    norm = np.linalg.norm
+    """alternating_ascent written plainly: each vector normalized by its
+    norm, and every Bell row of Bob's vectors formed twice, once for the
+    objective and once as a target."""
     best = None
     for k in range(restarts):
-        rng = np.random.default_rng(seed + k)
-        xs = [_reference_unit(rng.standard_normal(dim), rng, norm) for _ in range(3)]
-        ys = [_reference_unit(rng.standard_normal(dim), rng, norm) for _ in range(3)]
+        rng = random.Random(seed + k)
+        xs = [_reference_unit([2 * rng.random() - 1 for _ in range(dim)], rng) for _ in range(3)]
+        ys = [_reference_unit([2 * rng.random() - 1 for _ in range(dim)], rng) for _ in range(3)]
         values = [_reference_objective(xs, ys)]
         for _ in range(max_sweeps):
-            for i in range(3):
-                xs[i] = _reference_unit(_bell_row(ys, i), rng, norm)
-            for j in range(3):
-                ys[j] = _reference_unit(_bell_row(xs, j), rng, norm)
+            xs = [_reference_unit(_reference_row(ys, i), rng) for i in range(3)]
+            ys = [_reference_unit(_reference_row(xs, j), rng) for j in range(3)]
             values.append(_reference_objective(xs, ys))
             if values[-1] - values[-2] < min_gain:
                 break
         candidate = AscentResult(
             value=values[-1],
-            strategy=VectorStrategy(np.vstack(xs), np.vstack(ys)),
+            strategy=VectorStrategy(xs, ys),
             sweep_values=tuple(values),
         )
         if best is None or candidate.value > best.value:
@@ -573,8 +610,8 @@ def _reference_alternating_ascent(seed, restarts=20, dim=6, max_sweeps=10_000, m
 def _assert_same_ascent(result, expected):
     assert result.value == expected.value
     assert result.sweep_values == expected.sweep_values
-    assert np.array_equal(result.strategy.alice, expected.strategy.alice)
-    assert np.array_equal(result.strategy.bob, expected.strategy.bob)
+    assert result.strategy.alice == expected.strategy.alice
+    assert result.strategy.bob == expected.strategy.bob
 
 
 _MAX_SWEEPS = st.sampled_from([0, 1, 2, 10_000])
@@ -590,22 +627,13 @@ _MIN_GAINS = st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.1])
 @example(seed=5, restarts=3, dim=6, max_sweeps=1, min_gain=1e-12)
 @example(seed=5, restarts=3, dim=6, max_sweeps=2, min_gain=1e-12)
 def test_ascent_matches_the_norm_based_code_bit_for_bit(seed, restarts, dim, max_sweeps, min_gain):
-    # Restarts leave the batch at different sweeps: with seed 0 and 8
-    # restarts they stop after 3 to 5 sweeps at min_gain=1e-3.  dim=1 makes
-    # every Bell row of three equal signs zero, so the degenerate-vector
-    # reseed and its draws from each restart's stream are exercised.
+    # dim=1 makes every Bell row of three equal signs zero, so the
+    # degenerate-vector reseed and its draws from each restart's stream are
+    # exercised.
     _assert_same_ascent(
         alternating_ascent(seed, restarts, dim, max_sweeps, min_gain),
         _reference_alternating_ascent(seed, restarts, dim, max_sweeps, min_gain),
     )
-
-
-def test_restarts_leave_the_batch_at_different_sweeps():
-    # The examples above pin these cases; check that they stay meaningful.
-    alone = [alternating_ascent(k, 1, min_gain=1e-3) for k in range(8)]
-    assert len({len(result.sweep_values) for result in alone}) > 1
-    alone = [alternating_ascent(k, 1, dim=1) for k in range(8)]
-    assert len({len(result.sweep_values) for result in alone}) > 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -616,25 +644,22 @@ def test_each_restart_runs_as_if_alone(seed, restarts, dim, min_gain):
     _assert_same_ascent(alternating_ascent(seed, restarts, dim, min_gain=min_gain), first_best)
 
 
-class _ZeroedDraws:
+class _ZeroedDraws(random.Random):
     """A seeded generator whose chosen draws of one vector come out zero.
 
-    Draws are counted in vectors of ``dim`` entries, whether they are taken
-    one at a time or several at once, so a zeroed vector is degenerate at
-    the same place in the stream for the per-vector and the batched code.
+    Draws are counted in vectors of ``dim`` coordinates; each coordinate of
+    a zeroed vector is 2 * 0.5 - 1 = 0.
     """
 
     def __init__(self, seed, dim, zeroed):
-        self._rng = np.random.Generator(np.random.PCG64(seed))
+        super().__init__(seed)
         self._dim, self._zeroed, self._drawn = dim, zeroed, 0
 
-    def standard_normal(self, size):
-        values = self._rng.standard_normal(size)
-        for row in values.reshape(-1, self._dim):
-            if self._drawn in self._zeroed:
-                row[:] = 0.0
-            self._drawn += 1
-        return values
+    def random(self):
+        value = super().random()
+        vector = self._drawn // self._dim
+        self._drawn += 1
+        return 0.5 if vector in self._zeroed else value
 
 
 @pytest.mark.parametrize("dim", [1, 2, 6])
@@ -645,14 +670,23 @@ class _ZeroedDraws:
 def test_degenerate_draws_are_reseeded_in_stream_order(monkeypatch, dim, zeroed):
     # Zeroed starting draws exercise the reseed of the starting vectors, and
     # zeroed later draws (with dim=1) that of the reseeds inside a sweep.
+    # Each restart's generator zeroes other draws, so a reseed from another
+    # restart's stream would show.
     seed = 40
     streams = {seed + k: zeroed if k % 2 == 0 else {v + 1 for v in zeroed} for k in range(4)}
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda s: _ZeroedDraws(s, dim, streams[s])
-    )
-    _assert_same_ascent(
-        alternating_ascent(seed, 4, dim), _reference_alternating_ascent(seed, 4, dim)
-    )
+    generators = []
+
+    def generator(s):
+        generators.append(_ZeroedDraws(s, dim, streams[s]))
+        return generators[-1]
+
+    monkeypatch.setattr(random, "Random", generator)
+    result = alternating_ascent(seed, 4, dim)
+    assert len(generators) == 4
+    for g in generators:
+        # A zeroed start vector is replaced by a draw after the first six.
+        assert g._drawn > 6 * dim or min(g._zeroed) >= 6
+    _assert_same_ascent(result, _reference_alternating_ascent(seed, 4, dim))
 
 
 @pytest.mark.parametrize("seed", [*range(10), 2019])

@@ -199,8 +199,8 @@ def test_sdp_optimize_requires_seed(capsys):
     ],
 )
 def test_sdp_optimize_seed_and_restarts_are_checked_by_the_parser(capsys, option, value, what):
-    # Unchecked, a negative seed fails inside numpy ("expected non-negative
-    # integer") with a message that names no option.
+    # Unchecked, a negative seed fails inside the library with a message that
+    # names no option.
     with pytest.raises(SystemExit) as exc:
         cli.main(["sdp-optimize", "--seed", "1", "--restarts", "1", option, value])
     assert exc.value.code == 2

@@ -8,13 +8,18 @@ directory's path reads as ``{tmp}`` in both the argv and the stdout.
 
 The ``quantum`` and ``sdp-optimize`` cases print floats at 17 significant
 digits, so they also guard the floating-point evaluation order of the
-simulation and of the Bell functional.
+simulation and of the Bell functional.  Those floats come from plain Python
+arithmetic, so every case is also run in fresh interpreters where numpy
+cannot be imported, or where OpenBLAS is made to pick another kernel.
 """
 
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -143,3 +148,46 @@ def test_every_subcommand_is_covered():
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_stdout_matches_golden(argv, inputs, golden):
     assert capture(argv, inputs) == golden[tuple(argv)]
+
+
+# Runs the argv list given as JSON in a fresh interpreter, optionally with
+# numpy made unimportable, and prints each case's (exit code, stdout).
+HOST_PROBE = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+if sys.argv[1] == "block-numpy":
+    sys.modules["numpy"] = None
+import test_cli_golden as golden
+with tempfile.TemporaryDirectory() as tmp:
+    golden.write_inputs(Path(tmp))
+    with contextlib.redirect_stderr(io.StringIO()):
+        results = [golden.capture(argv, Path(tmp)) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"results": results, "numpy": sys.modules.get("numpy") is not None}))
+"""
+
+FLOAT_CASES = [case for case in CASES if case[0] in ("quantum", "sdp-optimize")]
+
+
+@pytest.mark.parametrize(
+    "mode, coretype, cases",
+    [
+        ("block-numpy", None, CASES),
+        ("", "Prescott", FLOAT_CASES),
+        ("", "Haswell", FLOAT_CASES),
+    ],
+    ids=["numpy-blocked", "openblas-prescott", "openblas-haswell"],
+)
+def test_golden_output_does_not_depend_on_numpy_or_blas(mode, coretype, cases, golden):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(GOLDEN.parent)])}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    proc = subprocess.run(
+        [sys.executable, "-c", HOST_PROBE, mode, json.dumps(cases)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert not report["numpy"]
+    assert [tuple(r) for r in report["results"]] == [golden[tuple(case)] for case in cases]

@@ -1,9 +1,10 @@
-"""numpy is loaded only by the quantum layer and bell's numpy-array functions.
+"""No layer loads numpy, and the bell and quantum layers load on demand.
 
-The exact layers (strategies, locality, wiring, formats), bell's exact
-checks, and the CLI subcommands built on them must start without it.  Every
-check runs in a fresh interpreter, because this test process imported numpy
-long ago.
+``import rgbgame`` loads only the exact layers (strategies, locality,
+wiring, formats); the bell and quantum re-exports resolve on first access,
+and the CLI imports those two layers before its clock starts.  Every check
+runs in a fresh interpreter, because this test process imported numpy long
+ago.
 """
 
 import json
@@ -44,9 +45,9 @@ w_matrix win_from_correlations win_probability wiring wiring_from_json_dict
 wiring_to_json_dict x_marginal y_marginal
 """.split()
 
-# Runs CLI subcommands in-process; prints, per command, its exit code and
-# whether numpy (and bell) were loaded when the wall-time clock started, and
-# whether numpy was loaded at the end.
+# Runs CLI subcommands in-process; prints, per command, its exit code, whether
+# bell and quantum were loaded when the wall-time clock started, and whether
+# numpy was loaded at the end.
 CLI_PROBE = """
 import contextlib, io, json, sys, time
 from rgbgame import cli
@@ -55,7 +56,7 @@ real_clock = time.perf_counter
 clock_reads = []
 
 def clock():
-    clock_reads.append({m: m in sys.modules for m in ("numpy", "rgbgame.bell")})
+    clock_reads.append({m: m in sys.modules for m in ("rgbgame.bell", "rgbgame.quantum")})
     return real_clock()
 
 time.perf_counter = clock
@@ -68,8 +69,8 @@ for argv in json.loads(sys.argv[1]):
     report.append({
         "argv": argv,
         "code": code,
-        "numpy_at_clock_start": clock_reads[0]["numpy"],
         "bell_at_clock_start": clock_reads[0]["rgbgame.bell"],
+        "quantum_at_clock_start": clock_reads[0]["rgbgame.quantum"],
         "numpy_at_end": "numpy" in sys.modules,
     })
 print(json.dumps(report))
@@ -115,7 +116,7 @@ def test_float_reexports_resolve_on_first_access():
         "print(json.dumps({\n"
         "    'bound': report.bound,\n"
         "    'trine': trine_strategy() is not None,\n"
-        "    'w_shape': list(rgbgame.bell.w_matrix().shape),\n"
+        "    'w_shape': [len(row) for row in rgbgame.bell.w_matrix()],\n"
         "    'singlet_len': len(rgbgame.quantum.singlet()),\n"
         "    'same': rgbgame.singlet is rgbgame.quantum.singlet,\n"
         "    'unknown': hasattr(rgbgame, 'no_such_name'),\n"
@@ -124,7 +125,7 @@ def test_float_reexports_resolve_on_first_access():
     )
     assert result["bound"] == pytest.approx(9)
     assert result["trine"]
-    assert result["w_shape"] == [6, 6]
+    assert result["w_shape"] == [6] * 6
     assert result["singlet_len"] == 4
     assert result["same"]
     assert not result["unknown"]
@@ -200,9 +201,10 @@ def test_exact_quantum_checks_load_bell_before_the_clock(argv):
         ["sdp-optimize", "--seed", "1", "--restarts", "2"],
     ],
 )
-def test_float_subcommands_load_numpy_before_the_clock(argv):
+def test_float_subcommands_load_bell_and_quantum_before_the_clock(argv):
     # The stderr wall time is labelled command-only, so the lazy import of
     # the float layers must happen before the clock starts.
     (r,) = run_python(CLI_PROBE, json.dumps([argv]))
     assert r["code"] == 0
-    assert r["numpy_at_clock_start"]
+    assert r["bell_at_clock_start"] and r["quantum_at_clock_start"]
+    assert not r["numpy_at_end"]

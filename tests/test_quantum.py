@@ -1,6 +1,7 @@
 """Singlet-state simulation of projective qubit strategies."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def test_projector_at_angle_zero_is_spin_up():
 
 
 def test_trine_projector_algebra():
-    projs = trine_projectors()
+    projs = [np.asarray(p) for p in trine_projectors()]
     for p in projs:
         np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
@@ -85,7 +86,13 @@ def test_joint_prob_rejects_bad_inputs():
     with pytest.raises(ValueError):
         joint_prob(singlet(), 2 * np.eye(2), np.eye(2))
     with pytest.raises(ValueError, match="not normalized"):
-        quantum_strategy_table(2 * singlet(), trine_strategy(), trine_strategy())
+        quantum_strategy_table([2 * v for v in singlet()], trine_strategy(), trine_strategy())
+    for state in (np.array(1.0), [[1, 0], [0, 0]], [1, 0, 0], [0.5] * 8, ["a", 0, 0, 0]):
+        with pytest.raises(ValueError, match="state must"):
+            joint_prob(state, np.eye(2), np.eye(2))
+    for effect in (np.eye(3), np.array(1.0), [1, 0, 0, 1], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="Alice effect is not 2x2"):
+            joint_prob(singlet(), effect, np.eye(2))
 
 
 def test_born_kernel_clamps_rounding_and_rejects_larger_excursions():
@@ -102,6 +109,17 @@ def test_born_kernel_clamps_rounding_and_rejects_larger_excursions():
 def test_qubit_strategy_validation():
     with pytest.raises(ValueError):
         QubitStrategy((np.eye(2), np.eye(2), np.array([[0.5, 0.5], [0.5, 0.6]])))
+    red, green, blue = trine_projectors()
+    for bad, what in (
+        ([[0.5, 0.5], [0.5, 0.6]], "not idempotent"),
+        (np.eye(2), "not rank one"),
+        ([[1, 0.5], [0, 0]], "not Hermitian"),
+        (np.eye(3), "not 2x2"),
+        (np.array(1.0), "not 2x2"),
+        ([1, 0, 0, 0], "not 2x2"),
+    ):
+        with pytest.raises(ValueError, match=f"colour 1 is {what}"):
+            QubitStrategy((red, bad, blue))
     # Output rule must avoid the input colour.
     with pytest.raises(ValueError):
         QubitStrategy(trine_projectors(), output_rule=lambda colour, outcome: colour)
@@ -114,7 +132,7 @@ def test_qubit_strategy_rejects_non_finite_projectors(bad):
     proj = np.full((2, 2), bad, dtype=complex)
     with pytest.raises(ValueError, match="projector for colour 2 has non-finite entries"):
         QubitStrategy((*trine_projectors()[:2], proj))
-    partly = projector_from_angle(0.0)
+    partly = np.array(projector_from_angle(0.0), dtype=complex)
     partly[1, 0] = bad
     with pytest.raises(ValueError, match="projector for colour 0 has non-finite entries"):
         QubitStrategy((partly, *trine_projectors()[1:]))
@@ -200,36 +218,55 @@ def test_off_trine_angles_still_normalize():
 
 
 # ---------------------------------------------------------------------------
-# the table kernel, bit for bit against the per-cell code it replaced
+# the table kernel: bit for bit against the per-cell definition, and within
+# 4 ulp(1.0) of the np.kron code it replaced
 
 
 def _reference_born_prob(state, effect_a, effect_b):
-    """The Born kernel as it was: np.kron per cell, same range check."""
-    value = float((state.conj() @ (np.kron(effect_a, effect_b) @ state)).real)
+    """tr(rho A (x) B) written out per term: Re(conj(psi_r) psi_c K_rc) over
+    rows r = 2i + k and columns c = 2j + l, with K_rc = A_ij B_kl."""
+    terms = [
+        (state[2 * i + k].conjugate() * state[2 * j + l] * (effect_a[i][j] * effect_b[k][l])).real
+        for i, k, j, l in itertools.product((0, 1), repeat=4)
+    ]
+    value = math.fsum(terms)
     if not abs(value - 0.5) <= 0.5 + ALGEBRA_TOL:
         raise ValueError(f"Born probability {value!r} lies outside [0, 1]")
     return min(1.0, max(0.0, value))
 
 
-def _reference_quantum_strategy_table(state, alice, bob):
-    """quantum_strategy_table as it was: effects, kron products and output
-    rules formed again for every (a, b, out_a, out_b) cell."""
-    state = _check_state(state)
-    identity = np.eye(2, dtype=complex)
+def _numpy_born_prob(state, effect_a, effect_b):
+    """The Born kernel as it was: np.kron per cell, clamped into [0, 1]."""
+    state = np.asarray(state, dtype=complex)
+    value = float((state.conj() @ (np.kron(effect_a, effect_b) @ state)).real)
+    return min(1.0, max(0.0, value))
+
+
+def _per_cell_table(state, alice, bob, born, identity):
+    """quantum_strategy_table as it was: effects and output rules formed again
+    for every (a, b, out_a, out_b) cell."""
     entries = {}
     for a in range(3):
         for b in range(3):
             for out_a in (0, 1):
-                effect_a = alice.projectors[a] if out_a else identity - alice.projectors[a]
+                proj_a = alice.projectors[a]
+                effect_a = proj_a if out_a else identity(proj_a)
                 for out_b in (0, 1):
-                    effect_b = bob.projectors[b] if out_b else identity - bob.projectors[b]
+                    proj_b = bob.projectors[b]
+                    effect_b = proj_b if out_b else identity(proj_b)
                     key = (a, b, alice.output_rule(a, out_a), bob.output_rule(b, out_b))
-                    entries[key] = entries.get(key, 0.0) + _reference_born_prob(
-                        state, effect_a, effect_b
-                    )
+                    entries[key] = entries.get(key, 0.0) + born(state, effect_a, effect_b)
     return StrategyTable.from_function(
         (3, 3, 3, 3), lambda a, b, x, y: entries.get((a, b, x, y), 0.0)
     )
+
+
+def _complement(proj):
+    return [[float(r == c) - v for c, v in enumerate(row)] for r, row in enumerate(proj)]
+
+
+def _numpy_complement(proj):
+    return np.eye(2, dtype=complex) - np.asarray(proj)
 
 
 def _swapped_rule(colour, outcome):
@@ -246,6 +283,7 @@ _ANGLES = st.one_of(
     _ANGLE.map(lambda t: (t, t, t)),
     st.tuples(_ANGLE, _ANGLE).map(lambda ts: (ts[0], ts[1], ts[0])),
 )
+_RULES = st.sampled_from([cyclic_rule, _swapped_rule])
 
 
 @st.composite
@@ -258,24 +296,41 @@ def _states(draw):
     return state / norm
 
 
+def _strategies(alice_angles, bob_angles, alice_rule, bob_rule):
+    alice = QubitStrategy(tuple(projector_from_angle(t) for t in alice_angles), alice_rule)
+    bob = QubitStrategy(tuple(projector_from_angle(t) for t in bob_angles), bob_rule)
+    return alice, bob
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    _ANGLES,
-    _ANGLES,
-    st.sampled_from([cyclic_rule, _swapped_rule]),
-    st.sampled_from([cyclic_rule, _swapped_rule]),
-    st.one_of(st.just(None), _states()),
-)
+@given(_ANGLES, _ANGLES, _RULES, _RULES, st.one_of(st.just(None), _states()))
 def test_table_matches_the_per_cell_kernel_bit_for_bit(
     alice_angles, bob_angles, alice_rule, bob_rule, state
 ):
     state = singlet() if state is None else state
-    alice = QubitStrategy(tuple(projector_from_angle(t) for t in alice_angles), alice_rule)
-    bob = QubitStrategy(tuple(projector_from_angle(t) for t in bob_angles), bob_rule)
-    expected = _reference_quantum_strategy_table(state, alice, bob)
+    alice, bob = _strategies(alice_angles, bob_angles, alice_rule, bob_rule)
+    expected = _per_cell_table(_check_state(state), alice, bob, _reference_born_prob, _complement)
     table = quantum_strategy_table(state, alice, bob)
     assert table.probs == expected.probs
     assert [type(p) for p in table.probs] == [type(p) for p in expected.probs]
+
+
+#: The bound on the distance of a table entry from the np.kron kernel's.  An
+#: entry is at most 1, so 4 ulp(1.0) is a few roundings of either sum; a
+#: relative bound cannot hold near zero entries.
+NUMPY_ATOL = 4 * math.ulp(1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANGLES, _ANGLES, _RULES, _RULES, st.one_of(st.just(None), _states()))
+def test_table_is_within_four_ulps_of_the_np_kron_kernel(
+    alice_angles, bob_angles, alice_rule, bob_rule, state
+):
+    state = singlet() if state is None else state
+    alice, bob = _strategies(alice_angles, bob_angles, alice_rule, bob_rule)
+    expected = _per_cell_table(state, alice, bob, _numpy_born_prob, _numpy_complement)
+    table = quantum_strategy_table(state, alice, bob)
+    assert max(abs(p - q) for p, q in zip(table.probs, expected.probs)) <= NUMPY_ATOL
 
 
 def test_table_calls_each_output_rule_once_per_colour_and_outcome():
@@ -293,13 +348,12 @@ def test_table_calls_each_output_rule_once_per_colour_and_outcome():
 
 
 def test_born_kernel_matches_np_kron_on_mixed_dtypes():
-    # Float and complex effects are multiplied by the same ufunc as np.kron.
+    # Float and complex effects, as numpy arrays or as tuples.
     eye = np.eye(2)
     for effect_a, effect_b in (
         (eye, np.eye(2, dtype=complex) - projector_from_angle(33.0)),
         (projector_from_angle(-71.5), 0.5 * eye),
         (trine_projectors()[1], trine_projectors()[2]),
     ):
-        assert _born_prob(singlet(), effect_a, effect_b) == _reference_born_prob(
-            singlet(), effect_a, effect_b
-        )
+        got = _born_prob(singlet(), effect_a, effect_b)
+        assert abs(got - _numpy_born_prob(singlet(), effect_a, effect_b)) <= NUMPY_ATOL
