@@ -7,13 +7,13 @@ interpreter start and imports, which are most of a short process: the bell
 and quantum layers, which four commands import on demand, are loaded before
 the clock starts.  No command loads numpy.  Exit codes: 0 success, 1 a
 verification failed, 2 bad input.  ``--json`` swaps the table rendering for a
-JSON report carrying the same values.
+JSON report carrying the same values: the command, every parsed option as its
+inputs, and the results.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -33,10 +33,6 @@ def _matrix_lines(matrix) -> list[str]:
     return ["  " + " ".join("%4.1f" % v for v in row) for row in matrix]
 
 
-def _report(command: str, inputs: dict, results: dict) -> dict:
-    return {"command": command, "inputs": inputs, "results": results}
-
-
 def _result_lines(results: dict) -> list[str]:
     """`name: value` table lines of JSON results: "_" reads as a space,
     booleans as yes/no, and lists are joined with spaces."""
@@ -51,8 +47,15 @@ def _result_lines(results: dict) -> list[str]:
     return [f"{name.replace('_', ' ')}: {text(v)}" for name, v in results.items()]
 
 
+def _rows(rows) -> tuple[int, dict, list[str]]:
+    """JSON rows and `class | win | bell` table lines of the bound rows."""
+    results = {"rows": [dict(zip(("class", "win", "bell"), row)) for row in rows]}
+    return 0, results, [" | ".join(row) for row in rows]
+
+
 # ---------------------------------------------------------------------------
-# subcommands: each returns (exit code, table lines, json report)
+# subcommands: each returns (exit code, JSON results, table lines); main adds
+# the command and its inputs.  A failed verification raises ArithmeticError.
 
 
 def cmd_bounds(args):
@@ -60,16 +63,11 @@ def cmd_bounds(args):
         game = strategies.chsh_game()
         local_value, _, _ = strategies.local_bound(game)
         ns_win = strategies.win_probability(locality.pr_box(), game)
-        rows = [("local", value_str(local_value)), ("no-signalling", value_str(ns_win))]
-        lines = [" | ".join(row) for row in rows]
-        results = {"rows": [{"class": name, "win": win} for name, win in rows]}
-        return 0, lines, _report("bounds", {"game": "chsh"}, results)
+        return _rows([("local", value_str(local_value)), ("no-signalling", value_str(ns_win))])
 
     from . import bell
 
     game = strategies.rgb_game()
-    inputs = {"game": "rgb", "tolerance": args.tolerance}
-
     local_value, _, _ = strategies.local_bound(game)
     bell_local, _ = bell.deterministic_bell_maximum()
     ns_win = strategies.win_probability(strategies.rgrb(), game)
@@ -78,30 +76,22 @@ def cmd_bounds(args):
     )
 
     quantum_win = strategies.win_probability(bell.trine_table(), game)
-    try:
-        certificate = bell.certify_quantum_bound(args.tolerance)
-    except bell.CertificationError as err:
-        line = f"FAIL: {err}"
-        return 1, [line], _report("bounds", inputs, {"error": str(err)})
+    certificate = bell.certify_quantum_bound(args.tolerance)
     if quantum_win != Fraction(11, 12):
-        line = f"FAIL: trine strategy wins {value_str(quantum_win)}, not 11/12"
-        return 1, [line], _report("bounds", inputs, {"error": line[6:]})
+        raise bell.CertificationError(f"trine strategy wins {value_str(quantum_win)}, not 11/12")
 
     rows = [
         ("local", value_str(local_value), value_str(bell_local)),
         ("quantum", value_str(quantum_win), value_str(certificate.bound)),
         ("no-signalling", value_str(ns_win), value_str(bell_ns)),
     ]
-    lines = [" | ".join(row) for row in rows]
-    results = {"rows": [{"class": n, "win": w, "bell": r} for n, w, r in rows]}
-    return 0, lines, _report("bounds", inputs, results)
+    return _rows(rows)
 
 
 def cmd_enumerate(args):
     game = strategies.rgb_game() if args.game == "rgb" else strategies.chsh_game()
     count = strategies.enumerate_winning_deterministic_boxes(game)
-    lines = [f"winning deterministic boxes: {count}"]
-    return 0, lines, _report("enumerate", {"game": args.game}, {"count": count})
+    return 0, {"count": count}, [f"winning deterministic boxes: {count}"]
 
 
 _REDUCTIONS = ("pr-from-rgrb", "rgrb-from-pr")
@@ -117,31 +107,21 @@ def cmd_verify_reduction(args):
     ok = dist == 0
     text = formats.probability_to_string(dist)
     lines = [f"distance {text}, {'PASS' if ok else 'FAIL'}"]
-    results = {"distance": text, "pass": ok}
-    return (0 if ok else 1), lines, _report(
-        "verify-reduction", {"reduction": args.reduction}, results
-    )
+    return (0 if ok else 1), {"distance": text, "pass": ok}, lines
 
 
 def cmd_ns_check(args):
     table = formats.load_box_file(args.file)
     atol = 0 if table.is_exact else 1e-9
     ok, witness = locality.is_no_signalling(table, atol=atol)
-    inputs = {"file": args.file}
     if ok:
-        return 0, ["no-signalling: yes"], _report(
-            "ns-check", inputs, {"no_signalling": True, "witness": None}
-        )
-    lines = [f"SIGNALS, witness: {witness}"]
+        return 0, {"no_signalling": True, "witness": None}, ["no-signalling: yes"]
     results = {"no_signalling": False, "witness": witness.to_json_dict()}
-    return 1, lines, _report("ns-check", inputs, results)
+    return 1, results, [f"SIGNALS, witness: {witness}"]
 
 
 def cmd_ns_unique(args):
-    try:
-        params = locality.solve_ns_unique()
-    except ArithmeticError as err:
-        return 1, [f"FAIL: {err}"], _report("ns-unique", {}, {"error": str(err)})
+    params = locality.solve_ns_unique()
     matches = strategies.l1_distance(strategies.family_strategy(params), strategies.rgrb()) == 0
     names = strategies.parameter_names()
     values = [formats.probability_to_string(v) for v in params.as_vector()]
@@ -151,7 +131,7 @@ def cmd_ns_unique(args):
         "parameters": dict(zip(names, values)),
         "matches_rgrb": matches,
     }
-    return (0 if matches else 1), lines, _report("ns-unique", {}, results)
+    return (0 if matches else 1), results, lines
 
 
 def cmd_quantum(args):
@@ -183,32 +163,16 @@ def cmd_quantum(args):
         "bell_quantity": value_str(r),
         "correlations": [[value_str(c) for c in row] for row in corr],
     }
-    inputs = {
-        "alice_angles": list(args.alice_angles),
-        "bob_angles": list(args.bob_angles),
-        "output": args.output,
-    }
-    return 0, lines, _report("quantum", inputs, results)
+    return 0, results, lines
 
 
 def cmd_sdp_certify(args):
     from . import bell
 
-    inputs = {"tolerance": args.tolerance}
-    try:
-        report = bell.certify_quantum_bound(args.tolerance)
-    except bell.CertificationError as err:
-        return 1, [f"FAIL: {err}"], _report("sdp-certify", inputs, {"error": str(err)})
+    report = bell.certify_quantum_bound(args.tolerance).to_json_dict()
     results = {
-        "primal_value": value_str(report.primal_value),
-        "dual_value": value_str(report.dual_value),
-        "gap": value_str(report.gap),
-        "primal_eigenvalues": [value_str(e) for e in report.primal_eigenvalues],
-        "dual_slack_eigenvalues": [
-            value_str(e) for e in report.dual_slack_eigenvalues
-        ],
-        "bound": value_str(report.bound),
-        "implied_win_bound": value_str(report.implied_win_bound),
+        key: [value_str(e) for e in v] if isinstance(v, list) else value_str(v)
+        for key, v in report.items()
     }
     lines = _result_lines(results) + [
         "objective matrix:",
@@ -218,7 +182,7 @@ def cmd_sdp_certify(args):
         "dual multipliers:",
         *_matrix_lines(bell.MULTIPLIERS_EXACT),
     ]
-    return 0, lines, _report("sdp-certify", inputs, results)
+    return 0, results, lines
 
 
 def cmd_sdp_optimize(args):
@@ -235,9 +199,8 @@ def cmd_sdp_optimize(args):
         "monotone": monotone,
         "gram_rank": rank,
     }
-    inputs = {"seed": args.seed, "restarts": args.restarts}
-    lines = _result_lines({**inputs, **results})
-    return 0, lines, _report("sdp-optimize", inputs, results)
+    lines = _result_lines({"seed": args.seed, "restarts": args.restarts, **results})
+    return 0, results, lines
 
 
 def cmd_distance(args):
@@ -245,33 +208,25 @@ def cmd_distance(args):
     table_b = formats.load_box_file(args.file_b)
     dist = strategies.l1_distance(table_a, table_b)
     results = {"distance": formats.probability_to_string(dist)}
-    inputs = {"file_a": args.file_a, "file_b": args.file_b}
-    return 0, _result_lines(results), _report("distance", inputs, results)
+    return 0, results, _result_lines(results)
 
 
-def _emit_document(command, inputs, doc, text, output):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-        lines = [f"wrote {output}"]
-    else:
-        lines = [text.rstrip("\n")]
-    return 0, lines, _report(command, inputs, doc)
+def _emit_document(doc, output):
+    """A box or wiring document as results; its text is written to ``output``
+    or, without one, is the table."""
+    text = formats.json_text(doc)
+    if not output:
+        return 0, doc, [text.rstrip("\n")]
+    with open(output, "w") as fh:
+        fh.write(text)
+    return 0, doc, [f"wrote {output}"]
 
 
 def cmd_apply_wiring(args):
     protocol = formats.load_wiring_file(args.wiring_file)
     base = formats.load_box_file(args.box_file)
     composed = wiring.evaluate_wiring(protocol, base)
-    doc = formats.box_to_json_dict(composed)
-    inputs = {
-        "wiring_file": args.wiring_file,
-        "box_file": args.box_file,
-        "output": args.output,
-    }
-    return _emit_document(
-        "apply-wiring", inputs, doc, formats.dump_box(composed), args.output
-    )
+    return _emit_document(formats.box_to_json_dict(composed), args.output)
 
 
 _NAMED_BOXES = {
@@ -292,61 +247,134 @@ _NAMED_WIRINGS = {
 
 
 def cmd_export_box(args):
-    table = _NAMED_BOXES[args.name]()
-    doc = formats.box_to_json_dict(table)
-    inputs = {"name": args.name, "output": args.output}
-    return _emit_document(
-        "export-box", inputs, doc, formats.dump_box(table), args.output
-    )
+    return _emit_document(formats.box_to_json_dict(_NAMED_BOXES[args.name]()), args.output)
 
 
 def cmd_export_wiring(args):
-    protocol = _NAMED_WIRINGS[args.name]()
-    doc = formats.wiring_to_json_dict(protocol)
-    inputs = {"name": args.name, "output": args.output}
-    return _emit_document(
-        "export-wiring", inputs, doc, formats.dump_wiring(protocol), args.output
-    )
+    return _emit_document(formats.wiring_to_json_dict(_NAMED_WIRINGS[args.name]()), args.output)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _finite_float(what: str, minimum: float = -math.inf):
-    """An argparse type for finite floats no smaller than ``minimum``."""
+def _number(kind, what: str, minimum: float = -math.inf):
+    """An argparse type for finite ``kind`` numbers no smaller than ``minimum``."""
 
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and value >= minimum):
+        if not (abs(value) < math.inf and value >= minimum):
             raise argparse.ArgumentTypeError(f"{text!r} is not a {what}")
         return value
 
     return parse
 
 
-def _int_at_least(minimum: int, what: str):
-    """An argparse type for integers no smaller than ``minimum``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a {what}")
-        return value
-
-    return parse
+_tolerance = _number(float, "finite nonnegative number", minimum=0.0)
+_angle = _number(float, "finite number")
+_seed = _number(int, "nonnegative integer", minimum=0)
+_restarts = _number(int, "positive integer", minimum=1)
 
 
-_tolerance = _finite_float("finite nonnegative number", minimum=0.0)
-_angle = _finite_float("finite number")
-_seed = _int_at_least(0, "nonnegative integer")
-_restarts = _int_at_least(1, "positive integer")
+_GAME = "--game", dict(
+    choices=("rgb", "chsh"), default="rgb", help="which game to analyse (default rgb)"
+)
+_OUTPUT = "--output", dict(help="write to a file instead of stdout")
+
+
+def _tolerance_option(help: str):
+    return "--tolerance", dict(type=_tolerance, default=1e-9, help=help)
+
+
+def _angles_option(flag: str, metavar: tuple[str, ...]):
+    return flag, dict(
+        type=_angle,
+        nargs=3,
+        default=(0.0, -120.0, 120.0),
+        metavar=metavar,
+        help="Bloch angles in degrees, x-z plane (default trine)",
+    )
+
+
+# name: (handler, help, options as (flag, add_argument keywords)); each command
+# also takes --json.
+_COMMANDS = {
+    "bounds": (
+        cmd_bounds,
+        "local / quantum / no-signalling win bounds and Bell bounds",
+        [_GAME, _tolerance_option("slack for the quantum certificate checks (default 1e-9)")],
+    ),
+    "enumerate": (
+        cmd_enumerate,
+        "count deterministic boxes that win on every input pair",
+        [_GAME],
+    ),
+    "verify-reduction": (
+        cmd_verify_reduction,
+        "evaluate a built-in wiring and compare to its target box",
+        [("reduction", dict(choices=_REDUCTIONS))],
+    ),
+    "ns-check": (cmd_ns_check, "test a box file for signalling", [("file", {})]),
+    "ns-unique": (
+        cmd_ns_unique,
+        "solve the no-signalling constraints on the winning family",
+        [],
+    ),
+    "quantum": (
+        cmd_quantum,
+        "simulate a projective qubit strategy on the singlet",
+        [
+            _angles_option("--alice-angles", ("A0", "A1", "A2")),
+            _angles_option("--bob-angles", ("B0", "B1", "B2")),
+            ("--output", dict(help="also write the table as a box file")),
+        ],
+    ),
+    "sdp-certify": (
+        cmd_sdp_certify,
+        "verify the matching primal/dual certificate of the quantum bound",
+        [_tolerance_option("feasibility and gap slack (default 1e-9)")],
+    ),
+    "sdp-optimize": (
+        cmd_sdp_optimize,
+        "seeded alternating ascent over unit-vector strategies",
+        [
+            ("--seed", dict(type=_seed, required=True, help="RNG seed (required)")),
+            ("--restarts", dict(
+                type=_restarts, default=20, help="independent restarts (default 20)"
+            )),
+        ],
+    ),
+    "distance": (
+        cmd_distance,
+        "l1 distance between two box files",
+        [("file_a", {}), ("file_b", {})],
+    ),
+    "apply-wiring": (
+        cmd_apply_wiring,
+        "evaluate a wiring file over a base box file",
+        [
+            ("wiring_file", {}),
+            ("box_file", {}),
+            ("--output", dict(help="write the resulting box here instead of stdout")),
+        ],
+    ),
+    "export-box": (
+        cmd_export_box,
+        "write a named built-in box",
+        [("name", dict(choices=sorted(_NAMED_BOXES))), _OUTPUT],
+    ),
+    "export-wiring": (
+        cmd_export_wiring,
+        "write a named built-in wiring",
+        [("name", dict(choices=sorted(_NAMED_WIRINGS))), _OUTPUT],
+    ),
+}
+
+# Commands whose bell and quantum imports are loaded before the clock starts.
+_LOADS_BELL = ("bounds", "quantum", "sdp-certify", "sdp-optimize")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,150 +385,27 @@ def build_parser() -> argparse.ArgumentParser:
         "and optimality certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit a JSON report instead of a table"
-    )
-    game = argparse.ArgumentParser(add_help=False)
-    game.add_argument(
-        "--game",
-        choices=("rgb", "chsh"),
-        default="rgb",
-        help="which game to analyse (default rgb)",
-    )
-
-    p = sub.add_parser(
-        "bounds",
-        parents=[common, game],
-        help="local / quantum / no-signalling win bounds and Bell bounds",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=_tolerance,
-        default=1e-9,
-        help="slack for the quantum certificate checks (default 1e-9)",
-    )
-    p.set_defaults(handler=cmd_bounds)
-
-    p = sub.add_parser(
-        "enumerate",
-        parents=[common, game],
-        help="count deterministic boxes that win on every input pair",
-    )
-    p.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser(
-        "verify-reduction",
-        parents=[common],
-        help="evaluate a built-in wiring and compare to its target box",
-    )
-    p.add_argument("reduction", choices=_REDUCTIONS)
-    p.set_defaults(handler=cmd_verify_reduction)
-
-    p = sub.add_parser(
-        "ns-check", parents=[common], help="test a box file for signalling"
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_ns_check)
-
-    p = sub.add_parser(
-        "ns-unique",
-        parents=[common],
-        help="solve the no-signalling constraints on the winning family",
-    )
-    p.set_defaults(handler=cmd_ns_unique)
-
-    p = sub.add_parser(
-        "quantum",
-        parents=[common],
-        help="simulate a projective qubit strategy on the singlet",
-    )
-    p.add_argument(
-        "--alice-angles",
-        type=_angle,
-        nargs=3,
-        default=(0.0, -120.0, 120.0),
-        metavar=("A0", "A1", "A2"),
-        help="Bloch angles in degrees, x-z plane (default trine)",
-    )
-    p.add_argument(
-        "--bob-angles",
-        type=_angle,
-        nargs=3,
-        default=(0.0, -120.0, 120.0),
-        metavar=("B0", "B1", "B2"),
-        help="Bloch angles in degrees, x-z plane (default trine)",
-    )
-    p.add_argument("--output", help="also write the table as a box file")
-    p.set_defaults(handler=cmd_quantum)
-
-    p = sub.add_parser(
-        "sdp-certify",
-        parents=[common],
-        help="verify the matching primal/dual certificate of the quantum bound",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=_tolerance,
-        default=1e-9,
-        help="feasibility and gap slack (default 1e-9)",
-    )
-    p.set_defaults(handler=cmd_sdp_certify)
-
-    p = sub.add_parser(
-        "sdp-optimize",
-        parents=[common],
-        help="seeded alternating ascent over unit-vector strategies",
-    )
-    p.add_argument("--seed", type=_seed, required=True, help="RNG seed (required)")
-    p.add_argument(
-        "--restarts", type=_restarts, default=20, help="independent restarts (default 20)"
-    )
-    p.set_defaults(handler=cmd_sdp_optimize)
-
-    p = sub.add_parser(
-        "distance", parents=[common], help="l1 distance between two box files"
-    )
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.set_defaults(handler=cmd_distance)
-
-    p = sub.add_parser(
-        "apply-wiring",
-        parents=[common],
-        help="evaluate a wiring file over a base box file",
-    )
-    p.add_argument("wiring_file")
-    p.add_argument("box_file")
-    p.add_argument("--output", help="write the resulting box here instead of stdout")
-    p.set_defaults(handler=cmd_apply_wiring)
-
-    p = sub.add_parser(
-        "export-box", parents=[common], help="write a named built-in box"
-    )
-    p.add_argument("name", choices=sorted(_NAMED_BOXES))
-    p.add_argument("--output", help="write to a file instead of stdout")
-    p.set_defaults(handler=cmd_export_box)
-
-    p = sub.add_parser(
-        "export-wiring", parents=[common], help="write a named built-in wiring"
-    )
-    p.add_argument("name", choices=sorted(_NAMED_WIRINGS))
-    p.add_argument("--output", help="write to a file instead of stdout")
-    p.set_defaults(handler=cmd_export_wiring)
-
+    for name, (handler, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(
+            "--json", action="store_true", help="emit a JSON report instead of a table"
+        )
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # Imported before the clock starts, so the wall time stays command-only.
-    if args.handler in (cmd_bounds, cmd_quantum, cmd_sdp_certify, cmd_sdp_optimize):
+    if args.command in _LOADS_BELL:
         from . import bell, quantum  # noqa: F401
     start = time.perf_counter()
     try:
-        code, lines, report = args.handler(args)
+        code, results, lines = args.handler(args)
+    except ArithmeticError as err:
+        code, results, lines = 1, {"error": str(err)}, [f"FAIL: {err}"]
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -511,7 +416,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     if args.json:
-        print(json.dumps(report, indent=2))
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "json", "handler")}
+        report = {"command": args.command, "inputs": inputs, "results": results}
+        print(formats.json_text(report), end="")
     else:
         for line in lines:
             print(line)

@@ -132,6 +132,12 @@ def box_from_json_dict(data) -> StrategyTable:
             raise BoxFormatError(f"{where}: duplicate entry for (a,b,x,y) = {key}")
         entries[key] = _parse_probability(record["p"], f"{where}: field 'p'")
 
+    # A row without records sums to 0: refuse it before building the dense
+    # table, whose size is the product of the declared alphabets.
+    covered = {key[:2] for key in entries}
+    for a, b in itertools.product(range(shape[0]), range(shape[1])):
+        if (a, b) not in covered:
+            raise BoxFormatError(f"row ({a},{b}) sums to 0, not 1")
     try:
         return StrategyTable.from_dict(shape, entries)
     except ValueError as err:
@@ -169,7 +175,8 @@ def _write_json(value, pad: str, out: list) -> None:
         out += (pad, "]")
 
 
-def _json_document(data) -> str:
+def json_text(data) -> str:
+    """The text of json.dumps(data, indent=2) with a final newline."""
     out: list = []
     _write_json(data, "\n", out)
     out.append("\n")
@@ -177,7 +184,7 @@ def _json_document(data) -> str:
 
 
 def dump_box(table: StrategyTable) -> str:
-    return _json_document(box_to_json_dict(table))
+    return json_text(box_to_json_dict(table))
 
 
 def load_box(text: str) -> StrategyTable:
@@ -352,7 +359,7 @@ def wiring_from_json_dict(data) -> WiringProtocol:
 
 
 def dump_wiring(protocol: WiringProtocol) -> str:
-    return _json_document(wiring_to_json_dict(protocol))
+    return json_text(wiring_to_json_dict(protocol))
 
 
 def load_wiring(text: str) -> WiringProtocol:

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from rgbgame import cli
+from rgbgame import bell, cli, locality
 from rgbgame.formats import load_box_file, save_box
 from rgbgame.quantum import quantum_strategy_table, singlet, trine_strategy
 from rgbgame.strategies import l1_distance, rgb0, rgrb
@@ -297,3 +297,37 @@ def test_stdout_is_stable_across_runs(capsys):
     _, first, _ = run(capsys, "bounds")
     _, second, _ = run(capsys, "bounds")
     assert first == second
+
+
+def _fail_report(command, inputs, error):
+    report = {"command": command, "inputs": inputs, "results": {"error": error}}
+    return json.dumps(report, indent=2) + "\n"
+
+
+def _uncertifiable(tol=1e-9):
+    raise bell.CertificationError("primal candidate is infeasible")
+
+
+def _unsolvable():
+    raise ArithmeticError("no unique no-signalling solution")
+
+
+@pytest.mark.parametrize(
+    ("argv", "module", "name", "fake", "inputs", "error"),
+    [
+        (["bounds"], bell, "certify_quantum_bound", _uncertifiable,
+         {"game": "rgb", "tolerance": 1e-9}, "primal candidate is infeasible"),
+        (["sdp-certify"], bell, "certify_quantum_bound", _uncertifiable,
+         {"tolerance": 1e-9}, "primal candidate is infeasible"),
+        (["bounds"], bell, "trine_table", rgrb,
+         {"game": "rgb", "tolerance": 1e-9}, "trine strategy wins 1, not 11/12"),
+        (["ns-unique"], locality, "solve_ns_unique", _unsolvable,
+         {}, "no unique no-signalling solution"),
+    ],
+    ids=["bounds-certificate", "sdp-certify", "bounds-trine", "ns-unique"],
+)
+def test_failed_verification_exits_one(capsys, monkeypatch, argv, module, name, fake, inputs,
+                                       error):
+    monkeypatch.setattr(module, name, fake)
+    assert run(capsys, *argv)[:2] == (1, f"FAIL: {error}\n")
+    assert run(capsys, *argv, "--json")[:2] == (1, _fail_report(argv[0], inputs, error))

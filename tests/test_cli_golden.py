@@ -150,6 +150,15 @@ def test_stdout_matches_golden(argv, inputs, golden):
     assert capture(argv, inputs) == golden[tuple(argv)]
 
 
+@pytest.mark.parametrize("argv", [c for c in CASES if "--json" in c], ids=" ".join)
+def test_json_report_lists_the_command_and_every_parsed_option(argv, golden):
+    report = json.loads(golden[tuple(argv)][1])
+    parsed = vars(cli.build_parser().parse_args(argv))
+    options = {k: v for k, v in parsed.items() if k not in ("command", "json", "handler")}
+    assert report["command"] == argv[0]
+    assert report["inputs"] == json.loads(json.dumps(options))
+
+
 # Runs the argv list given as JSON in a fresh interpreter, optionally with
 # numpy made unimportable, and prints each case's (exit code, stdout).
 HOST_PROBE = """

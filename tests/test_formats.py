@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from rgbgame.formats import (
     BoxFormatError,
     WiringFormatError,
-    _json_document,
     box_from_json_dict,
     box_to_json_dict,
     dump_box,
     dump_wiring,
+    json_text,
     load_box,
     load_box_file,
     load_wiring,
@@ -172,6 +172,19 @@ class TestBoxDiagnostics:
     def test_invalid_json_text(self):
         with pytest.raises(BoxFormatError, match="not valid JSON"):
             load_box("{")
+
+    def test_sparse_box_is_refused_before_the_dense_build(self, monkeypatch):
+        # A file of under 100 bytes declaring 40^4 entries: the missing row is
+        # found from the records, without building the 2,560,000-entry table.
+        def dense_build(shape, entries):
+            raise AssertionError("the dense table was built")
+
+        monkeypatch.setattr(StrategyTable, "from_dict", dense_build)
+        text = json.dumps(
+            {"alphabets": [40, 40, 40, 40], "table": [{"a": 0, "b": 0, "x": 0, "y": 0, "p": 1}]}
+        )
+        with pytest.raises(BoxFormatError, match=r"^row \(0,1\) sums to 0, not 1$"):
+            load_box(text)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +350,7 @@ json_values = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(json_values)
 def test_writer_matches_json_dumps_on_any_document(value):
-    assert _json_document(value) == json.dumps(value, indent=2) + "\n"
+    assert json_text(value) == json.dumps(value, indent=2) + "\n"
 
 
 def test_dumps_leave_no_cyclic_garbage():
