@@ -6,8 +6,9 @@ the nine correlations c[a][b] = <A_a B_b>, through
     win = (1/36) * sum_i (8 - 2 c[i][i] + c[i][i+1] + c[i][i-1]),
 
 so maximizing the win maximizes R = |sum_i (-2 c[i][i] + c[i][i+1] +
-c[i][i-1])| = 36 win - 24.  Deterministic strategies reach R = 8, quantum
-ones R = 9, and general no-signalling boxes R = 12.
+c[i][i-1])| = 36 win - 24.  Deterministic strategies reach R = 8, the local
+bound of the functional read as an XOR game with weights |c_ab| / 12;
+quantum ones reach R = 9, and general no-signalling boxes R = 12.
 
 The quantum point is checked exactly.  The trine strategy's table is derived
 in Q(sqrt 3) from its kets and the singlet, and wins 11/12.  Its optimality
@@ -35,7 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .strategies import StrategyTable, next_colour, prev_colour
+from .strategies import Game, StrategyTable, _coerce, local_bound, next_colour, prev_colour
 
 #: Feasibility slack for certificate checks of float candidates.
 CERT_TOL = 1e-9
@@ -83,48 +84,53 @@ def bell_quantity(correlations):
     return abs(_signed_bell(correlations))
 
 
+def _win(value):
+    """The winning probability (24 + R) / 36 of a signed Bell value R."""
+    total = 24 + value
+    return total / 36 if isinstance(total, float) else Fraction(total, 36)
+
+
 def win_from_correlations(correlations):
     """Winning probability determined by correlations alone (signed form)."""
-    total = 24 + _signed_bell(correlations)
-    if isinstance(total, float):
-        return total / 36
-    return Fraction(total, 36)
+    return _win(_signed_bell(correlations))
 
 
 def lemma1_win(binary_table: StrategyTable):
-    """Winning probability of a binary-reduced table from agreement rates only.
+    """Winning probability of a binary-reduced table from its correlations.
 
-    Uses win = (1/9) sum_u [2 - p(x=y|u,u) + p(x=y|u,u+1)/2 + p(x=y|u,u-1)/2],
-    valid for no-signalling tables (marginal terms cancel).
+    On no-signalling tables this is the agreement form (1/9) sum_u [2 -
+    p(x=y|u,u) + p(x=y|u,u+1)/2 + p(x=y|u,u-1)/2], since the functional's
+    coefficients sum to 0.
     """
     if binary_table.shape != (3, 3, 2, 2):
         raise ValueError(f"expected shape (3,3,2,2), got {binary_table.shape}")
+    return win_from_correlations(correlations_from_table(binary_table))
 
-    agree = [
-        [binary_table.prob(a, b, 0, 0) + binary_table.prob(a, b, 1, 1) for b in range(3)]
-        for a in range(3)
-    ]
-    return sum(2 + _bell_row(agree[u], u) / 2 for u in range(3)) / 9
+
+def _xor_game() -> Game:
+    """The functional as an XOR game (Cleve, Hoyer, Toner and Watrous).
+
+    Input (a, b) weighs |c_ab| / 12, for c_ab the cross block of ``W_EXACT``,
+    and is won when x ^ y = [c_ab < 0]: a deterministic pair's correlations
+    are +-1, so its signed functional is R = 12 (2 win - 1).
+    """
+    cross = {(a, b): W_EXACT[a][3 + b] for a in range(3) for b in range(3)}
+    return Game(
+        (3, 3, 2, 2),
+        lambda a, b, x, y: (x ^ y) == (cross[a, b] < 0),
+        {ab: abs(c) / 12 for ab, c in cross.items()},
+    )
 
 
 def deterministic_bell_maximum() -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Exact maximum of the Bell functional over deterministic binary strategies.
+    """Exact maximum of the signed functional over deterministic binary strategies.
 
-    Sweeps all 8 x 8 assignments of one bit per colour; the correlations of
-    such a pair are c[a][b] = +1 where the bits agree, -1 where they differ.
-    Maximizes the signed functional (the quantity that win probabilities
-    translate into), so 36*win - 24 equals the reported value at the witness.
-    Returns the maximum (8) with the first assignment pair attaining it.
+    The maximum is R = 12 (2 w - 1) for w the local bound of ``_xor_game``,
+    and the colour game's 36 win - 24 equals it at the witness: the first
+    pair of assignments of one bit per colour that attains it (R = 8).
     """
-    best = None
-    witness = None
-    for f in itertools.product((0, 1), repeat=3):
-        for g in itertools.product((0, 1), repeat=3):
-            corr = [[1 if f[a] == g[b] else -1 for b in range(3)] for a in range(3)]
-            value = _signed_bell(corr)
-            if best is None or value > best:
-                best, witness = value, (f, g)
-    return best, witness
+    win, f, g = local_bound(_xor_game())
+    return int(12 * (2 * win - 1)), (f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -147,36 +153,23 @@ def reduce_to_binary(table: StrategyTable, atol: float = ALGEBRA_TOL) -> Strateg
     if table.shape != (3, 3, 3, 3):
         raise ValueError(f"expected colour alphabets (3,3,3,3), got {table.shape}")
     exact = table.is_exact
-    for a in range(3):
-        for b in range(3):
-            own = sum(table.prob(a, b, a, y) for y in range(3)) + sum(
-                table.prob(a, b, x, b) for x in range(3)
+    probs = []
+    for a, b in table.inputs():
+        row = table.cells(a, b)
+        own = sum(row[3 * a : 3 * a + 3]) + sum(row[b::3])
+        if own > (0 if exact else atol):
+            raise ValueError(
+                f"strategy plays a sure-losing colour on input ({a},{b}) "
+                f"with probability {own}"
             )
-            limit = 0 if exact else atol
-            if own > limit:
-                raise ValueError(
-                    f"strategy plays a sure-losing colour on input ({a},{b}) "
-                    f"with probability {own}"
-                )
-
-    reduced = {
-        (a, b, xb, yb): table.prob(a, b, cyclic_rule(a, xb), cyclic_rule(b, yb))
-        for a in range(3)
-        for b in range(3)
-        for xb in (0, 1)
-        for yb in (0, 1)
-    }
-    if not exact:
-        # Per-row renormalization absorbs the (at most atol) forbidden mass.
-        for a in range(3):
-            for b in range(3):
-                total = sum(reduced[(a, b, xb, yb)] for xb in (0, 1) for yb in (0, 1))
-                for xb in (0, 1):
-                    for yb in (0, 1):
-                        reduced[(a, b, xb, yb)] /= total
-    return StrategyTable.from_function(
-        (3, 3, 2, 2), lambda a, b, x, y: reduced[(a, b, x, y)]
-    )
+        kept = [
+            row[3 * cyclic_rule(a, xb) + cyclic_rule(b, yb)] for xb in (0, 1) for yb in (0, 1)
+        ]
+        if not exact:
+            total = sum(kept)
+            kept = [p / total for p in kept]
+        probs += map(_coerce, kept)
+    return StrategyTable((3, 3, 2, 2), tuple(probs))
 
 
 def correlations_from_table(binary_table: StrategyTable):
@@ -192,8 +185,8 @@ def correlations_from_table(binary_table: StrategyTable):
     for a in range(na):
         row = []
         for b in range(nb):
-            agree = binary_table.prob(a, b, 0, 0) + binary_table.prob(a, b, 1, 1)
-            row.append(2 * agree - 1)
+            cells = binary_table.cells(a, b)
+            row.append(2 * (cells[0] + cells[3]) - 1)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -547,7 +540,7 @@ def certify_quantum_bound(tol: float = CERT_TOL) -> CertificateReport:
         primal_eigenvalues=sym_eigenvalues(GRAM_EXACT),
         dual_slack_eigenvalues=sym_eigenvalues(_dual_slack(MULTIPLIERS_EXACT)),
         bound=float(dual_value),
-        implied_win_bound=float((dual_value + 24) / 36),
+        implied_win_bound=float(_win(dual_value)),
     )
 
 

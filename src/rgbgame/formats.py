@@ -15,11 +15,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_string
 
 from .strategies import StrategyTable
 from .wiring import WiringProtocol
+
+
+#: Most entries a box document's dense table may have: |A| |B| |X| |Y|.
+MAX_BOX_ENTRIES = 2**16
 
 
 class BoxFormatError(ValueError):
@@ -138,6 +143,10 @@ def box_from_json_dict(data) -> StrategyTable:
     for a, b in itertools.product(range(shape[0]), range(shape[1])):
         if (a, b) not in covered:
             raise BoxFormatError(f"row ({a},{b}) sums to 0, not 1")
+    if math.prod(shape) > MAX_BOX_ENTRIES:
+        raise BoxFormatError(
+            f"alphabets {list(shape)} give {math.prod(shape)} entries, more than {MAX_BOX_ENTRIES}"
+        )
     try:
         return StrategyTable.from_dict(shape, entries)
     except ValueError as err:

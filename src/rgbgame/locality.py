@@ -150,6 +150,7 @@ class _Swapped:
         self.probs = _transposed(table.shape, table.probs)
 
     _index = StrategyTable._index
+    cells = StrategyTable.cells
 
 
 def _transposed(shape, probs) -> tuple:
@@ -170,24 +171,17 @@ def _swap(table):
     return table.table if isinstance(table, _Swapped) else _Swapped(table)
 
 
-def _cells(table, a: int, b: int) -> tuple:
-    """Row (a, b) of a box or view as one slice, entry (x, y) at x * ny + y."""
-    _, _, nx, ny = table.shape
-    start = table._index(a, b, 0, 0)
-    return table.probs[start : start + nx * ny]
-
-
 def x_marginal(table: StrategyTable, a: int, b: int) -> dict:
     """Alice's output distribution {x: P(x | a, b)}."""
     _, _, nx, ny = table.shape
-    row = _cells(table, a, b)
+    row = table.cells(a, b)
     return {x: sum(row[x * ny : (x + 1) * ny]) for x in range(nx)}
 
 
 def y_marginal(table: StrategyTable, a: int, b: int) -> dict:
     """Bob's output distribution {y: P(y | a, b)}."""
     _, _, _, ny = table.shape
-    row = _cells(table, a, b)
+    row = table.cells(a, b)
     return {y: sum(row[y::ny]) for y in range(ny)}
 
 
@@ -273,7 +267,7 @@ def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProto
     receiver = {}
     for a in range(na):
         for b in range(nb):
-            row = _cells(view, a, b)
+            row = view.cells(a, b)
             for x in range(nx):
                 mass = sender[a][x]
                 if mass == 0:

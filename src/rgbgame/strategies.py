@@ -149,12 +149,16 @@ class StrategyTable:
         """The entry P(x, y | a, b)."""
         return self.probs[self._index(a, b, x, y)]
 
-    def row(self, a: int, b: int) -> dict:
-        """Nonzero output probabilities for one input pair, as {(x, y): p}."""
+    def cells(self, a: int, b: int) -> tuple:
+        """Row (a, b) as one slice of ``probs``, entry (x, y) at x * |Y| + y."""
         _, _, nx, ny = self.shape
         start = self._index(a, b, 0, 0)
-        cells = itertools.product(range(nx), range(ny))
-        return {xy: p for xy, p in zip(cells, self.probs[start : start + nx * ny]) if p != 0}
+        return self.probs[start : start + nx * ny]
+
+    def row(self, a: int, b: int) -> dict:
+        """Nonzero output probabilities for one input pair, as {(x, y): p}."""
+        outputs = itertools.product(range(self.shape[2]), range(self.shape[3]))
+        return {xy: p for xy, p in zip(outputs, self.cells(a, b)) if p != 0}
 
     def support(self, a: int, b: int) -> set:
         """Output pairs with nonzero probability for one input pair."""

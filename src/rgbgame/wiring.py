@@ -81,8 +81,8 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
         share, den = 1, protocol.randomness * unit**protocol.calls
     else:
         share = Fraction(1, protocol.randomness)
-    # Nonzero ((x, y), p) items of each base row, read once per call; an
-    # exact row holds its numerators over D.
+    # Nonzero ((x, y), p) items of each base row, read once per distinct
+    # row; an exact row holds its numerators over D, at the same offsets.
     rows: dict[tuple[int, int], list] = {}
     entries: dict[int, object] = {}
     for a in range(oa):
@@ -100,11 +100,12 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
                             )
                         items = rows.get((a_k, b_k))
                         if items is None:
-                            row = base.row(a_k, b_k)
-                            if exact:
-                                start = (a_k * ib + b_k) * ix * iy
-                                row = {(x, y): nums[start + x * iy + y] for x, y in row}
-                            items = rows[a_k, b_k] = list(row.items())
+                            start = (a_k * ib + b_k) * ix * iy
+                            items = rows[a_k, b_k] = [
+                                (divmod(i, iy), nums[start + i] if exact else p)
+                                for i, p in enumerate(base.cells(a_k, b_k))
+                                if p != 0
+                            ]
                         for (x_k, y_k), p in items:
                             grown.append((xs + (x_k,), ys + (y_k,), weight * p))
                     branches = grown

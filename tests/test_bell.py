@@ -18,9 +18,12 @@ from rgbgame.bell import (
     CertificationError,
     VectorStrategy,
     _bell_row,
+    _signed_bell,
+    _xor_game,
     alternating_ascent,
     bell_quantity,
     certify_quantum_bound,
+    cyclic_rule,
     deterministic_bell_maximum,
     gram_from_vectors,
     is_positive_semidefinite,
@@ -35,7 +38,9 @@ from rgbgame.bell import (
     win_from_correlations,
 )
 from rgbgame.quantum import (
+    QubitStrategy,
     correlations_from_table,
+    projector_from_angle,
     quantum_strategy_table,
     reduce_to_binary,
     singlet,
@@ -43,6 +48,7 @@ from rgbgame.quantum import (
 )
 from rgbgame.strategies import (
     StrategyTable,
+    local_bound,
     mix,
     rgb_game,
     rgrb,
@@ -185,9 +191,23 @@ def test_bell_quantity_on_named_boxes():
     assert abs(win_from_correlations(trine_corr) - F(11, 12)) < 1e-12
 
 
+def _sweep_bell_maximum():
+    """The 8 x 8 sweep over one bit per colour for each party: the oracle of
+    ``deterministic_bell_maximum``, first maximum of the signed functional."""
+    best = witness = None
+    for f in itertools.product((0, 1), repeat=3):
+        for g in itertools.product((0, 1), repeat=3):
+            corr = [[1 if f[a] == g[b] else -1 for b in range(3)] for a in range(3)]
+            value = _signed_bell(corr)
+            if best is None or value > best:
+                best, witness = value, (f, g)
+    return best, witness
+
+
 def test_deterministic_sweep_reaches_eight():
     value, (f, g) = deterministic_bell_maximum()
-    assert value == 8
+    assert (value, (f, g)) == _sweep_bell_maximum() == (8, ((0, 0, 1), (1, 1, 0)))
+    assert type(value) is int
     corr = [[1 if f[a] == g[b] else -1 for b in range(3)] for a in range(3)]
     assert bell_quantity(corr) == 8
 
@@ -233,13 +253,156 @@ def test_agreement_form_agrees_on_ns_tables():
             ),
         )
         expected = win_probability(colour, game)
-        assert lemma1_win(binary) == expected
+        assert lemma1_win(binary) == _agreement_lemma1_win(binary) == expected
         assert win_from_correlations(correlations_from_table(binary)) == expected
 
 
 def test_lemma1_win_shape_check():
     with pytest.raises(ValueError):
         lemma1_win(rgrb())
+
+
+def test_the_functional_is_defined_once():
+    # The XOR game's signed weights are the cross block of W_EXACT, and its
+    # local bound is R = 8 at the sweep's witness.
+    game = _xor_game()
+    assert game.shape == (3, 3, 2, 2)
+    for (a, b), weight in game.input_dist.items():
+        wins = [game.predicate(a, b, x, y) for x in (0, 1) for y in (0, 1)]
+        assert wins[0] == wins[3] != wins[1] == wins[2]
+        assert 12 * weight * (1 if wins[0] else -1) == W_EXACT[a][3 + b]
+    assert len(game.input_dist) == 9
+    win, f, g = local_bound(game)
+    assert 12 * (2 * win - 1) == 8
+    assert (f, g) == _sweep_bell_maximum()[1]
+
+
+# ---------------------------------------------------------------------------
+# the Bell layer reads rows as slices: its per-cell definitions as oracles
+
+
+def _agreement_lemma1_win(binary_table):
+    """Win from agreement rates, (1/9) sum_u [2 + (Bell term u of p(x=y))/2]."""
+    agree = [
+        [binary_table.prob(a, b, 0, 0) + binary_table.prob(a, b, 1, 1) for b in range(3)]
+        for a in range(3)
+    ]
+    return sum(2 + _bell_row(agree[u], u) / 2 for u in range(3)) / 9
+
+
+def _per_cell_reduce_to_binary(table, atol=1e-12):
+    """``reduce_to_binary`` reading one cell at a time through a dict."""
+    exact = table.is_exact
+    for a in range(3):
+        for b in range(3):
+            own = sum(table.prob(a, b, a, y) for y in range(3)) + sum(
+                table.prob(a, b, x, b) for x in range(3)
+            )
+            if own > (0 if exact else atol):
+                raise ValueError(
+                    f"strategy plays a sure-losing colour on input ({a},{b}) "
+                    f"with probability {own}"
+                )
+    reduced = {
+        (a, b, xb, yb): table.prob(a, b, cyclic_rule(a, xb), cyclic_rule(b, yb))
+        for a, b, xb, yb in itertools.product(range(3), range(3), (0, 1), (0, 1))
+    }
+    if not exact:
+        for a in range(3):
+            for b in range(3):
+                total = sum(reduced[(a, b, xb, yb)] for xb in (0, 1) for yb in (0, 1))
+                for xb in (0, 1):
+                    for yb in (0, 1):
+                        reduced[(a, b, xb, yb)] /= total
+    return StrategyTable.from_function((3, 3, 2, 2), lambda a, b, x, y: reduced[(a, b, x, y)])
+
+
+def _per_cell_correlations(binary_table):
+    """``correlations_from_table`` reading one cell at a time."""
+    return tuple(
+        tuple(
+            2 * (binary_table.prob(a, b, 0, 0) + binary_table.prob(a, b, 1, 1)) - 1
+            for b in range(3)
+        )
+        for a in range(3)
+    )
+
+
+def _bits(values):
+    """Each value with its type, floats by their exact bits."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+def _own_colour_box(rows):
+    """Mass 1 on (a, b) in the given rows, on (a-1, b-1) elsewhere."""
+    return StrategyTable.from_function(
+        (3, 3, 3, 3),
+        lambda a, b, x, y: int(
+            (x, y) == ((a, b) if (a, b) in rows else (cyclic_rule(a, 0), cyclic_rule(b, 0)))
+        ),
+    )
+
+
+_ROWS = st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+
+
+@st.composite
+def qubit_tables(draw):
+    """Qubit tables at angles like the golden ``quantum`` cases, some mixed
+    with own-colour mass below or above the reduction's tolerance."""
+    angles = [
+        float(f"{t:.15f}")
+        for t in draw(st.lists(st.floats(-360.0, 360.0), min_size=6, max_size=6))
+    ]
+    alice, bob = (
+        QubitStrategy(tuple(projector_from_angle(t) for t in part))
+        for part in (angles[:3], angles[3:])
+    )
+    table = quantum_strategy_table(singlet(), alice, bob)
+    eps = draw(st.sampled_from([0.0, 1e-14, 1e-3]))
+    if eps:
+        table = mix([table, _own_colour_box(draw(_ROWS))], [1 - eps, eps])
+    return table
+
+
+@st.composite
+def exact_tables(draw):
+    """Exact tables on the four cyclic answers of each row, some with
+    own-colour mass on a few rows."""
+    bad = draw(_ROWS)
+    entries = {}
+    for a, b in itertools.product(range(3), range(3)):
+        weights = draw(st.lists(st.integers(0, 4), min_size=5, max_size=5))
+        if (a, b) not in bad:
+            weights[4] = 0  # the own-colour cell
+        if not any(weights):
+            weights[0] = 1
+        cells = [(cyclic_rule(a, xb), cyclic_rule(b, yb)) for xb in (0, 1) for yb in (0, 1)]
+        total = sum(weights)
+        own = draw(st.sampled_from([(a, c) for c in range(3)] + [(c, b) for c in range(3)]))
+        for (x, y), w in zip(cells + [own], weights):
+            if w:
+                entries[(a, b, x, y)] = F(w, total)
+    return StrategyTable.from_dict((3, 3, 3, 3), entries)
+
+
+def _reduction(reduce, correlations, table):
+    try:
+        binary = reduce(table)
+    except ValueError as err:
+        return str(err)
+    return _bits(binary.probs), [_bits(row) for row in correlations(binary)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(qubit_tables(), exact_tables()))
+def test_slice_reads_match_the_per_cell_definitions(table):
+    # Bit-identical probs and correlations, or the same first bad row.
+    got = _reduction(reduce_to_binary, correlations_from_table, table)
+    assert got == _reduction(_per_cell_reduce_to_binary, _per_cell_correlations, table)
+    if table.is_exact and not isinstance(got, str):
+        binary = reduce_to_binary(table)
+        assert lemma1_win(binary) == _agreement_lemma1_win(binary)
 
 
 # ---------------------------------------------------------------------------

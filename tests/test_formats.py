@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rgbgame.formats import (
+    MAX_BOX_ENTRIES,
     BoxFormatError,
     WiringFormatError,
     box_from_json_dict,
@@ -185,6 +186,32 @@ class TestBoxDiagnostics:
         )
         with pytest.raises(BoxFormatError, match=r"^row \(0,1\) sums to 0, not 1$"):
             load_box(text)
+
+    def test_oversized_box_is_refused_before_the_dense_build(self, monkeypatch):
+        # An 86-byte file whose one record covers its one row, but whose
+        # dense table would hold a million entries.
+        def dense_build(shape, entries):
+            raise AssertionError("the dense table was built")
+
+        monkeypatch.setattr(StrategyTable, "from_dict", dense_build)
+        text = json.dumps(
+            {"alphabets": [1, 1, 1000, 1000], "table": [{"a": 0, "b": 0, "x": 0, "y": 0, "p": 1}]}
+        )
+        assert len(text) == 86
+        with pytest.raises(
+            BoxFormatError,
+            match=r"^alphabets \[1, 1, 1000, 1000\] give 1000000 entries, more than 65536$",
+        ):
+            load_box(text)
+
+    def test_box_at_the_size_limit_loads(self):
+        assert MAX_BOX_ENTRIES == 2**16
+        text = json.dumps(
+            {"alphabets": [1, 1, 256, 256], "table": [{"a": 0, "b": 0, "x": 255, "y": 255, "p": 1}]}
+        )
+        table = load_box(text)
+        assert table.shape == (1, 1, 256, 256)
+        assert table.row(0, 0) == {(255, 255): 1}
 
 
 # ---------------------------------------------------------------------------

@@ -337,13 +337,14 @@ def test_evaluate_wiring_reads_each_base_row_once():
             reads.append(("prob", a, b))
             return super().prob(a, b, x, y)
 
-        def row(self, a, b):
-            reads.append(("row", a, b))
-            return super().row(a, b)
+        def cells(self, a, b):
+            reads.append(("cells", a, b))
+            return super().cells(a, b)
 
     rng = random.Random(71)
     cases = [
         (rgrb_from_pr(), noisy_pr(F(2, 7))),
+        (rgrb_from_pr(), noisy_pr(0.3)),
         (pr_from_rgrb(), rgrb()),
         (random_wiring(rng, (3, 3, 2, 2), (2, 2, 2, 2), 2, 3), pr_box()),
     ]
