@@ -8,121 +8,59 @@ certificates for the quantum bound of the associated Bell inequality.
 
 from importlib import import_module as _import_module
 
-from .strategies import (
-    BLUE,
-    GREEN,
-    RED,
-    Game,
-    StrategyTable,
-    WinningFamilyParams,
-    chsh_game,
-    deterministic_strategy,
-    enumerate_winning_deterministic_boxes,
-    family_strategy,
-    l1_distance,
-    l1_distance_to_set,
-    local_bound,
-    mix,
-    next_colour,
-    parameter_names,
-    prev_colour,
-    rgb0,
-    rgb_game,
-    rgb_predicate,
-    rgrb,
-    win_probability,
-)
-from .locality import (
-    Direction,
-    LinearSystem,
-    OneWayProtocol,
-    SignallingError,
-    SignallingWitness,
-    build_ns_constraints,
-    decompose_one_way,
-    id_box,
-    is_no_signalling,
-    is_symmetric,
-    l_sig_box,
-    pr_box,
-    r_sig_box,
-    recompose_one_way,
-    sig_box,
-    solve_ns_unique,
-    x_marginal,
-    y_marginal,
-)
-from .wiring import (
-    WiringProtocol,
-    evaluate_wiring,
-    noisy_composition_win,
-    noisy_parity_survival,
-    noisy_pr,
-    parity_flip_box,
-    pr_from_rgrb,
-    rgrb_from_pr,
-)
-from .formats import (
-    BoxFormatError,
-    WiringFormatError,
-    box_from_json_dict,
-    box_to_json_dict,
-    dump_box,
-    dump_wiring,
-    load_box,
-    load_box_file,
-    load_wiring,
-    load_wiring_file,
-    save_box,
-    save_wiring,
-    wiring_from_json_dict,
-    wiring_to_json_dict,
-)
-
 __version__ = "0.1.0"
 
-# The quantum and bell layers and their re-exports, resolved on first access
-# (PEP 562), only to keep them out of the import cost of the exact layers
-# above: loading bell with `import rgbgame` would add 3-5 ms to every CLI
-# process with bytecode cached, and 10-16 ms without (`-X importtime`).
-_LAZY = {
+# Each public name and the layer that defines it, resolved on first access
+# (PEP 562): ``import rgbgame`` loads no layer, so a CLI process compiles and
+# runs only the layers its command uses.  The order is that of ``__all__``.
+_LAYER_OF = {
+    "strategies": "strategies",
+    **dict.fromkeys("""
+        BLUE GREEN RED Game StrategyTable WinningFamilyParams chsh_game
+        deterministic_strategy enumerate_winning_deterministic_boxes family_strategy
+        l1_distance l1_distance_to_set local_bound mix next_colour parameter_names
+        prev_colour rgb0 rgb_game rgb_predicate rgrb win_probability
+    """.split(), "strategies"),
+    "wiring": "wiring",
+    "formats": "formats",
+    "locality": "locality",
+    **dict.fromkeys("""
+        Direction LinearSystem OneWayProtocol SignallingError SignallingWitness
+        build_ns_constraints decompose_one_way id_box is_no_signalling is_symmetric
+        l_sig_box pr_box r_sig_box recompose_one_way sig_box solve_ns_unique
+        x_marginal y_marginal
+    """.split(), "locality"),
+    **dict.fromkeys("""
+        WiringProtocol evaluate_wiring noisy_composition_win noisy_parity_survival
+        noisy_pr parity_flip_box pr_from_rgrb rgrb_from_pr
+    """.split(), "wiring"),
+    **dict.fromkeys("""
+        BoxFormatError WiringFormatError box_from_json_dict box_to_json_dict dump_box
+        dump_wiring load_box load_box_file load_wiring load_wiring_file save_box
+        save_wiring wiring_from_json_dict wiring_to_json_dict
+    """.split(), "formats"),
     "quantum": "quantum",
-    "QubitStrategy": "quantum",
-    "joint_prob": "quantum",
-    "projector_from_angle": "quantum",
-    "quantum_strategy_table": "quantum",
-    "singlet": "quantum",
-    "trine_projectors": "quantum",
-    "trine_strategy": "quantum",
+    **dict.fromkeys("""
+        QubitStrategy joint_prob projector_from_angle quantum_strategy_table singlet
+        trine_projectors trine_strategy
+    """.split(), "quantum"),
     "bell": "bell",
-    "AscentResult": "bell",
-    "CertificateReport": "bell",
-    "CertificationError": "bell",
-    "VectorStrategy": "bell",
-    "alternating_ascent": "bell",
-    "bell_quantity": "bell",
-    "certify_quantum_bound": "bell",
-    "correlations_from_table": "bell",
-    "deterministic_bell_maximum": "bell",
-    "gram_from_vectors": "bell",
-    "lemma1_win": "bell",
-    "optimal_gram": "bell",
-    "optimal_multipliers": "bell",
-    "reduce_to_binary": "bell",
-    "sym_eigenvalues": "bell",
-    "verify_dual": "bell",
-    "verify_primal": "bell",
-    "w_matrix": "bell",
-    "win_from_correlations": "bell",
+    **dict.fromkeys("""
+        AscentResult CertificateReport CertificationError VectorStrategy
+        alternating_ascent bell_quantity certify_quantum_bound correlations_from_table
+        deterministic_bell_maximum gram_from_vectors lemma1_win optimal_gram
+        optimal_multipliers reduce_to_binary sym_eigenvalues verify_dual verify_primal
+        w_matrix win_from_correlations
+    """.split(), "bell"),
 }
 
-# What `from rgbgame import *` binds: every public name, lazy ones included.
-__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+# What `from rgbgame import *` binds: every public name.
+__all__ = list(_LAYER_OF)
 
 
 def __getattr__(name):
     try:
-        layer = _LAZY[name]
+        layer = _LAYER_OF[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     module = _import_module(f".{layer}", __name__)
@@ -132,5 +70,5 @@ def __getattr__(name):
 
 
 def __dir__():
-    helpers = {"_import_module", "_LAZY", "__all__", "__getattr__", "__dir__"}
-    return sorted((globals().keys() - helpers) | _LAZY.keys())
+    helpers = {"_import_module", "_LAYER_OF", "__all__", "__getattr__", "__dir__"}
+    return sorted((globals().keys() - helpers) | _LAYER_OF.keys())

@@ -33,10 +33,17 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .strategies import Game, StrategyTable, _coerce, local_bound, next_colour, prev_colour
+from .strategies import (
+    Game,
+    StrategyTable,
+    _coerce,
+    _Frozen,
+    local_bound,
+    next_colour,
+    prev_colour,
+)
 
 #: Feasibility slack for certificate checks of float candidates.
 CERT_TOL = 1e-9
@@ -91,7 +98,11 @@ def _win(value):
 
 
 def win_from_correlations(correlations):
-    """Winning probability determined by correlations alone (signed form)."""
+    """Winning probability determined by correlations alone (signed form).
+
+    Holds only for correlations of a no-signalling binary table, whose
+    marginal terms cancel; ``lemma1_win`` checks that on a table.
+    """
     return _win(_signed_bell(correlations))
 
 
@@ -100,10 +111,18 @@ def lemma1_win(binary_table: StrategyTable):
 
     On no-signalling tables this is the agreement form (1/9) sum_u [2 -
     p(x=y|u,u) + p(x=y|u,u+1)/2 + p(x=y|u,u-1)/2], since the functional's
-    coefficients sum to 0.
+    coefficients sum to 0.  A signalling table raises ValueError naming the
+    witness (checked exactly on exact tables, within ``ALGEBRA_TOL`` on
+    float ones): its correlations do not determine its win.
     """
+    from .locality import is_no_signalling
+
     if binary_table.shape != (3, 3, 2, 2):
         raise ValueError(f"expected shape (3,3,2,2), got {binary_table.shape}")
+    atol = 0 if binary_table.is_exact else ALGEBRA_TOL
+    ok, witness = is_no_signalling(binary_table, atol=atol)
+    if not ok:
+        raise ValueError(f"table signals, so its correlations do not give its win: {witness}")
     return win_from_correlations(correlations_from_table(binary_table))
 
 
@@ -491,17 +510,33 @@ def verify_dual(multipliers) -> tuple:
     return value, _is_feasible(_dual_slack(lam), exact)
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(_Frozen):
     """Matched primal/dual evidence that the quantum value of R is 9."""
 
-    primal_value: float
-    dual_value: float
-    gap: float
-    primal_eigenvalues: tuple[float, ...]
-    dual_slack_eigenvalues: tuple[float, ...]
-    bound: float
-    implied_win_bound: float
+    __slots__ = (
+        "primal_value",
+        "dual_value",
+        "gap",
+        "primal_eigenvalues",
+        "dual_slack_eigenvalues",
+        "bound",
+        "implied_win_bound",
+    )
+
+    def __init__(
+        self,
+        primal_value: float,
+        dual_value: float,
+        gap: float,
+        primal_eigenvalues: tuple[float, ...],
+        dual_slack_eigenvalues: tuple[float, ...],
+        bound: float,
+        implied_win_bound: float,
+    ):
+        self._init(
+            primal_value, dual_value, gap, primal_eigenvalues, dual_slack_eigenvalues,
+            bound, implied_win_bound,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -548,31 +583,34 @@ def certify_quantum_bound(tol: float = CERT_TOL) -> CertificateReport:
 # variational search
 
 
-@dataclass(frozen=True, eq=False)
-class VectorStrategy:
+class VectorStrategy(_Frozen):
     """Unit vector triples (Alice rows, Bob rows) representing correlations
-    c[a][b] = alice[a] . bob[b], stored as tuples of floats."""
+    c[a][b] = alice[a] . bob[b], stored as tuples of floats.  Compared by
+    identity."""
 
-    alice: tuple[tuple[float, ...], ...]
-    bob: tuple[tuple[float, ...], ...]
+    __slots__ = ("alice", "bob")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        for name in ("alice", "bob"):
-            object.__setattr__(self, name, _unit_rows(getattr(self, name), 3, name, 1e-12))
-        if len(self.alice[0]) != len(self.bob[0]):
+    def __init__(self, alice: tuple[tuple[float, ...], ...], bob: tuple[tuple[float, ...], ...]):
+        alice = _unit_rows(alice, 3, "alice", 1e-12)
+        bob = _unit_rows(bob, 3, "bob", 1e-12)
+        if len(alice[0]) != len(bob[0]):
             raise ValueError("alice and bob vectors differ in dimension")
+        self._init(alice, bob)
 
     def correlations(self) -> tuple:
         return tuple(tuple(_inner(x, y) for y in self.bob) for x in self.alice)
 
 
-@dataclass(frozen=True, eq=False)
-class AscentResult:
-    """Best restart of the alternating ascent, with its per-sweep objectives."""
+class AscentResult(_Frozen):
+    """Best restart of the alternating ascent, with its per-sweep objectives.
+    Compared by identity."""
 
-    value: float
-    strategy: VectorStrategy
-    sweep_values: tuple[float, ...]
+    __slots__ = ("value", "strategy", "sweep_values")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, value: float, strategy: VectorStrategy, sweep_values: tuple[float, ...]):
+        self._init(value, strategy, sweep_values)
 
 
 def _draw(rng: random.Random, dim: int) -> list[float]:

@@ -3,12 +3,12 @@
 Given the same arguments (and seed, where one applies) stdout is
 byte-identical across runs; the command's own wall time is reported on stderr
 so timing noise never touches the canonical output.  That time excludes
-interpreter start and imports, which are most of a short process: the bell
-and quantum layers, which four commands import on demand, are loaded before
-the clock starts.  No command loads numpy.  Exit codes: 0 success, 1 a
-verification failed, 2 bad input.  ``--json`` swaps the table rendering for a
-JSON report carrying the same values: the command, every parsed option as its
-inputs, and the results.
+interpreter start and imports, which are most of a short process.  Each
+command imports only the layers it runs, listed with it in ``_COMMANDS``,
+and all of them before the clock starts.  No command loads numpy.  Exit
+codes: 0 success, 1 a verification failed, 2 bad input.  ``--json`` swaps the
+table rendering for a JSON report carrying the same values: the command,
+every parsed option as its inputs, and the results.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-
-from . import formats, locality, strategies, wiring
+from importlib import import_module
 
 
 def value_str(v) -> str:
@@ -59,7 +58,11 @@ def _rows(rows) -> tuple[int, dict, list[str]]:
 
 
 def cmd_bounds(args):
+    from . import strategies
+
     if args.game == "chsh":
+        from . import locality
+
         game = strategies.chsh_game()
         local_value, _, _ = strategies.local_bound(game)
         ns_win = strategies.win_probability(locality.pr_box(), game)
@@ -89,6 +92,8 @@ def cmd_bounds(args):
 
 
 def cmd_enumerate(args):
+    from . import strategies
+
     game = strategies.rgb_game() if args.game == "rgb" else strategies.chsh_game()
     count = strategies.enumerate_winning_deterministic_boxes(game)
     return 0, {"count": count}, [f"winning deterministic boxes: {count}"]
@@ -98,6 +103,8 @@ _REDUCTIONS = ("pr-from-rgrb", "rgrb-from-pr")
 
 
 def cmd_verify_reduction(args):
+    from . import locality, strategies, wiring
+
     if args.reduction == "pr-from-rgrb":
         protocol, base, target = wiring.pr_from_rgrb(), strategies.rgrb(), locality.pr_box()
     else:
@@ -105,12 +112,14 @@ def cmd_verify_reduction(args):
     composed = wiring.evaluate_wiring(protocol, base)
     dist = strategies.l1_distance(composed, target)
     ok = dist == 0
-    text = formats.probability_to_string(dist)
+    text = strategies.probability_to_string(dist)
     lines = [f"distance {text}, {'PASS' if ok else 'FAIL'}"]
     return (0 if ok else 1), {"distance": text, "pass": ok}, lines
 
 
 def cmd_ns_check(args):
+    from . import formats, locality
+
     table = formats.load_box_file(args.file)
     atol = 0 if table.is_exact else 1e-9
     ok, witness = locality.is_no_signalling(table, atol=atol)
@@ -121,10 +130,12 @@ def cmd_ns_check(args):
 
 
 def cmd_ns_unique(args):
+    from . import locality, strategies
+
     params = locality.solve_ns_unique()
     matches = strategies.l1_distance(strategies.family_strategy(params), strategies.rgrb()) == 0
     names = strategies.parameter_names()
-    values = [formats.probability_to_string(v) for v in params.as_vector()]
+    values = [strategies.probability_to_string(v) for v in params.as_vector()]
     lines = [f"{name} = {v}" for name, v in zip(names, values)]
     lines.append(f"matches rgrb: {'yes' if matches else 'no'}")
     results = {
@@ -135,7 +146,7 @@ def cmd_ns_unique(args):
 
 
 def cmd_quantum(args):
-    from . import bell, quantum
+    from . import bell, quantum, strategies
 
     def strategy(angles):
         return quantum.QubitStrategy(
@@ -149,6 +160,8 @@ def cmd_quantum(args):
     corr = quantum.correlations_from_table(quantum.reduce_to_binary(table))
     r = bell.bell_quantity(corr)
     if args.output:
+        from . import formats
+
         formats.save_box(table, args.output)
     lines = [
         "alice angles: " + " ".join(value_str(t) for t in args.alice_angles),
@@ -204,6 +217,8 @@ def cmd_sdp_optimize(args):
 
 
 def cmd_distance(args):
+    from . import formats, strategies
+
     table_a = formats.load_box_file(args.file_a)
     table_b = formats.load_box_file(args.file_b)
     dist = strategies.l1_distance(table_a, table_b)
@@ -214,6 +229,8 @@ def cmd_distance(args):
 def _emit_document(doc, output):
     """A box or wiring document as results; its text is written to ``output``
     or, without one, is the table."""
+    from . import formats
+
     text = formats.json_text(doc)
     if not output:
         return 0, doc, [text.rstrip("\n")]
@@ -223,35 +240,54 @@ def _emit_document(doc, output):
 
 
 def cmd_apply_wiring(args):
+    from . import formats, wiring
+
     protocol = formats.load_wiring_file(args.wiring_file)
     base = formats.load_box_file(args.box_file)
     composed = wiring.evaluate_wiring(protocol, base)
     return _emit_document(formats.box_to_json_dict(composed), args.output)
 
 
+# The built-in boxes and wirings as (layer, function) pairs.
 _NAMED_BOXES = {
-    "rgb0": strategies.rgb0,
-    "rgrb": strategies.rgrb,
-    "pr": locality.pr_box,
-    "parity-flip": wiring.parity_flip_box,
-    "identity": locality.id_box,
-    "sig": locality.sig_box,
-    "r-sig": locality.r_sig_box,
-    "l-sig": locality.l_sig_box,
+    "rgb0": ("strategies", "rgb0"),
+    "rgrb": ("strategies", "rgrb"),
+    "pr": ("locality", "pr_box"),
+    "parity-flip": ("wiring", "parity_flip_box"),
+    "identity": ("locality", "id_box"),
+    "sig": ("locality", "sig_box"),
+    "r-sig": ("locality", "r_sig_box"),
+    "l-sig": ("locality", "l_sig_box"),
 }
 
 _NAMED_WIRINGS = {
-    "pr-from-rgrb": wiring.pr_from_rgrb,
-    "rgrb-from-pr": wiring.rgrb_from_pr,
+    "pr-from-rgrb": ("wiring", "pr_from_rgrb"),
+    "rgrb-from-pr": ("wiring", "rgrb_from_pr"),
 }
 
 
+def _import_layer(name: str):
+    """The rgbgame module ``name``, imported if it is not yet."""
+    return import_module(f".{name}", __package__)
+
+
+def _built_in(named: dict, name: str):
+    layer, function = named[name]
+    return getattr(_import_layer(layer), function)()
+
+
 def cmd_export_box(args):
-    return _emit_document(formats.box_to_json_dict(_NAMED_BOXES[args.name]()), args.output)
+    from . import formats
+
+    box = _built_in(_NAMED_BOXES, args.name)
+    return _emit_document(formats.box_to_json_dict(box), args.output)
 
 
 def cmd_export_wiring(args):
-    return _emit_document(formats.wiring_to_json_dict(_NAMED_WIRINGS[args.name]()), args.output)
+    from . import formats
+
+    protocol = _built_in(_NAMED_WIRINGS, args.name)
+    return _emit_document(formats.wiring_to_json_dict(protocol), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -299,33 +335,54 @@ def _angles_option(flag: str, metavar: tuple[str, ...]):
     )
 
 
-# name: (handler, help, options as (flag, add_argument keywords)); each command
-# also takes --json.
+def _bounds_layers(args) -> tuple[str, ...]:
+    return ("strategies", "bell") if args.game == "rgb" else ("strategies", "locality")
+
+
+def _export_box_layers(args) -> tuple[str, ...]:
+    return ("strategies", "formats", _NAMED_BOXES[args.name][0])
+
+
+# name: (handler, help, layers, options as (flag, add_argument keywords)).
+# ``layers`` are the rgbgame modules the handler runs, or a function of the
+# parsed arguments that returns them; main imports them before the clock
+# starts, and formats too under --json or --output, which it writes.  Each
+# command also takes --json.
 _COMMANDS = {
     "bounds": (
         cmd_bounds,
         "local / quantum / no-signalling win bounds and Bell bounds",
+        _bounds_layers,
         [_GAME, _tolerance_option("slack for the quantum certificate checks (default 1e-9)")],
     ),
     "enumerate": (
         cmd_enumerate,
         "count deterministic boxes that win on every input pair",
+        ("strategies",),
         [_GAME],
     ),
     "verify-reduction": (
         cmd_verify_reduction,
         "evaluate a built-in wiring and compare to its target box",
+        ("strategies", "locality", "wiring"),
         [("reduction", dict(choices=_REDUCTIONS))],
     ),
-    "ns-check": (cmd_ns_check, "test a box file for signalling", [("file", {})]),
+    "ns-check": (
+        cmd_ns_check,
+        "test a box file for signalling",
+        ("strategies", "locality", "formats"),
+        [("file", {})],
+    ),
     "ns-unique": (
         cmd_ns_unique,
         "solve the no-signalling constraints on the winning family",
+        ("strategies", "locality"),
         [],
     ),
     "quantum": (
         cmd_quantum,
         "simulate a projective qubit strategy on the singlet",
+        ("strategies", "bell", "quantum"),
         [
             _angles_option("--alice-angles", ("A0", "A1", "A2")),
             _angles_option("--bob-angles", ("B0", "B1", "B2")),
@@ -335,11 +392,13 @@ _COMMANDS = {
     "sdp-certify": (
         cmd_sdp_certify,
         "verify the matching primal/dual certificate of the quantum bound",
+        ("strategies", "bell"),
         [_tolerance_option("feasibility and gap slack (default 1e-9)")],
     ),
     "sdp-optimize": (
         cmd_sdp_optimize,
         "seeded alternating ascent over unit-vector strategies",
+        ("strategies", "bell"),
         [
             ("--seed", dict(type=_seed, required=True, help="RNG seed (required)")),
             ("--restarts", dict(
@@ -350,11 +409,13 @@ _COMMANDS = {
     "distance": (
         cmd_distance,
         "l1 distance between two box files",
+        ("strategies", "formats"),
         [("file_a", {}), ("file_b", {})],
     ),
     "apply-wiring": (
         cmd_apply_wiring,
         "evaluate a wiring file over a base box file",
+        ("strategies", "formats", "wiring"),
         [
             ("wiring_file", {}),
             ("box_file", {}),
@@ -364,17 +425,16 @@ _COMMANDS = {
     "export-box": (
         cmd_export_box,
         "write a named built-in box",
+        _export_box_layers,
         [("name", dict(choices=sorted(_NAMED_BOXES))), _OUTPUT],
     ),
     "export-wiring": (
         cmd_export_wiring,
         "write a named built-in wiring",
+        ("strategies", "formats", "wiring"),
         [("name", dict(choices=sorted(_NAMED_WIRINGS))), _OUTPUT],
     ),
 }
-
-# Commands whose bell and quantum imports are loaded before the clock starts.
-_LOADS_BELL = ("bounds", "quantum", "sdp-certify", "sdp-optimize")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,25 +445,34 @@ def build_parser() -> argparse.ArgumentParser:
         "and optimality certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, options) in _COMMANDS.items():
+    for name, (_, help_text, _, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--json", action="store_true", help="emit a JSON report instead of a table"
         )
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
-        p.set_defaults(handler=handler)
     return parser
+
+
+def _layers(args) -> tuple[str, ...]:
+    """The layers a parsed command runs, in import order."""
+    layers = _COMMANDS[args.command][2]
+    if callable(layers):
+        layers = layers(args)
+    if args.json or getattr(args, "output", None):
+        layers += ("formats",)
+    return layers
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # Imported before the clock starts, so the wall time stays command-only.
-    if args.command in _LOADS_BELL:
-        from . import bell, quantum  # noqa: F401
+    for layer in _layers(args):
+        _import_layer(layer)
     start = time.perf_counter()
     try:
-        code, results, lines = args.handler(args)
+        code, results, lines = _COMMANDS[args.command][0](args)
     except ArithmeticError as err:
         code, results, lines = 1, {"error": str(err)}, [f"FAIL: {err}"]
     except (OSError, ValueError) as err:
@@ -416,7 +485,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     if args.json:
-        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "json", "handler")}
+        from . import formats
+
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "json")}
         report = {"command": args.command, "inputs": inputs, "results": results}
         print(formats.json_text(report), end="")
     else:

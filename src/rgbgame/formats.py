@@ -19,11 +19,11 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_string
 
-from .strategies import StrategyTable
-from .wiring import WiringProtocol
+from .strategies import StrategyTable, probability_to_string
 
 
-#: Most entries a box document's dense table may have: |A| |B| |X| |Y|.
+#: Most entries a box document's dense table, or a wiring's outer table, may
+#: have: |A| |B| |X| |Y|.
 MAX_BOX_ENTRIES = 2**16
 
 
@@ -33,14 +33,6 @@ class BoxFormatError(ValueError):
 
 class WiringFormatError(ValueError):
     """A wiring document is malformed; the message pinpoints the record."""
-
-
-def probability_to_string(p) -> str:
-    """Canonical text for one probability: lowest-terms "num/den" or %.17g."""
-    if isinstance(p, float):
-        return "%.17g" % p
-    p = Fraction(p)
-    return f"{p.numerator}/{p.denominator}"
 
 
 def _parse_probability(value, where: str):
@@ -320,6 +312,8 @@ def _read_map(rows, own_size, prior_size, priors_len, randomness, value_size, ki
 
 
 def wiring_from_json_dict(data) -> WiringProtocol:
+    from .wiring import WiringProtocol
+
     if not isinstance(data, dict):
         raise WiringFormatError("wiring document must be a JSON object")
     missing = _WIRING_KEYS - data.keys()
@@ -338,6 +332,12 @@ def wiring_from_json_dict(data) -> WiringProtocol:
 
     outer_shape = _read_alphabets(data["outer_alphabets"], "outer_alphabets", WiringFormatError)
     inner_shape = _read_alphabets(data["inner_alphabets"], "inner_alphabets", WiringFormatError)
+    # The outer table, and evaluate_wiring's work, grow with its entries.
+    if math.prod(outer_shape) > MAX_BOX_ENTRIES:
+        raise WiringFormatError(
+            f"outer_alphabets {list(outer_shape)} give {math.prod(outer_shape)} entries, "
+            f"more than {MAX_BOX_ENTRIES}"
+        )
     oa, ob, ox, oy = outer_shape
     ia, ib, ix, iy = inner_shape
 

@@ -14,18 +14,17 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
-from .formats import probability_to_string
 from .strategies import (
     StrategyTable,
     WinningFamilyParams,
     _coerce,
+    _Frozen,
     next_colour,
     parameter_names,
     prev_colour,
+    probability_to_string,
 )
 
 # ---------------------------------------------------------------------------
@@ -87,8 +86,7 @@ def _check_alphabet(k: int):
 # no-signalling checks
 
 
-@dataclass(frozen=True)
-class SignallingWitness:
+class SignallingWitness(_Frozen):
     """Evidence that one party's output distribution reacts to the other's input.
 
     ``side`` names the direction information flows: "right" means Bob's
@@ -98,11 +96,17 @@ class SignallingWitness:
     between the two ``marginals``.
     """
 
-    side: str
-    fixed_input: int
-    output: int
-    sender_inputs: tuple[int, int]
-    marginals: tuple
+    __slots__ = ("side", "fixed_input", "output", "sender_inputs", "marginals")
+
+    def __init__(
+        self,
+        side: str,
+        fixed_input: int,
+        output: int,
+        sender_inputs: tuple[int, int],
+        marginals: tuple,
+    ):
+        self._init(side, fixed_input, output, sender_inputs, marginals)
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,8 +236,7 @@ class Direction(enum.Enum):
     RIGHT_TO_LEFT = "right-to-left"   # Bob samples first, then tells Alice
 
 
-@dataclass(frozen=True)
-class OneWayProtocol:
+class OneWayProtocol(_Frozen):
     """A box factored into sender-samples-then-receiver-samples form.
 
     ``sender`` maps the sender's input to a distribution over her output;
@@ -242,10 +245,16 @@ class OneWayProtocol:
     reproduces the decomposed box exactly.
     """
 
-    direction: Direction
-    shape: tuple[int, int, int, int]
-    sender: Mapping[int, Mapping[int, Fraction]]
-    receiver: Mapping[tuple[int, int, int], Mapping[int, Fraction]]
+    __slots__ = ("direction", "shape", "sender", "receiver")
+
+    def __init__(
+        self,
+        direction: Direction,
+        shape: tuple[int, int, int, int],
+        sender: Mapping[int, Mapping[int, Fraction]],
+        receiver: Mapping[tuple[int, int, int], Mapping[int, Fraction]],
+    ):
+        self._init(direction, shape, sender, receiver)
 
 
 def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProtocol:
@@ -302,17 +311,17 @@ def recompose_one_way(protocol: OneWayProtocol) -> StrategyTable:
 # uniqueness of the no-signalling winner
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(_Frozen):
     """An exact linear system over named variables.
 
     Equalities are (coefficients, constant) meaning coeffs . v = constant;
     inequalities use the same shape and mean coeffs . v >= constant.
     """
 
-    variables: tuple[str, ...]
-    equalities: tuple
-    inequalities: tuple
+    __slots__ = ("variables", "equalities", "inequalities")
+
+    def __init__(self, variables: tuple[str, ...], equalities: tuple, inequalities: tuple):
+        self._init(variables, equalities, inequalities)
 
 
 def build_ns_constraints() -> LinearSystem:

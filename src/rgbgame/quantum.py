@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from .bell import (  # noqa: F401 (reduce_to_binary, correlations_from_table re-exported)
     ALGEBRA_TOL,
@@ -33,7 +31,7 @@ from .bell import (  # noqa: F401 (reduce_to_binary, correlations_from_table re-
     cyclic_rule,
     reduce_to_binary,
 )
-from .strategies import StrategyTable, next_colour, prev_colour
+from .strategies import StrategyTable, _Frozen, next_colour, prev_colour
 
 #: A 2x2 operator as its two rows.
 Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -80,8 +78,7 @@ def _matrix(operator, what: str) -> Matrix:
     return rows
 
 
-@dataclass(frozen=True)
-class QubitStrategy:
+class QubitStrategy(_Frozen):
     """A per-colour projective measurement with an outcome-to-colour rule.
 
     ``projectors[c]`` is the 2x2 projector measured on colour c; outcome 1
@@ -90,14 +87,17 @@ class QubitStrategy:
     The projectors are stored as validated rows of Python complex numbers.
     """
 
-    projectors: tuple[Matrix, Matrix, Matrix]
-    output_rule: Callable[[int, int], int] = cyclic_rule
+    __slots__ = ("projectors", "output_rule")
 
-    def __post_init__(self):
-        if len(self.projectors) != 3:
+    def __init__(
+        self,
+        projectors: tuple[Matrix, Matrix, Matrix],
+        output_rule: Callable[[int, int], int] = cyclic_rule,
+    ):
+        if len(projectors) != 3:
             raise ValueError("need one projector per colour")
-        projectors = []
-        for c, proj in enumerate(self.projectors):
+        checked = []
+        for c, proj in enumerate(projectors):
             (p00, p01), (p10, p11) = proj = _matrix(proj, f"projector for colour {c}")
             square = (p00 * p00 + p01 * p10, p00 * p01 + p01 * p11,
                       p10 * p00 + p11 * p10, p10 * p01 + p11 * p11)
@@ -105,14 +105,14 @@ class QubitStrategy:
                 raise ValueError(f"projector for colour {c} is not idempotent")
             if abs((p00 + p11).real - 1) > ALGEBRA_TOL:
                 raise ValueError(f"projector for colour {c} is not rank one")
-            projectors.append(proj)
-        object.__setattr__(self, "projectors", tuple(projectors))
+            checked.append(proj)
         for c in range(3):
-            answers = {self.output_rule(c, 0), self.output_rule(c, 1)}
+            answers = {output_rule(c, 0), output_rule(c, 1)}
             if answers != {prev_colour(c), next_colour(c)}:
                 raise ValueError(
                     f"output rule for colour {c} must hit both neighbouring colours"
                 )
+        self._init(tuple(checked), output_rule)
 
 
 def trine_strategy() -> QubitStrategy:

@@ -17,9 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
 
 RED, GREEN, BLUE = 0, 1, 2
 
@@ -58,6 +56,14 @@ def _coerce(p):
     return Fraction(p)
 
 
+def probability_to_string(p) -> str:
+    """Canonical text for one probability: lowest-terms "num/den" or %.17g."""
+    if isinstance(p, float):
+        return "%.17g" % p
+    p = Fraction(p)
+    return f"{p.numerator}/{p.denominator}"
+
+
 def _numerators(values) -> tuple[list, int]:
     """Exact values as integer numerators over their least common denominator.
 
@@ -69,8 +75,47 @@ def _numerators(values) -> tuple[list, int]:
     return [p.numerator * (den // d) for p, d in zip(values, dens)], den
 
 
-@dataclass(frozen=True)
-class StrategyTable:
+class _Frozen:
+    """An immutable value over ``__slots__``, set once by ``__init__``.
+
+    Equality compares the slots of two instances of one class, the hash and
+    the repr are taken over them, and assignment after ``__init__`` raises.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        """Set the slots, in order, to ``values``; called once, by ``__init__``."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor.
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class StrategyTable(_Frozen):
     """A conditional distribution P(x, y | a, b) over finite alphabets.
 
     ``shape`` is (|A|, |B|, |X|, |Y|); symbols are 0-based.  ``probs`` is the
@@ -80,22 +125,21 @@ class StrategyTable:
     the numerators over the table's common denominator.
     """
 
-    shape: tuple[int, int, int, int]
-    probs: tuple
+    __slots__ = ("shape", "probs")
 
-    def __post_init__(self):
-        na, nb, nx, ny = self.shape
-        if min(self.shape) < 1:
-            raise ValueError(f"alphabet sizes must be positive, got {self.shape}")
-        if len(self.probs) != na * nb * nx * ny:
+    def __init__(self, shape: tuple[int, int, int, int], probs: tuple):
+        self._init(shape, probs)
+        na, nb, nx, ny = shape
+        if min(shape) < 1:
+            raise ValueError(f"alphabet sizes must be positive, got {shape}")
+        if len(probs) != na * nb * nx * ny:
             raise ValueError(
-                f"need {na * nb * nx * ny} entries for shape {self.shape}, "
-                f"got {len(self.probs)}"
+                f"need {na * nb * nx * ny} entries for shape {shape}, got {len(probs)}"
             )
         n = nx * ny
         exact = self.is_exact
         if exact:
-            nums, den = _numerators(self.probs)
+            nums, den = _numerators(probs)
         for k, (a, b) in enumerate(self.inputs()):
             if exact:
                 # Numerators over the table's common denominator den.
@@ -105,7 +149,7 @@ class StrategyTable:
                 if min(row) < 0 or max(row) > den:
                     raise ValueError(f"row ({a},{b}) has an entry outside [0,1]")
             else:
-                row = self.probs[k * n : (k + 1) * n]
+                row = probs[k * n : (k + 1) * n]
                 # NaN fails every comparison below, so it is caught here.
                 if not all(math.isfinite(p) for p in row):
                     raise ValueError(f"row ({a},{b}) has a non-finite entry")
@@ -169,21 +213,24 @@ class StrategyTable:
         return itertools.product(range(na), range(nb))
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(_Frozen):
     """A two-player game: alphabets, winning predicate, input distribution."""
 
-    shape: tuple[int, int, int, int]
-    predicate: Callable[[int, int, int, int], bool]
-    input_dist: Mapping[tuple[int, int], Fraction]
+    __slots__ = ("shape", "predicate", "input_dist")
 
-    def __post_init__(self):
-        if min(self.shape) < 1:
-            raise ValueError(f"alphabet sizes must be positive, got {self.shape}")
-        total = sum(self.input_dist.values())
+    def __init__(
+        self,
+        shape: tuple[int, int, int, int],
+        predicate: Callable[[int, int, int, int], bool],
+        input_dist: Mapping[tuple[int, int], Fraction],
+    ):
+        self._init(shape, predicate, input_dist)
+        if min(shape) < 1:
+            raise ValueError(f"alphabet sizes must be positive, got {shape}")
+        total = sum(input_dist.values())
         if total != 1:
             raise ValueError(f"input distribution sums to {total}, not 1")
-        if any(w < 0 for w in self.input_dist.values()):
+        if any(w < 0 for w in input_dist.values()):
             raise ValueError("input distribution has a negative weight")
 
 
@@ -236,8 +283,7 @@ def _check_unit(name, value) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class WinningFamilyParams:
+class WinningFamilyParams(_Frozen):
     """The 15 free parameters of the perfectly-winning no-signalling-free family.
 
     Same-colour rows (a = b = u) put mass p_u on (u+1, u-1) and 1 - p_u on
@@ -247,26 +293,30 @@ class WinningFamilyParams:
     p_cross + q_cross <= 1 per pair wins the colour game with certainty.
     """
 
-    p0: Fraction
-    p1: Fraction
-    p2: Fraction
-    p_cross: Mapping[tuple[int, int], Fraction] = field(hash=False)
-    q_cross: Mapping[tuple[int, int], Fraction] = field(hash=False)
+    __slots__ = ("p0", "p1", "p2", "p_cross", "q_cross")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p0", _check_unit("p0", self.p0))
-        object.__setattr__(self, "p1", _check_unit("p1", self.p1))
-        object.__setattr__(self, "p2", _check_unit("p2", self.p2))
-        for name, table in (("p_cross", self.p_cross), ("q_cross", self.q_cross)):
+    def __init__(
+        self,
+        p0: Fraction,
+        p1: Fraction,
+        p2: Fraction,
+        p_cross: Mapping[tuple[int, int], Fraction],
+        q_cross: Mapping[tuple[int, int], Fraction],
+    ):
+        p0, p1, p2 = _check_unit("p0", p0), _check_unit("p1", p1), _check_unit("p2", p2)
+        for name, table in (("p_cross", p_cross), ("q_cross", q_cross)):
             if set(table) != set(_CROSS_PAIRS):
                 raise ValueError(f"{name} must be keyed by the 6 ordered colour pairs")
-        p_cross = {uv: _check_unit(f"p_cross{uv}", p) for uv, p in self.p_cross.items()}
-        q_cross = {uv: _check_unit(f"q_cross{uv}", q) for uv, q in self.q_cross.items()}
+        p_cross = {uv: _check_unit(f"p_cross{uv}", p) for uv, p in p_cross.items()}
+        q_cross = {uv: _check_unit(f"q_cross{uv}", q) for uv, q in q_cross.items()}
         for uv in _CROSS_PAIRS:
             if p_cross[uv] + q_cross[uv] > 1:
                 raise ValueError(f"p_cross{uv} + q_cross{uv} exceeds 1")
-        object.__setattr__(self, "p_cross", p_cross)
-        object.__setattr__(self, "q_cross", q_cross)
+        self._init(p0, p1, p2, p_cross, q_cross)
+
+    def __hash__(self):
+        # The cross tables are dicts, so only the same-colour values hash.
+        return hash(self.p_same)
 
     @property
     def p_same(self) -> tuple[Fraction, Fraction, Fraction]:

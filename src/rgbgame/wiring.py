@@ -14,14 +14,13 @@ on bit-encoded colours) rebuild the colour box.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .strategies import (
     StrategyTable,
     _ZERO,
     _coerce,
+    _Frozen,
     _numerators,
     next_colour,
     prev_colour,
@@ -31,8 +30,7 @@ from .strategies import (
 )
 
 
-@dataclass(frozen=True)
-class WiringProtocol:
+class WiringProtocol(_Frozen):
     """A schedule of base-box calls plus local pre/post-processing.
 
     ``alice_inputs[k]`` maps (outer input a, her first k sub-outputs, shared
@@ -42,21 +40,37 @@ class WiringProtocol:
     uniform on range(randomness).
     """
 
-    calls: int
-    randomness: int
-    outer_shape: tuple[int, int, int, int]
-    inner_shape: tuple[int, int, int, int]
-    alice_inputs: tuple[Callable[[int, tuple, int], int], ...]
-    bob_inputs: tuple[Callable[[int, tuple, int], int], ...]
-    alice_output: Callable[[int, tuple, int], int]
-    bob_output: Callable[[int, tuple, int], int]
+    __slots__ = (
+        "calls",
+        "randomness",
+        "outer_shape",
+        "inner_shape",
+        "alice_inputs",
+        "bob_inputs",
+        "alice_output",
+        "bob_output",
+    )
 
-    def __post_init__(self):
-        if self.calls < 0:
+    def __init__(
+        self,
+        calls: int,
+        randomness: int,
+        outer_shape: tuple[int, int, int, int],
+        inner_shape: tuple[int, int, int, int],
+        alice_inputs: tuple[Callable[[int, tuple, int], int], ...],
+        bob_inputs: tuple[Callable[[int, tuple, int], int], ...],
+        alice_output: Callable[[int, tuple, int], int],
+        bob_output: Callable[[int, tuple, int], int],
+    ):
+        self._init(
+            calls, randomness, outer_shape, inner_shape,
+            alice_inputs, bob_inputs, alice_output, bob_output,
+        )
+        if calls < 0:
             raise ValueError("number of calls must be nonnegative")
-        if self.randomness < 1:
+        if randomness < 1:
             raise ValueError("shared randomness alphabet must be nonempty")
-        if len(self.alice_inputs) != self.calls or len(self.bob_inputs) != self.calls:
+        if len(alice_inputs) != calls or len(bob_inputs) != calls:
             raise ValueError("need one input map per call and per party")
 
 

@@ -37,6 +37,7 @@ from rgbgame.bell import (
     w_matrix,
     win_from_correlations,
 )
+from rgbgame.locality import is_no_signalling
 from rgbgame.quantum import (
     QubitStrategy,
     correlations_from_table,
@@ -262,6 +263,33 @@ def test_lemma1_win_shape_check():
         lemma1_win(rgrb())
 
 
+def test_lemma1_win_refuses_a_signalling_table():
+    # A deterministic binary table whose correlations give 13/18, while the
+    # colour table it relabels wins 7/9: its marginal terms do not cancel.
+    answers = {
+        (0, 0): (0, 0), (0, 1): (1, 1), (0, 2): (0, 0),
+        (1, 0): (1, 1), (1, 1): (0, 0), (1, 2): (1, 1),
+        (2, 0): (1, 0), (2, 1): (0, 0), (2, 2): (1, 0),
+    }
+    binary = StrategyTable.from_function(
+        (3, 3, 2, 2), lambda a, b, x, y: 1 if (x, y) == answers[a, b] else 0
+    )
+    colour = StrategyTable.from_function(
+        (3, 3, 3, 3),
+        lambda a, b, x, y: 1 if (x, y) == tuple(map(cyclic_rule, (a, b), answers[a, b])) else 0,
+    )
+    assert reduce_to_binary(colour) == binary
+    assert win_probability(colour, rgb_game()) == F(7, 9)
+    assert win_from_correlations(correlations_from_table(binary)) == F(13, 18)
+    floats = StrategyTable(binary.shape, tuple(map(float, binary.probs)))
+    for table in (binary, floats):
+        with pytest.raises(ValueError, match=r"^table signals, .*: side=right, b=0, y=0: "):
+            lemma1_win(table)
+    # Float tables are checked within ALGEBRA_TOL: the qubit trine table passes.
+    trine = reduce_to_binary(quantum_strategy_table(singlet(), trine_strategy(), trine_strategy()))
+    assert abs(lemma1_win(trine) - F(11, 12)) < 1e-12
+
+
 def test_the_functional_is_defined_once():
     # The XOR game's signed weights are the cross block of W_EXACT, and its
     # local bound is R = 8 at the sweep's witness.
@@ -402,7 +430,11 @@ def test_slice_reads_match_the_per_cell_definitions(table):
     assert got == _reduction(_per_cell_reduce_to_binary, _per_cell_correlations, table)
     if table.is_exact and not isinstance(got, str):
         binary = reduce_to_binary(table)
-        assert lemma1_win(binary) == _agreement_lemma1_win(binary)
+        if is_no_signalling(binary)[0]:
+            assert lemma1_win(binary) == _agreement_lemma1_win(binary)
+        else:
+            with pytest.raises(ValueError, match="^table signals"):
+                lemma1_win(binary)
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +701,9 @@ def test_ascent_is_deterministic():
     assert first.sweep_values == second.sweep_values
     assert first.strategy.alice == second.strategy.alice
     assert first.strategy.bob == second.strategy.bob
+    # Equal fields, yet distinct results: both classes compare by identity.
+    assert first != second and first.strategy != second.strategy
+    assert len({first, second, first.strategy, second.strategy}) == 4
 
 
 def test_single_restarts_are_monotone():

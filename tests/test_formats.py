@@ -1,6 +1,5 @@
 """Round trips and diagnostics for the box and wiring file formats."""
 
-import dataclasses
 import gc
 import itertools
 import json
@@ -331,8 +330,16 @@ def test_wiring_rejects_json_booleans(path, match):
 
 
 def test_wiring_dump_rejects_boolean_map_values():
-    protocol = dataclasses.replace(
-        pr_from_rgrb(), alice_output=lambda own, priors, r: priors[0] == 1
+    base = pr_from_rgrb()
+    protocol = WiringProtocol(
+        base.calls,
+        base.randomness,
+        base.outer_shape,
+        base.inner_shape,
+        base.alice_inputs,
+        base.bob_inputs,
+        alice_output=lambda own, priors, r: priors[0] == 1,
+        bob_output=base.bob_output,
     )
     with pytest.raises(WiringFormatError, match="not an integer"):
         dump_wiring(protocol)
@@ -347,6 +354,47 @@ def test_wiring_key_checks():
         wiring_from_json_dict(doc)
     with pytest.raises(WiringFormatError, match="not valid JSON"):
         load_wiring("nope")
+
+
+def _outer_wiring(outer_alphabets):
+    """A document of a 0-call wiring whose outputs are all 0."""
+    oa, ob = outer_alphabets[:2]
+    return {
+        "calls": 0,
+        "randomness": 1,
+        "outer_alphabets": outer_alphabets,
+        "inner_alphabets": [1, 1, 1, 1],
+        "alice_inputs": [],
+        "bob_inputs": [],
+        "alice_output": [[a, [], 0, 0] for a in range(oa)],
+        "bob_output": [[b, [], 0, 0] for b in range(ob)],
+    }
+
+
+def test_oversized_wiring_is_refused_before_any_map_is_read(monkeypatch, tmp_path, capsys):
+    from rgbgame import cli, formats
+
+    def read_map(*args):
+        raise AssertionError("a map was read")
+
+    monkeypatch.setattr(formats, "_read_map", read_map)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_outer_wiring([1000, 1000, 1, 1])))
+    with pytest.raises(
+        WiringFormatError,
+        match=r"^outer_alphabets \[1000, 1000, 1, 1\] give 1000000 entries, more than 65536$",
+    ):
+        load_wiring(path.read_text())
+    box = tmp_path / "unit.box"
+    save_box(StrategyTable((1, 1, 1, 1), (F(1),)), box)
+    assert cli.main(["apply-wiring", str(path), str(box)]) == 2
+    assert "give 1000000 entries, more than 65536" in capsys.readouterr().err
+
+
+def test_wiring_at_the_size_limit_loads():
+    protocol = wiring_from_json_dict(_outer_wiring([256, 256, 1, 1]))
+    assert protocol.outer_shape == (256, 256, 1, 1)
+    assert protocol.alice_output(255, (), 0) == 0
 
 
 def test_wiring_json_text_round_trip():

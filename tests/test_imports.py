@@ -1,10 +1,9 @@
-"""No layer loads numpy, and the bell and quantum layers load on demand.
+"""A process loads only the layers it uses, and never numpy or dataclasses.
 
-``import rgbgame`` loads only the exact layers (strategies, locality,
-wiring, formats); the bell and quantum re-exports resolve on first access,
-and the CLI imports those two layers before its clock starts.  Every check
-runs in a fresh interpreter, because this test process imported numpy long
-ago.
+``import rgbgame`` loads no layer: every re-export resolves on first access.
+Each CLI command imports exactly the layers it declares, all before its
+clock starts.  Every check runs in a fresh interpreter, because this test
+process imported numpy and every layer long ago.
 """
 
 import json
@@ -19,7 +18,7 @@ import rgbgame
 
 SRC = Path(rgbgame.__file__).resolve().parents[1]
 
-# sorted(dir(rgbgame)) as it was when the package imported quantum and bell
+# sorted(dir(rgbgame)) as it was when the package imported its layers
 # eagerly: the lazy re-exports must not change what the package lists.
 DIR_RGBGAME = """
 AscentResult BLUE BoxFormatError CertificateReport CertificationError
@@ -45,37 +44,42 @@ w_matrix win_from_correlations win_probability wiring wiring_from_json_dict
 wiring_to_json_dict x_marginal y_marginal
 """.split()
 
-# Runs CLI subcommands in-process; prints, per command, its exit code, whether
-# bell and quantum were loaded when the wall-time clock started, and whether
-# numpy was loaded at the end.
+# Runs one CLI command in-process and prints its exit code, the rgbgame
+# layers loaded when the wall-time clock starts, when it stops and at the
+# end, the layers the CLI declares for it, and whether numpy or dataclasses
+# was ever loaded.
 CLI_PROBE = """
 import contextlib, io, json, sys, time
 from rgbgame import cli
+
+def layers():
+    return sorted(
+        name.removeprefix("rgbgame.")
+        for name in sys.modules
+        if name.startswith("rgbgame.") and name != "rgbgame.cli"
+    )
 
 real_clock = time.perf_counter
 clock_reads = []
 
 def clock():
-    clock_reads.append({m: m in sys.modules for m in ("rgbgame.bell", "rgbgame.quantum")})
+    clock_reads.append(layers())
     return real_clock()
 
+argv = json.loads(sys.argv[1])
 time.perf_counter = clock
-report = []
-for argv in json.loads(sys.argv[1]):
-    del clock_reads[:]
-    with contextlib.redirect_stdout(io.StringIO()), \\
-            contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    report.append({
-        "argv": argv,
-        "code": code,
-        "bell_at_clock_start": clock_reads[0]["rgbgame.bell"],
-        "quantum_at_clock_start": clock_reads[0]["rgbgame.quantum"],
-        "numpy_at_end": "numpy" in sys.modules,
-    })
-print(json.dumps(report))
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(argv)
+print(json.dumps({
+    "code": code,
+    "at_clock_start": clock_reads[0],
+    "at_clock_stop": clock_reads[-1],
+    "at_end": layers(),
+    "declared": sorted(set(cli._layers(cli.build_parser().parse_args(argv)))),
+    "numpy": "numpy" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+}))
 """
-
 
 def run_python(code: str, *args: str):
     """Run ``code`` in a fresh interpreter and decode the JSON it prints."""
@@ -91,20 +95,22 @@ def run_python(code: str, *args: str):
     return json.loads(proc.stdout)
 
 
-def test_exact_reexports_leave_numpy_unloaded():
+def test_import_loads_no_layer_and_every_name_resolves():
     result = run_python(
         "import json, sys\n"
         "import rgbgame\n"
-        "exact = [n for n in vars(rgbgame) if n not in rgbgame._LAZY]\n"
-        "for name in exact:\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('rgbgame.'))\n"
+        "before = sorted(dir(rgbgame))\n"
+        "for name in rgbgame.__all__:\n"
         "    getattr(rgbgame, name)\n"
-        "print(json.dumps({'numpy': 'numpy' in sys.modules, 'exact': exact,\n"
-        "                  'dir': sorted(dir(rgbgame))}))\n"
+        "print(json.dumps({'loaded': loaded, 'before': before, 'after': sorted(dir(rgbgame)),\n"
+        "                  'numpy': 'numpy' in sys.modules,\n"
+        "                  'dataclasses': 'dataclasses' in sys.modules}))\n"
     )
+    assert result["loaded"] == []
+    assert result["before"] == result["after"] == DIR_RGBGAME
     assert not result["numpy"]
-    for layer in ("strategies", "locality", "wiring", "formats"):
-        assert layer in result["exact"]
-    assert result["dir"] == DIR_RGBGAME
+    assert not result["dataclasses"]
 
 
 def test_float_reexports_resolve_on_first_access():
@@ -135,10 +141,6 @@ def test_float_reexports_resolve_on_first_access():
 def test_bell_exact_checks_leave_numpy_unloaded():
     result = run_python(
         "import json, sys\n"
-        "import rgbgame\n"
-        "for name, layer in rgbgame._LAZY.items():\n"
-        "    if layer == 'bell':\n"
-        "        getattr(rgbgame, name)\n"
         "from rgbgame import bell, strategies\n"
         "report = bell.certify_quantum_bound()\n"
         "win = strategies.win_probability(bell.trine_table(), strategies.rgb_game())\n"
@@ -160,51 +162,59 @@ def test_star_import_binds_every_public_name():
     assert names == [n for n in DIR_RGBGAME if not n.startswith("_")]
 
 
-def test_exact_subcommands_leave_numpy_unloaded(tmp_path):
-    box, other = tmp_path / "rgrb.box", tmp_path / "rgb0.box"
-    wiring = tmp_path / "w.json"
-    commands = [
-        ["export-box", "rgrb", "--output", str(box)],
-        ["export-box", "rgb0", "--output", str(other)],
-        ["export-wiring", "pr-from-rgrb", "--output", str(wiring)],
-        ["enumerate"],
-        ["ns-unique"],
-        ["ns-check", str(box)],
-        ["verify-reduction", "pr-from-rgrb"],
-        ["distance", str(box), str(other)],
-        ["apply-wiring", str(wiring), str(box)],
-        ["bounds", "--game", "chsh"],
-        ["bounds"],
-        ["sdp-certify"],
-    ]
-    report = run_python(CLI_PROBE, json.dumps(commands))
-    assert [r["argv"] for r in report] == commands
-    for r in report:
-        assert r["code"] == 0, r
-        assert not r["numpy_at_end"], r
+# Every subcommand, its --game chsh and --output forms, and the layers each
+# runs; a --json form adds formats, which writes the report.
+COMMAND_LAYERS = [
+    (["bounds"], {"strategies", "bell"}),
+    (["bounds", "--game", "chsh"], {"strategies", "locality"}),
+    (["enumerate"], {"strategies"}),
+    (["enumerate", "--game", "chsh"], {"strategies"}),
+    (["verify-reduction", "pr-from-rgrb"], {"strategies", "locality", "wiring"}),
+    (["ns-check", "{rgrb}"], {"strategies", "locality", "formats"}),
+    (["ns-unique"], {"strategies", "locality"}),
+    (["quantum"], {"strategies", "bell", "quantum"}),
+    (["quantum", "--output", "{out}"], {"strategies", "bell", "quantum", "formats"}),
+    (["sdp-certify"], {"strategies", "bell"}),
+    (["sdp-optimize", "--seed", "1", "--restarts", "2"], {"strategies", "bell"}),
+    (["distance", "{rgrb}", "{rgb0}"], {"strategies", "formats"}),
+    (["apply-wiring", "{wiring}", "{rgrb}"], {"strategies", "formats", "wiring"}),
+    (["export-box", "rgb0"], {"strategies", "formats"}),
+    (["export-box", "pr"], {"strategies", "formats", "locality"}),
+    (["export-box", "parity-flip", "--output", "{out}"], {"strategies", "formats", "wiring"}),
+    (["export-wiring", "pr-from-rgrb"], {"strategies", "formats", "wiring"}),
+]
 
 
-@pytest.mark.parametrize("argv", [["bounds"], ["sdp-certify"]])
-def test_exact_quantum_checks_load_bell_before_the_clock(argv):
-    (r,) = run_python(CLI_PROBE, json.dumps([argv]))
-    assert r["code"] == 0
-    assert r["bell_at_clock_start"]
-    assert not r["numpy_at_end"]
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    from rgbgame import formats, strategies, wiring
+
+    root = tmp_path_factory.mktemp("files")
+    paths = {name: str(root / name) for name in ("rgrb", "rgb0", "wiring", "out")}
+    formats.save_box(strategies.rgrb(), paths["rgrb"])
+    formats.save_box(strategies.rgb0(), paths["rgb0"])
+    formats.save_wiring(wiring.pr_from_rgrb(), paths["wiring"])
+    return paths
 
 
+def test_every_subcommand_is_covered():
+    from rgbgame import cli
+
+    assert {argv[0] for argv, _ in COMMAND_LAYERS} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["table", "json"])
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["quantum", "--json"],
-        ["quantum"],
-        ["sdp-optimize", "--seed", "2", "--restarts", "1", "--json"],
-        ["sdp-optimize", "--seed", "1", "--restarts", "2"],
-    ],
+    "argv, layers", COMMAND_LAYERS, ids=[" ".join(argv) for argv, _ in COMMAND_LAYERS]
 )
-def test_float_subcommands_load_bell_and_quantum_before_the_clock(argv):
-    # The stderr wall time is labelled command-only, so the lazy import of
-    # the float layers must happen before the clock starts.
-    (r,) = run_python(CLI_PROBE, json.dumps([argv]))
-    assert r["code"] == 0
-    assert r["bell_at_clock_start"] and r["quantum_at_clock_start"]
-    assert not r["numpy_at_end"]
+def test_each_subcommand_loads_its_layers_before_the_clock(argv, layers, json_flag, files):
+    # The stderr wall time is labelled command-only, so every layer the
+    # command runs must be imported before the clock starts, and no other.
+    argv = [arg.format(**files) for arg in argv] + json_flag
+    expected = sorted(layers | {"formats"} if json_flag else layers)
+    r = run_python(CLI_PROBE, json.dumps(argv))
+    assert r["code"] == 0, r
+    assert r["declared"] == expected
+    assert r["at_clock_start"] == r["at_clock_stop"] == r["at_end"] == expected
+    assert not r["numpy"]
+    assert not r["dataclasses"]

@@ -1,7 +1,9 @@
 """Exact tables, the winning family, and the bounds against brute force."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -530,6 +532,28 @@ def test_family_hits_the_named_boxes():
         values[name] = F(1)
     params = WinningFamilyParams.from_vector([values[n] for n in parameter_names()])
     assert l1_distance(family_strategy(params), rgb0()) == 0
+
+
+def test_value_classes_are_immutable_values():
+    table, half = rgrb(), WinningFamilyParams.constant(F(1, 2))
+    other = WinningFamilyParams.from_vector([F(1, 2)] * 14 + [F(1, 3)])
+    game = Game((1, 1, 1, 1), rgb_predicate, {(0, 0): F(1)})
+    for value, field in ((table, "probs"), (half, "p0"), (game, "predicate")):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(value, field)
+        assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
+    assert table == StrategyTable(table.shape, table.probs) != r_sig_box()
+    assert hash(table) == hash(StrategyTable(table.shape, table.probs))
+    assert repr(StrategyTable((1, 1, 1, 1), (F(1),))) == (
+        "StrategyTable(shape=(1, 1, 1, 1), probs=(Fraction(1, 1),))"
+    )
+    # The cross tables are dicts: they count for equality, not for the hash.
+    assert half != other and hash(half) == hash(other) == hash((F(1, 2),) * 3)
+    assert game == Game((1, 1, 1, 1), rgb_predicate, {(0, 0): F(1)})
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(game)
 
 
 # ---------------------------------------------------------------------------
