@@ -550,14 +550,14 @@ class CertificateReport(_Frozen):
         }
 
 
-def certify_quantum_bound(tol: float = CERT_TOL) -> CertificateReport:
+def certify_quantum_bound() -> CertificateReport:
     """Verify the matching primal/dual pair at value 9 and report it.
 
     The pair is exact: ``GRAM_EXACT`` and ``MULTIPLIERS_EXACT`` are checked
     by LDL^T over Fractions, and primal and dual are both exactly 9.  Any
-    feasibility failure or a gap beyond ``tol`` raises CertificationError:
-    the certificate is recomputed, never assumed.  The report holds floats;
-    its eigenvalues are the Jacobi cross-check.
+    feasibility failure or a nonzero gap raises CertificationError: the
+    certificate is recomputed, never assumed.  The report holds floats; its
+    eigenvalues are the Jacobi cross-check.
     """
     primal_value, primal_ok = verify_primal(GRAM_EXACT)
     dual_value, dual_ok = verify_dual(MULTIPLIERS_EXACT)
@@ -566,8 +566,8 @@ def certify_quantum_bound(tol: float = CERT_TOL) -> CertificateReport:
         raise CertificationError("primal candidate is infeasible")
     if not dual_ok:
         raise CertificationError("dual slack matrix is not positive semidefinite")
-    if gap > tol:
-        raise CertificationError(f"primal/dual gap {float(gap)} exceeds {tol}")
+    if gap:
+        raise CertificationError(f"primal/dual gap {gap} is not zero")
     return CertificateReport(
         primal_value=float(primal_value),
         dual_value=float(dual_value),

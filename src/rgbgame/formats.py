@@ -23,7 +23,9 @@ from .strategies import StrategyTable, probability_to_string
 
 
 #: Most entries a box document's dense table, or a wiring's outer table, may
-#: have: |A| |B| |X| |Y|.
+#: have: |A| |B| |X| |Y|.  Also the most branches a wiring document may give
+#: evaluate_wiring: randomness |A| |B| (|X'| |Y'|)^calls, with A, B the outer
+#: inputs and X', Y' the inner outputs.
 MAX_BOX_ENTRIES = 2**16
 
 
@@ -344,6 +346,17 @@ def wiring_from_json_dict(data) -> WiringProtocol:
     for key in ("alice_inputs", "bob_inputs"):
         if not isinstance(data[key], list) or len(data[key]) != calls:
             raise WiringFormatError(f"{key} must list one map per call ({calls})")
+    # evaluate_wiring keeps every branch of the calls; stop multiplying once
+    # past the limit, so a long ``calls`` never builds a huge integer.
+    branches = randomness * oa * ob
+    for _ in range(calls):
+        if branches > MAX_BOX_ENTRIES:
+            break
+        branches *= ix * iy
+    if branches > MAX_BOX_ENTRIES:
+        raise WiringFormatError(
+            f"randomness, outer inputs and {calls} calls give more than {MAX_BOX_ENTRIES} branches"
+        )
 
     return WiringProtocol(
         calls=calls,

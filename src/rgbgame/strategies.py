@@ -255,12 +255,15 @@ def win_probability(table: StrategyTable, game: Game):
     """
     if table.shape != game.shape:
         raise ValueError(f"table shape {table.shape} != game shape {game.shape}")
+    ny = table.shape[3]
     total = Fraction(0)
     for (a, b), weight in game.input_dist.items():
         if weight == 0:
             continue
+        # Zero cells are skipped, so an all-losing float row adds int 0.
         mass = sum(
-            p for (x, y), p in table.row(a, b).items() if game.predicate(a, b, x, y)
+            p for i, p in enumerate(table.cells(a, b))
+            if p != 0 and game.predicate(a, b, *divmod(i, ny))
         )
         total += weight * mass
     return total

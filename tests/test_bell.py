@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rgbgame import bell
 from rgbgame.bell import (
     GRAM_EXACT,
     MULTIPLIERS_EXACT,
@@ -605,7 +606,7 @@ def test_certification_report():
 def test_certificate_is_exact():
     assert verify_primal(GRAM_EXACT) == (F(9), True)
     assert verify_dual(MULTIPLIERS_EXACT) == (F(9), True)
-    assert certify_quantum_bound(tol=0).gap == 0
+    assert certify_quantum_bound().gap == 0
     assert all(isinstance(v, F) for m in (W_EXACT, GRAM_EXACT, MULTIPLIERS_EXACT)
                for row in m for v in row)
     assert w_matrix() == tuple(tuple(float(v) for v in row) for row in W_EXACT)
@@ -678,9 +679,14 @@ def test_exact_trine_table():
     assert corr == tuple(tuple(F(-1) if a == b else F(1, 2) for b in range(3)) for a in range(3))
 
 
-def test_certification_error_on_impossible_tolerance():
-    with pytest.raises(CertificationError):
-        certify_quantum_bound(tol=-1.0)
+def test_certification_error_names_a_nonzero_gap(monkeypatch):
+    # 2 I leaves the slack -(1/2) W + 2 I positive semidefinite, so it is a
+    # feasible dual point, but of value 12: three above the primal 9.
+    two = _multipliers(F(2))
+    assert verify_dual(two) == (F(12), True)
+    monkeypatch.setattr(bell, "MULTIPLIERS_EXACT", two)
+    with pytest.raises(CertificationError, match=r"^primal/dual gap 3 is not zero$"):
+        certify_quantum_bound()
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def test_bounds_table(capsys):
         "no-signalling | 1 | 12",
     ]
     assert "wall time" in err
-    assert "(command only; excludes interpreter start and imports)" in err
+    assert "(command and its imports; excludes interpreter start)" in err
     assert "wall time" not in out
 
 
@@ -209,15 +209,28 @@ def test_sdp_optimize_seed_and_restarts_are_checked_by_the_parser(capsys, option
     assert f"argument {option}: {value!r} is not a {what}" in captured.err
 
 
+def test_tolerance_is_not_an_option(capsys):
+    # The certificate's gap is an exact 0, so no slack could change a result.
+    for command in ("bounds", "sdp-certify"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--tolerance", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tolerance 0" in captured.err
+
+
 @pytest.mark.parametrize("command", ["bounds", "sdp-certify"])
 @pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf", "-inf", "abc"])
 def test_tolerance_must_be_finite_and_nonnegative(capsys, command, value):
+    # The values the old `--tolerance` parser refused are still refused, now
+    # because the option is gone, and they still print nothing on stdout.
     with pytest.raises(SystemExit) as exc:
         cli.main([command, f"--tolerance={value}"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument --tolerance: {value!r} is not a finite nonnegative number" in captured.err
+    assert f"unrecognized arguments: --tolerance={value}" in captured.err
 
 
 @pytest.mark.parametrize("option", ["--alice-angles", "--bob-angles"])
@@ -304,7 +317,7 @@ def _fail_report(command, inputs, error):
     return json.dumps(report, indent=2) + "\n"
 
 
-def _uncertifiable(tol=1e-9):
+def _uncertifiable():
     raise bell.CertificationError("primal candidate is infeasible")
 
 
@@ -316,11 +329,11 @@ def _unsolvable():
     ("argv", "module", "name", "fake", "inputs", "error"),
     [
         (["bounds"], bell, "certify_quantum_bound", _uncertifiable,
-         {"game": "rgb", "tolerance": 1e-9}, "primal candidate is infeasible"),
+         {"game": "rgb"}, "primal candidate is infeasible"),
         (["sdp-certify"], bell, "certify_quantum_bound", _uncertifiable,
-         {"tolerance": 1e-9}, "primal candidate is infeasible"),
+         {}, "primal candidate is infeasible"),
         (["bounds"], bell, "trine_table", rgrb,
-         {"game": "rgb", "tolerance": 1e-9}, "trine strategy wins 1, not 11/12"),
+         {"game": "rgb"}, "trine strategy wins 1, not 11/12"),
         (["ns-unique"], locality, "solve_ns_unique", _unsolvable,
          {}, "no unique no-signalling solution"),
     ],

@@ -397,6 +397,63 @@ def test_wiring_at_the_size_limit_loads():
     assert protocol.alice_output(255, (), 0) == 0
 
 
+def _parity_wiring_doc(calls):
+    """A wiring on 1x1x2x2 boxes whose answers are the parities of its calls'
+    outputs: one branch per outcome of the calls, 4**calls in all."""
+    zero, parity = (lambda own, priors, r: 0), (lambda own, priors, r: sum(priors) % 2)
+    protocol = WiringProtocol(
+        calls, 1, (1, 1, 2, 2), (1, 1, 2, 2), (zero,) * calls, (zero,) * calls, parity, parity
+    )
+    return wiring_to_json_dict(protocol)
+
+
+def _deep_wiring_doc(calls):
+    """A document of ``calls`` calls on 1x1x2x2 boxes whose maps are empty."""
+    doc = {**_outer_wiring([1, 1, 2, 2]), "calls": calls, "inner_alphabets": [1, 1, 2, 2]}
+    doc["alice_inputs"] = doc["bob_inputs"] = [[]] * calls
+    return doc
+
+
+def test_wiring_with_too_many_branches_is_refused_before_any_map_is_read(
+    monkeypatch, tmp_path, capsys
+):
+    # 4**9 = 262,144 branches: evaluate_wiring would keep every one.
+    from rgbgame import cli, formats
+
+    def read_map(*args):
+        raise AssertionError("a map was read")
+
+    monkeypatch.setattr(formats, "_read_map", read_map)
+    for calls in (9, 10_000):
+        with pytest.raises(
+            WiringFormatError,
+            match=f"^randomness, outer inputs and {calls} calls give more than 65536 branches$",
+        ):
+            wiring_from_json_dict(_deep_wiring_doc(calls))
+    path, box = tmp_path / "deep.json", tmp_path / "uniform.box"
+    path.write_text(json.dumps(_deep_wiring_doc(9)))
+    save_box(StrategyTable((1, 1, 2, 2), (F(1, 4),) * 4), box)
+    assert cli.main(["apply-wiring", str(path), str(box)]) == 2
+    assert "9 calls give more than 65536 branches" in capsys.readouterr().err
+
+
+def test_wiring_at_the_branch_limit_loads_and_evaluates():
+    # 4**8 = 65,536 branches, exactly the limit.
+    protocol = wiring_from_json_dict(_parity_wiring_doc(8))
+    uniform = StrategyTable((1, 1, 2, 2), (F(1, 4),) * 4)
+    assert evaluate_wiring(protocol, uniform).probs == (F(1, 4),) * 4
+
+
+@pytest.mark.parametrize("build, branches", [(pr_from_rgrb, 36), (rgrb_from_pr, 144)])
+def test_built_in_wirings_are_within_the_branch_limit(build, branches):
+    protocol = build()
+    oa, ob, _, _ = protocol.outer_shape
+    _, _, ix, iy = protocol.inner_shape
+    assert protocol.randomness * oa * ob * (ix * iy) ** protocol.calls == branches
+    again = wiring_from_json_dict(wiring_to_json_dict(protocol))
+    assert dump_wiring(again) == dump_wiring(protocol)
+
+
 def test_wiring_json_text_round_trip():
     text = dump_wiring(pr_from_rgrb())
     assert json.loads(text)["randomness"] == 1

@@ -468,6 +468,66 @@ def test_float_weight_mix_stays_float():
     assert exact.probs == _reference_mix(tables, [F(1, 2), F(1, 2)])
 
 
+def _reference_win(table, game):
+    """Oracle: one prob() read per cell, zero cells skipped, in (x, y) order."""
+    _, _, nx, ny = table.shape
+    total = F(0)
+    for (a, b), weight in game.input_dist.items():
+        if weight == 0:
+            continue
+        mass = 0
+        for x, y in itertools.product(range(nx), range(ny)):
+            p = table.prob(a, b, x, y)
+            if p != 0 and game.predicate(a, b, x, y):
+                mass += p
+        total += weight * mass
+    return total
+
+
+def _losing_float_table():
+    # Every row on a losing pair: x = a is never a winning answer.
+    return StrategyTable.from_function(
+        (3, 3, 3, 3), lambda a, b, x, y: 1.0 if (x, y) == (a, a) else 0.0
+    )
+
+
+def _win_cases():
+    from rgbgame import locality, quantum, wiring
+
+    colour_boxes = [
+        rgb0(), rgrb(), wiring.parity_flip_box(), locality.id_box(), locality.sig_box(),
+        locality.r_sig_box(), locality.l_sig_box(),
+    ]
+    rng = random.Random(7)
+    qubit = [
+        quantum.quantum_strategy_table(
+            quantum.singlet(), quantum.trine_strategy(), quantum.trine_strategy()
+        )
+    ]
+    for _ in range(5):
+        alice, bob = (
+            quantum.QubitStrategy(
+                tuple(quantum.projector_from_angle(rng.uniform(-180, 180)) for _ in range(3))
+            )
+            for _ in range(2)
+        )
+        qubit.append(quantum.quantum_strategy_table(quantum.singlet(), alice, bob))
+    cases = [(t, rgb_game()) for t in colour_boxes + qubit + [_losing_float_table()]]
+    binary = [locality.pr_box(), wiring.noisy_pr(0.9), wiring.noisy_pr(F(3, 4))]
+    return cases + [(t, chsh_game()) for t in binary]
+
+
+def test_win_probability_matches_the_per_cell_oracle():
+    for table, game in _win_cases():
+        assert _typed([win_probability(table, game)]) == _typed([_reference_win(table, game)])
+
+
+def test_all_losing_float_table_wins_exact_zero():
+    losing = _losing_float_table()
+    assert not losing.is_exact
+    assert _typed([win_probability(losing, rgb_game())]) == _typed([F(0)])
+
+
 def test_rgb0_is_the_expected_deterministic_box():
     t = rgb0()
     assert t.is_exact
