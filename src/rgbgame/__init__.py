@@ -18,7 +18,7 @@ _LAYER_OF = {
     **dict.fromkeys("""
         BLUE GREEN RED Game StrategyTable WinningFamilyParams chsh_game
         deterministic_strategy enumerate_winning_deterministic_boxes family_strategy
-        l1_distance l1_distance_to_set local_bound mix next_colour parameter_names
+        l1_distance local_bound mix next_colour parameter_names
         prev_colour rgb0 rgb_game rgb_predicate rgrb win_probability
     """.split(), "strategies"),
     "wiring": "wiring",
@@ -26,7 +26,7 @@ _LAYER_OF = {
     "locality": "locality",
     **dict.fromkeys("""
         Direction LinearSystem OneWayProtocol SignallingError SignallingWitness
-        build_ns_constraints decompose_one_way id_box is_no_signalling is_symmetric
+        build_ns_constraints decompose_one_way id_box is_no_signalling
         l_sig_box pr_box r_sig_box recompose_one_way sig_box solve_ns_unique
         x_marginal y_marginal
     """.split(), "locality"),
@@ -48,9 +48,8 @@ _LAYER_OF = {
     **dict.fromkeys("""
         AscentResult CertificateReport CertificationError VectorStrategy
         alternating_ascent bell_quantity certify_quantum_bound correlations_from_table
-        deterministic_bell_maximum gram_from_vectors lemma1_win optimal_gram
-        optimal_multipliers reduce_to_binary sym_eigenvalues verify_dual verify_primal
-        w_matrix win_from_correlations
+        deterministic_bell_maximum gram_from_vectors lemma1_win reduce_to_binary
+        sym_eigenvalues verify_dual verify_primal win_from_correlations
     """.split(), "bell"),
 }
 

@@ -15,8 +15,11 @@ in Q(sqrt 3) from its kets and the singlet, and wins 11/12.  Its optimality
 is certified by a matching semidefinite primal/dual pair with rational
 entries: a Gram matrix of six unit vectors attaining 9, and diagonal
 multipliers making the dual slack matrix positive semidefinite at value 9.
-Feasibility is decided by an LDL^T factorization over Fractions; eigenvalues
-from a cyclic Jacobi sweep in plain floats are reported as a cross-check.
+The matrices are ``W_EXACT``, ``GRAM_EXACT`` and ``MULTIPLIERS_EXACT``.
+Certificate checks are exact only: feasibility is decided by LDL^T over
+Fractions, a float entry read at its exact binary value, so a candidate
+feasible only up to rounding is infeasible.  Eigenvalues from a cyclic
+Jacobi sweep in plain floats are reported as a cross-check.
 
 The float layer is plain Python.  A dot product is ``math.fsum`` over the
 rounded coordinate products, so its one rounding does not depend on a
@@ -45,7 +48,7 @@ from .strategies import (
     prev_colour,
 )
 
-#: Feasibility slack for certificate checks of float candidates.
+#: Slack on the unit norms of the vectors given to ``gram_from_vectors``.
 CERT_TOL = 1e-9
 
 #: Float slack of the qubit algebra and of the binary reduction.
@@ -161,13 +164,13 @@ def cyclic_rule(colour: int, outcome: int) -> int:
     return next_colour(colour) if outcome else prev_colour(colour)
 
 
-def reduce_to_binary(table: StrategyTable, atol: float = ALGEBRA_TOL) -> StrategyTable:
+def reduce_to_binary(table: StrategyTable) -> StrategyTable:
     """Relabel a never-plays-its-own-colour table onto binary outputs.
 
     Requires P(x = a | a, b) and P(y = b | a, b) to vanish (exactly for
-    rational tables, within ``atol`` for float ones); then x = a - 1 maps to
-    0 and x = a + 1 to 1, and likewise for y around b.  Float rows are
-    renormalized afterwards, absorbing the at-most-``atol`` forbidden mass.
+    rational tables, within ``ALGEBRA_TOL`` for float ones); then x = a - 1
+    maps to 0 and x = a + 1 to 1, and likewise for y around b.  Float rows
+    are renormalized afterwards, absorbing that forbidden mass.
     """
     if table.shape != (3, 3, 3, 3):
         raise ValueError(f"expected colour alphabets (3,3,3,3), got {table.shape}")
@@ -176,7 +179,7 @@ def reduce_to_binary(table: StrategyTable, atol: float = ALGEBRA_TOL) -> Strateg
     for a, b in table.inputs():
         row = table.cells(a, b)
         own = sum(row[3 * a : 3 * a + 3]) + sum(row[b::3])
-        if own > (0 if exact else atol):
+        if own > (0 if exact else ALGEBRA_TOL):
             raise ValueError(
                 f"strategy plays a sure-losing colour on input ({a},{b}) "
                 f"with probability {own}"
@@ -316,25 +319,6 @@ GRAM_EXACT = _blocks(_pattern(1, Fraction(-1, 2)), _pattern(-1, Fraction(1, 2)))
 MULTIPLIERS_EXACT = _blocks(_pattern(Fraction(3, 2), 0), _pattern(0, 0))
 
 
-def _floats(matrix) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(map(float, row)) for row in matrix)
-
-
-def w_matrix() -> tuple[tuple[float, ...], ...]:
-    """``W_EXACT`` in floats, as a tuple of rows."""
-    return _floats(W_EXACT)
-
-
-def optimal_gram() -> tuple[tuple[float, ...], ...]:
-    """``GRAM_EXACT`` in floats, as a tuple of rows."""
-    return _floats(GRAM_EXACT)
-
-
-def optimal_multipliers() -> tuple[tuple[float, ...], ...]:
-    """``MULTIPLIERS_EXACT`` in floats, as a tuple of rows."""
-    return _floats(MULTIPLIERS_EXACT)
-
-
 def _inner(u, v) -> float:
     """The dot product of two float vectors: fsum of the rounded products."""
     return math.fsum(map(operator.mul, u, v))
@@ -400,11 +384,11 @@ def is_positive_semidefinite(matrix) -> bool:
     return True
 
 
-def sym_eigenvalues(matrix, off_tol: float = JACOBI_OFF_TOL) -> tuple[float, ...]:
+def sym_eigenvalues(matrix) -> tuple[float, ...]:
     """All eigenvalues of a symmetric matrix, descending, via cyclic Jacobi.
 
     Rotations run in sweeps until the off-diagonal Frobenius norm drops
-    below ``off_tol``.  Plain Python floats; each rotation updates the two
+    below ``JACOBI_OFF_TOL``.  Plain Python floats; each rotation updates the two
     rows and then the two columns, so every entry is rounded exactly as in
     the array formulation ``a[p, :] = c * a[p, :] - s * a[q, :]`` etc.
     """
@@ -420,13 +404,13 @@ def sym_eigenvalues(matrix, off_tol: float = JACOBI_OFF_TOL) -> tuple[float, ...
     if max((abs(a[i][j] - a[j][i]) for i in range(n) for j in range(n)), default=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric")
     a = [[(a[i][j] + a[j][i]) / 2 for j in range(n)] for i in range(n)]
-    skip = off_tol / max(n, 2)
+    skip = JACOBI_OFF_TOL / max(n, 2)
     for _ in range(100):
         # summed from the off-diagonal entries themselves: subtracting the
         # diagonal mass from the full Frobenius norm cancels to rounding noise
-        # far above off_tol once the matrix is nearly diagonal
+        # far above JACOBI_OFF_TOL once the matrix is nearly diagonal
         off = math.sqrt(sum(a[i][j] * a[i][j] for i in range(n) for j in range(n) if i != j))
-        if off < off_tol:
+        if off < JACOBI_OFF_TOL:
             return tuple(sorted((a[i][i] for i in range(n)), reverse=True))
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -455,21 +439,15 @@ def sym_eigenvalues(matrix, off_tol: float = JACOBI_OFF_TOL) -> tuple[float, ...
 # primal / dual verification
 
 
-def _candidate(matrix, what: str) -> tuple[list[list], bool]:
-    """A 6x6 candidate as rows of Python numbers, and whether all are exact."""
-    rows = [
-        [v if isinstance(v, (int, Fraction)) else float(v) for v in row] for row in matrix
-    ]
+def _candidate(matrix, what: str) -> list[list[Fraction]]:
+    """A 6x6 candidate as rows of Fractions, floats at their exact binary value."""
+    rows = [[v if isinstance(v, (int, Fraction)) else float(v) for v in row] for row in matrix]
     if len(rows) != 6 or any(len(row) != 6 for row in rows):
         raise ValueError(f"{what} must be 6x6, got rows of lengths {[len(r) for r in rows]}")
-    exact = all(isinstance(v, (int, Fraction)) for row in rows for v in row)
-    return rows, exact
-
-
-def _is_feasible(matrix, exact: bool) -> bool:
-    if exact:
-        return is_positive_semidefinite(matrix)
-    return sym_eigenvalues(matrix)[-1] >= -CERT_TOL
+    # Only floats can be NaN or infinite; math.isfinite overflows on a huge Fraction.
+    if not all(math.isfinite(v) for row in rows for v in row if isinstance(v, float)):
+        raise ValueError(f"{what} has non-finite entries")
+    return [[Fraction(v) for v in row] for row in rows]
 
 
 def _dual_slack(multipliers):
@@ -483,31 +461,28 @@ def _dual_slack(multipliers):
 def verify_primal(gram) -> tuple:
     """Objective value (1/2) tr(G W) and feasibility of a candidate Gram matrix.
 
-    Exact entries (ints, Fractions) are checked exactly: unit diagonal and
-    positive semidefinite by LDL^T, with a Fraction value.  Float entries
-    are checked within 1e-9: minimum Jacobi eigenvalue >= -1e-9 and every
-    diagonal entry within 1e-9 of 1.
+    Checked exactly, a float entry at its binary value: feasible means a
+    unit diagonal and positive semidefinite by LDL^T.  The value is a
+    Fraction.
     """
-    rows, exact = _candidate(gram, "primal candidate")
+    rows = _candidate(gram, "primal candidate")
     value = sum(g * w for g_row, w_row in zip(rows, W_EXACT) for g, w in zip(g_row, w_row)) / 2
-    diagonal_tol = 0 if exact else CERT_TOL
-    feasible = _is_feasible(rows, exact)
-    return value, feasible and all(abs(rows[i][i] - 1) <= diagonal_tol for i in range(6))
+    return value, is_positive_semidefinite(rows) and all(rows[i][i] == 1 for i in range(6))
 
 
 def verify_dual(multipliers) -> tuple:
     """Dual value tr(Lambda) and feasibility of diagonal multipliers.
 
-    Feasible means the slack matrix -(1/2) W + Lambda is positive
-    semidefinite: exactly (LDL^T, Fraction value) for exact entries, with
-    minimum Jacobi eigenvalue >= -1e-9 for float ones.
+    Checked exactly, a float entry at its binary value: feasible means the
+    slack matrix -(1/2) W + Lambda is positive semidefinite by LDL^T.  The
+    value is a Fraction, and any nonzero off-diagonal entry raises
+    ValueError.
     """
-    lam, exact = _candidate(multipliers, "dual candidate")
-    off_limit = 0 if exact else 1e-12
-    if any(abs(lam[i][j]) > off_limit for i in range(6) for j in range(6) if i != j):
+    lam = _candidate(multipliers, "dual candidate")
+    if any(lam[i][j] for i in range(6) for j in range(6) if i != j):
         raise ValueError("dual multipliers must be a diagonal matrix")
     value = sum(lam[i][i] for i in range(6))
-    return value, _is_feasible(_dual_slack(lam), exact)
+    return value, is_positive_semidefinite(_dual_slack(lam))
 
 
 class CertificateReport(_Frozen):

@@ -3,7 +3,7 @@
 Given the same arguments (and seed, where one applies) stdout is
 byte-identical across runs; the command's wall time is reported on stderr
 so timing noise never touches the canonical output.  That time covers the
-command and the layers it imports, and leaves out only interpreter start.
+command, the layers it imports and its output, leaving out interpreter start.
 Each handler imports the layers it runs, and no others; no command loads
 numpy.  Exit codes: 0 success, 1 a verification failed, 2 bad input.
 ``--json`` swaps the table rendering for a JSON report carrying the same
@@ -154,7 +154,7 @@ def cmd_quantum(args):
         quantum.singlet(), strategy(args.alice_angles), strategy(args.bob_angles)
     )
     win = strategies.win_probability(table, strategies.rgb_game())
-    corr = quantum.correlations_from_table(quantum.reduce_to_binary(table))
+    corr = bell.correlations_from_table(bell.reduce_to_binary(table))
     r = bell.bell_quantity(corr)
     if args.output:
         from . import formats
@@ -410,28 +410,29 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        code, results, lines = _COMMANDS[args.command][0](args)
-    except ArithmeticError as err:
-        code, results, lines = 1, {"error": str(err)}, [f"FAIL: {err}"]
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        try:
+            code, results, lines = _COMMANDS[args.command][0](args)
+        except ArithmeticError as err:
+            code, results, lines = 1, {"error": str(err)}, [f"FAIL: {err}"]
+        except (OSError, ValueError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        if args.json:
+            from . import formats
+
+            inputs = {k: v for k, v in vars(args).items() if k not in ("command", "json")}
+            report = {"command": args.command, "inputs": inputs, "results": results}
+            print(formats.json_text(report), end="")
+        else:
+            for line in lines:
+                print(line)
+        return code
     finally:
         print(
             f"wall time: {time.perf_counter() - start:.3f}s"
             " (command and its imports; excludes interpreter start)",
             file=sys.stderr,
         )
-    if args.json:
-        from . import formats
-
-        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "json")}
-        report = {"command": args.command, "inputs": inputs, "results": results}
-        print(formats.json_text(report), end="")
-    else:
-        for line in lines:
-            print(line)
-    return code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_string
 
+import rgbgame  # rgbgame.WiringProtocol loads wiring when first read, not with this module
+
 from .strategies import StrategyTable, probability_to_string
 
 
@@ -238,7 +240,7 @@ def _tabulate(fn, own_size, prior_size, priors_len, randomness, value_size, kind
     return rows
 
 
-def wiring_to_json_dict(protocol: WiringProtocol) -> dict:
+def wiring_to_json_dict(protocol: rgbgame.WiringProtocol) -> dict:
     oa, ob, ox, oy = protocol.outer_shape
     ia, ib, ix, iy = protocol.inner_shape
     return {
@@ -313,9 +315,7 @@ def _read_map(rows, own_size, prior_size, priors_len, randomness, value_size, ki
     return fn
 
 
-def wiring_from_json_dict(data) -> WiringProtocol:
-    from .wiring import WiringProtocol
-
+def wiring_from_json_dict(data) -> rgbgame.WiringProtocol:
     if not isinstance(data, dict):
         raise WiringFormatError("wiring document must be a JSON object")
     missing = _WIRING_KEYS - data.keys()
@@ -358,7 +358,7 @@ def wiring_from_json_dict(data) -> WiringProtocol:
             f"randomness, outer inputs and {calls} calls give more than {MAX_BOX_ENTRIES} branches"
         )
 
-    return WiringProtocol(
+    return rgbgame.WiringProtocol(
         calls=calls,
         randomness=randomness,
         outer_shape=outer_shape,
@@ -380,11 +380,11 @@ def wiring_from_json_dict(data) -> WiringProtocol:
     )
 
 
-def dump_wiring(protocol: WiringProtocol) -> str:
+def dump_wiring(protocol: rgbgame.WiringProtocol) -> str:
     return json_text(wiring_to_json_dict(protocol))
 
 
-def load_wiring(text: str) -> WiringProtocol:
+def load_wiring(text: str) -> rgbgame.WiringProtocol:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
@@ -392,11 +392,11 @@ def load_wiring(text: str) -> WiringProtocol:
     return wiring_from_json_dict(data)
 
 
-def save_wiring(protocol: WiringProtocol, path) -> None:
+def save_wiring(protocol: rgbgame.WiringProtocol, path) -> None:
     with open(path, "w") as fh:
         fh.write(dump_wiring(protocol))
 
 
-def load_wiring_file(path) -> WiringProtocol:
+def load_wiring_file(path) -> rgbgame.WiringProtocol:
     with open(path) as fh:
         return load_wiring(fh.read())

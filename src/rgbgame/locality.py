@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .strategies import (
@@ -217,14 +218,6 @@ def is_no_signalling(table: StrategyTable, atol=0):
     """
     witness = _right_witness(table, atol) or _left_witness(table, atol)
     return (witness is None), witness
-
-
-def is_symmetric(table: StrategyTable, atol=0) -> bool:
-    """True when P(x, y | a, b) = P(y, x | b, a) everywhere."""
-    na, nb, nx, ny = table.shape
-    if na != nb or nx != ny:
-        return False
-    return all(abs(p - q) <= atol for p, q in zip(table.probs, _swap(table).probs))
 
 
 # ---------------------------------------------------------------------------

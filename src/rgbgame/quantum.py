@@ -9,7 +9,8 @@ With the singlet state and the three trine projectors (Bloch angles 0 and
 Tensor products put Alice's factor first.  The simulation is float, for
 arbitrary angles; the trine point itself is derived exactly by
 ``bell.trine_table``.  ``reduce_to_binary`` and ``correlations_from_table``
-live in the ``bell`` module and are re-exported here.
+live in the ``bell`` module; they are also re-exported here, because the
+benchmark's workloads and tracer read them as ``quantum`` attributes.
 
 States are four amplitudes and operators 2x2 rows, as nested sequences of
 numbers (numpy arrays pass too); they are validated into Python ``complex``
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 
-from .bell import (  # noqa: F401 (reduce_to_binary, correlations_from_table re-exported)
+from .bell import (  # noqa: F401 (re-exported: perfbench/ reads the two here)
     ALGEBRA_TOL,
     correlations_from_table,
     cyclic_rule,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
 RED, GREEN, BLUE = 0, 1, 2
@@ -473,14 +474,6 @@ def l1_distance(table_a: StrategyTable, table_b: StrategyTable):
     if table_a.shape != table_b.shape:
         raise ValueError(f"shape mismatch: {table_a.shape} != {table_b.shape}")
     return sum(abs(p - q) for p, q in zip(table_a.probs, table_b.probs))
-
-
-def l1_distance_to_set(table: StrategyTable, tables) -> object:
-    """Distance from a table to a finite nonempty set: the minimum member distance."""
-    distances = [l1_distance(table, other) for other in tables]
-    if not distances:
-        raise ValueError("distance to an empty set is undefined")
-    return min(distances)
 
 
 def mix(tables: Sequence[StrategyTable], weights: Sequence) -> StrategyTable:

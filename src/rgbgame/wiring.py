@@ -14,6 +14,7 @@ on bit-encoded colours) rebuild the colour box.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from fractions import Fraction
 
 from .strategies import (

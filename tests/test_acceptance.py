@@ -15,15 +15,15 @@ from fractions import Fraction as F
 import pytest
 
 from rgbgame.bell import (
+    GRAM_EXACT,
+    MULTIPLIERS_EXACT,
+    W_EXACT,
     alternating_ascent,
     bell_quantity,
     deterministic_bell_maximum,
-    optimal_gram,
-    optimal_multipliers,
     sym_eigenvalues,
     verify_dual,
     verify_primal,
-    w_matrix,
     win_from_correlations,
 )
 from rgbgame.locality import (
@@ -137,19 +137,19 @@ def test_criterion_04_bell_chain():
 
 def test_criterion_05_sdp_certificates():
     with criterion(5, "sdp certificates"):
-        primal_value, primal_ok = verify_primal(optimal_gram())
-        dual_value, dual_ok = verify_dual(optimal_multipliers())
+        primal_value, primal_ok = verify_primal(GRAM_EXACT)
+        dual_value, dual_ok = verify_dual(MULTIPLIERS_EXACT)
         assert primal_ok and dual_ok
         assert primal_value == 9.0
         assert dual_value == 9.0
         assert abs(primal_value - dual_value) <= 1e-9
 
-        gram_eigs = sym_eigenvalues(optimal_gram())
+        gram_eigs = sym_eigenvalues(GRAM_EXACT)
         for got, want in zip(gram_eigs, (3, 3, 0, 0, 0, 0)):
             assert abs(got - want) < 1e-9
         slack = [
             [-0.5 * w + m for w, m in zip(w_row, m_row)]
-            for w_row, m_row in zip(w_matrix(), optimal_multipliers())
+            for w_row, m_row in zip(W_EXACT, MULTIPLIERS_EXACT)
         ]
         for got, want in zip(sym_eigenvalues(slack), (3, 3, 1.5, 1.5, 0, 0)):
             assert abs(got - want) < 1e-9

@@ -29,13 +29,10 @@ from rgbgame.bell import (
     gram_from_vectors,
     is_positive_semidefinite,
     lemma1_win,
-    optimal_gram,
-    optimal_multipliers,
     sym_eigenvalues,
     trine_table,
     verify_dual,
     verify_primal,
-    w_matrix,
     win_from_correlations,
 )
 from rgbgame.locality import is_no_signalling
@@ -135,12 +132,12 @@ def test_jacobi_matches_the_numpy_oracle_bit_for_bit(matrix):
 
 
 def test_jacobi_matches_the_numpy_oracle_on_the_certificate():
-    w = np.array(w_matrix())
-    slack = -0.5 * w + optimal_multipliers()
-    for matrix in (optimal_gram(), slack, -0.5 * w):
+    w = np.array(W_EXACT, dtype=float)
+    slack = -0.5 * w + np.array(MULTIPLIERS_EXACT, dtype=float)
+    for matrix in (GRAM_EXACT, slack, -0.5 * w):
         assert sym_eigenvalues(matrix) == _numpy_sym_eigenvalues(matrix)
     report = certify_quantum_bound()
-    assert report.primal_eigenvalues == _numpy_sym_eigenvalues(optimal_gram())
+    assert report.primal_eigenvalues == _numpy_sym_eigenvalues(GRAM_EXACT)
     assert report.dual_slack_eigenvalues == _numpy_sym_eigenvalues(slack)
 
 
@@ -443,22 +440,21 @@ def test_slice_reads_match_the_per_cell_definitions(table):
 
 
 def test_w_matrix_layout():
-    assert isinstance(w_matrix(), tuple)
-    w = np.array(w_matrix())
-    assert w.shape == (6, 6)
-    np.testing.assert_allclose(w[:3, :3], np.zeros((3, 3)))
-    np.testing.assert_allclose(w[3:, 3:], np.zeros((3, 3)))
-    block = w[:3, 3:]
-    np.testing.assert_allclose(np.diag(block), [-2, -2, -2])
-    assert block.sum() == 0  # -2 diagonal, +1 elsewhere
-    np.testing.assert_allclose(w, w.T)
+    w = W_EXACT
+    assert isinstance(w, tuple) and [len(row) for row in w] == [6] * 6
+    assert all(isinstance(v, F) for row in w for v in row)
+    assert all(w[i][j] == 0 == w[3 + i][3 + j] for i in range(3) for j in range(3))
+    block = [row[3:] for row in w[:3]]
+    assert [block[i][i] for i in range(3)] == [-2, -2, -2]
+    assert sum(map(sum, block)) == 0  # -2 diagonal, +1 elsewhere
+    assert all(w[i][j] == w[j][i] for i in range(6) for j in range(6))
 
 
 def test_primal_certificate():
-    value, feasible = verify_primal(optimal_gram())
+    value, feasible = verify_primal(GRAM_EXACT)
     assert value == 9.0
     assert feasible
-    eigs = sym_eigenvalues(optimal_gram())
+    eigs = sym_eigenvalues(GRAM_EXACT)
     np.testing.assert_allclose(eigs, [3, 3, 0, 0, 0, 0], atol=1e-9)
 
 
@@ -469,16 +465,16 @@ def test_primal_candidate_from_planar_trine_vectors():
     xs = np.array([[np.cos(t), np.sin(t)] for t in angles])
     rows = np.vstack([xs, -xs])
     gram = gram_from_vectors(rows)
-    np.testing.assert_allclose(gram, optimal_gram(), atol=1e-12)
-    value, feasible = verify_primal(gram)
-    assert feasible and abs(value - 9) < 1e-9
+    np.testing.assert_allclose(gram, np.array(GRAM_EXACT, dtype=float), atol=1e-12)
+    value, _ = verify_primal(gram)
+    assert abs(value - 9) < 1e-9
 
 
 def test_dual_certificate():
-    value, feasible = verify_dual(optimal_multipliers())
+    value, feasible = verify_dual(MULTIPLIERS_EXACT)
     assert value == 9.0
     assert feasible
-    slack = -0.5 * np.array(w_matrix()) + optimal_multipliers()
+    slack = -0.5 * np.array(W_EXACT, dtype=float) + np.array(MULTIPLIERS_EXACT, dtype=float)
     np.testing.assert_allclose(
         sym_eigenvalues(slack), [3, 3, 1.5, 1.5, 0, 0], atol=1e-9
     )
@@ -489,7 +485,7 @@ def test_zero_multipliers_are_infeasible():
     assert value == 0.0
     assert not feasible
     # The unshifted slack has eigenvalues down to -3/2.
-    eigs = sym_eigenvalues(-0.5 * np.array(w_matrix()))
+    eigs = sym_eigenvalues(-0.5 * np.array(W_EXACT, dtype=float))
     assert abs(eigs[-1] + 1.5) < 1e-9
 
 
@@ -505,13 +501,13 @@ def test_float_checks_reject_non_finite_entries(bad):
         VectorStrategy(rows[:3], rows[3:])
     with pytest.raises(ValueError, match="alice has non-finite entries"):
         VectorStrategy(np.full((3, 2), bad), rows[3:, :2])
-    matrix = np.array(optimal_gram())
+    matrix = np.array(GRAM_EXACT, dtype=float)
     matrix[2, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         sym_eigenvalues(matrix)
     with pytest.raises(ValueError, match="non-finite"):
         verify_primal(matrix)
-    multipliers = np.array(optimal_multipliers())
+    multipliers = np.array(MULTIPLIERS_EXACT, dtype=float)
     multipliers[0, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         verify_dual(multipliers)
@@ -570,14 +566,23 @@ def test_vector_inputs_come_back_as_tuples_of_floats():
     assert isinstance(gram, tuple) and gram[0] == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
 
+def _rational_unit_vector(rng, dim):
+    """The inverse stereographic projection of a random point p of Q^(dim-1):
+    (2 p, |p|^2 - 1) / (|p|^2 + 1), a unit vector with rational coordinates."""
+    p = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim - 1)]
+    s = sum(v * v for v in p)
+    return [2 * v / (s + 1) for v in p] + [(s - 1) / (s + 1)]
+
+
 def test_weak_duality_caps_random_grams():
-    rng = np.random.default_rng(101)
+    rng = random.Random(101)
     for _ in range(30):
-        rows = rng.standard_normal((6, 6))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        value, feasible = verify_primal(gram_from_vectors(rows))
+        rows = [_rational_unit_vector(rng, 6) for _ in range(6)]
+        assert all(sum(v * v for v in row) == 1 for row in rows)
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+        value, feasible = verify_primal(gram)
         assert feasible
-        assert value <= 9 + 1e-9
+        assert value <= 9
 
 
 def test_certification_report():
@@ -609,7 +614,6 @@ def test_certificate_is_exact():
     assert certify_quantum_bound().gap == 0
     assert all(isinstance(v, F) for m in (W_EXACT, GRAM_EXACT, MULTIPLIERS_EXACT)
                for row in m for v in row)
-    assert w_matrix() == tuple(tuple(float(v) for v in row) for row in W_EXACT)
 
 
 def _multipliers(value):
@@ -623,8 +627,16 @@ def test_multipliers_a_hair_below_three_halves_are_rejected():
     value, feasible = verify_dual(lam)
     assert value == 9 - F(6, 10**12)
     assert not feasible
-    slack = -0.5 * np.array(w_matrix()) + np.array(lam, dtype=float)
+    slack = -0.5 * np.array(W_EXACT, dtype=float) + np.array(lam, dtype=float)
     assert sym_eigenvalues(slack)[-1] > -1e-9
+
+
+def test_float_candidates_are_read_at_their_binary_value():
+    # 1.5 - 2**-40 is a double: the slack's least eigenvalue, about -1e-12,
+    # is a negative pivot of the exact LDL^T, and the value is exact too.
+    assert verify_dual(_multipliers(1.5 - 2**-40)) == (9 - F(6, 2**40), False)
+    assert verify_primal(np.array(GRAM_EXACT, dtype=float)) == (F(9), True)
+    assert verify_dual(np.array(MULTIPLIERS_EXACT, dtype=float)) == (F(9), True)
 
 
 def test_multipliers_of_149_hundredths_are_rejected():

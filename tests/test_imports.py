@@ -6,10 +6,12 @@ after its clock starts.  Every check runs in a fresh interpreter, because
 this test process imported numpy and every layer long ago.
 """
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -31,22 +33,22 @@ box_to_json_dict build_ns_constraints certify_quantum_bound chsh_game
 correlations_from_table decompose_one_way deterministic_bell_maximum
 deterministic_strategy dump_box dump_wiring
 enumerate_winning_deterministic_boxes evaluate_wiring family_strategy
-formats gram_from_vectors id_box is_no_signalling is_symmetric joint_prob
-l1_distance l1_distance_to_set l_sig_box lemma1_win load_box load_box_file
+formats gram_from_vectors id_box is_no_signalling joint_prob
+l1_distance l_sig_box lemma1_win load_box load_box_file
 load_wiring load_wiring_file local_bound locality mix next_colour
-noisy_composition_win noisy_parity_survival noisy_pr optimal_gram
-optimal_multipliers parameter_names parity_flip_box pr_box pr_from_rgrb
+noisy_composition_win noisy_parity_survival noisy_pr
+parameter_names parity_flip_box pr_box pr_from_rgrb
 prev_colour projector_from_angle quantum quantum_strategy_table r_sig_box
 recompose_one_way reduce_to_binary rgb0 rgb_game rgb_predicate rgrb
 rgrb_from_pr save_box save_wiring sig_box singlet solve_ns_unique strategies
 sym_eigenvalues trine_projectors trine_strategy verify_dual verify_primal
-w_matrix win_from_correlations win_probability wiring wiring_from_json_dict
+win_from_correlations win_probability wiring wiring_from_json_dict
 wiring_to_json_dict x_marginal y_marginal
 """.split()
 
 # Runs one CLI command in-process and prints its exit code, the rgbgame
-# layers loaded when the wall-time clock starts and at the end, and whether
-# numpy or dataclasses was ever loaded.
+# layers loaded when the wall-time clock starts, when it is last read and at
+# the end, and whether numpy or dataclasses was ever loaded.
 CLI_PROBE = """
 import contextlib, io, json, sys, time
 from rgbgame import cli
@@ -72,6 +74,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps({
     "code": code,
     "at_clock_start": clock_reads[0],
+    "at_clock_stop": clock_reads[-1],
     "at_end": layers(),
     "numpy": "numpy" in sys.modules,
     "dataclasses": "dataclasses" in sys.modules,
@@ -119,7 +122,7 @@ def test_float_reexports_resolve_on_first_access():
         "print(json.dumps({\n"
         "    'bound': report.bound,\n"
         "    'trine': trine_strategy() is not None,\n"
-        "    'w_shape': [len(row) for row in rgbgame.bell.w_matrix()],\n"
+        "    'w_shape': [len(row) for row in rgbgame.bell.W_EXACT],\n"
         "    'singlet_len': len(rgbgame.quantum.singlet()),\n"
         "    'same': rgbgame.singlet is rgbgame.quantum.singlet,\n"
         "    'unknown': hasattr(rgbgame, 'no_such_name'),\n"
@@ -157,6 +160,25 @@ def test_star_import_binds_every_public_name():
         "print(json.dumps(sorted(set(namespace) - {'__builtins__'})))\n"
     )
     assert names == [n for n in DIR_RGBGAME if not n.startswith("_")]
+
+
+def _annotated(value):
+    """A public function, or the functions a public class defines."""
+    if inspect.isfunction(value):
+        yield value
+    elif inspect.isclass(value):
+        for attr in vars(value).values():
+            attr = getattr(attr, "__func__", attr)  # classmethod, staticmethod
+            if inspect.isfunction(attr):
+                yield attr
+
+
+def test_every_public_annotation_resolves():
+    # Annotations are strings, evaluated only when something asks for them,
+    # so a name they use but no module imports fails only then.
+    for name in rgbgame.__all__:
+        for function in _annotated(getattr(rgbgame, name)):
+            typing.get_type_hints(function)
 
 
 # Every subcommand, its --game chsh and --output forms, and the layers each
@@ -205,13 +227,14 @@ def test_every_subcommand_is_covered():
     "argv, layers", COMMAND_LAYERS, ids=[" ".join(argv) for argv, _ in COMMAND_LAYERS]
 )
 def test_each_subcommand_loads_its_layers_inside_the_clock(argv, layers, json_flag, files):
-    # The stderr wall time includes the command's imports, so no layer is
-    # loaded when the clock starts, and only those the command runs by the end.
+    # The stderr wall time includes the command's imports and its report, so
+    # no layer is loaded when the clock starts, and every layer the command
+    # runs, formats too under --json, is loaded when it stops.
     argv = [arg.format(**files) for arg in argv] + json_flag
     expected = sorted(layers | {"formats"} if json_flag else layers)
     r = run_python(CLI_PROBE, json.dumps(argv))
     assert r["code"] == 0, r
     assert r["at_clock_start"] == []
-    assert r["at_end"] == expected
+    assert r["at_clock_stop"] == r["at_end"] == expected
     assert not r["numpy"]
     assert not r["dataclasses"]

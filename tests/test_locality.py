@@ -17,7 +17,6 @@ from rgbgame.locality import (
     decompose_one_way,
     id_box,
     is_no_signalling,
-    is_symmetric,
     l_sig_box,
     pr_box,
     r_sig_box,
@@ -210,12 +209,6 @@ def test_signalling_witness_reproduces_from_the_table(table):
     assert recomputed[0] != recomputed[1]
 
 
-def test_is_symmetric():
-    assert is_symmetric(rgrb())
-    assert is_symmetric(pr_box())
-    assert not is_symmetric(r_sig_box())
-
-
 # ---------------------------------------------------------------------------
 # one-way decompositions
 
@@ -301,19 +294,6 @@ def _reference_right_witness(table, atol, side="right"):
 
 def _reference_left_witness(table, atol):
     return _reference_right_witness(_reference_swap(table), atol, side="left")
-
-
-def _reference_is_symmetric(table, atol):
-    na, nb, nx, ny = table.shape
-    if na != nb or nx != ny:
-        return False
-    return all(
-        abs(table.prob(a, b, x, y) - table.prob(b, a, y, x)) <= atol
-        for a in range(na)
-        for b in range(nb)
-        for x in range(nx)
-        for y in range(ny)
-    )
 
 
 def _reference_decompose(table, direction):
@@ -418,7 +398,6 @@ def test_row_slices_match_the_per_cell_code(table, atol):
     expected = _reference_right_witness(table, atol) or _reference_left_witness(table, atol)
     assert ok == (expected is None)
     assert _typed_witness(witness) == _typed_witness(expected)
-    assert is_symmetric(table, atol) == _reference_is_symmetric(table, atol)
     for direction in Direction:
         try:
             expected = _reference_decompose(table, direction)

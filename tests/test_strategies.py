@@ -23,7 +23,6 @@ from rgbgame.strategies import (
     enumerate_winning_deterministic_boxes,
     family_strategy,
     l1_distance,
-    l1_distance_to_set,
     local_bound,
     mix,
     parameter_names,
@@ -638,8 +637,6 @@ def test_l1_metric_axioms_on_random_members():
 def test_distance_shape_mismatch():
     with pytest.raises(ValueError):
         l1_distance(rgrb(), StrategyTable.from_function((2, 2, 2, 2), lambda a, b, x, y: F(1, 4)))
-    with pytest.raises(ValueError):
-        l1_distance_to_set(rgrb(), [])
 
 
 def test_mix_is_linear_in_distance():
@@ -660,13 +657,6 @@ def test_mix_weight_validation():
         mix([], [])
     with pytest.raises(ValueError, match="non-finite"):
         mix([rgrb(), rgb0()], [float("nan"), 0.5])
-
-
-def test_l1_distance_to_set_picks_the_minimum():
-    tables = [rgb0(), rgrb()]
-    assert l1_distance_to_set(rgrb(), tables) == 0
-    d = l1_distance_to_set(mix([rgb0(), rgrb()], [F(1, 4), F(3, 4)]), tables)
-    assert d == F(1, 4) * l1_distance(rgb0(), rgrb())
 
 
 def test_rgb_predicate_matches_oracle():
