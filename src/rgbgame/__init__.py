@@ -48,7 +48,7 @@ _LAYER_OF = {
     **dict.fromkeys("""
         AscentResult CertificateReport CertificationError VectorStrategy
         alternating_ascent bell_quantity certify_quantum_bound correlations_from_table
-        deterministic_bell_maximum gram_from_vectors lemma1_win reduce_to_binary
+        deterministic_bell_maximum lemma1_win reduce_to_binary
         sym_eigenvalues verify_dual verify_primal win_from_correlations
     """.split(), "bell"),
 }

@@ -48,12 +48,6 @@ from .strategies import (
     prev_colour,
 )
 
-#: Slack on the unit norms of the vectors given to ``gram_from_vectors``.
-CERT_TOL = 1e-9
-
-#: Float slack of the qubit algebra and of the binary reduction.
-ALGEBRA_TOL = 1e-12
-
 #: Target off-diagonal Frobenius norm for the eigensolver.
 JACOBI_OFF_TOL = 1e-13
 
@@ -115,15 +109,14 @@ def lemma1_win(binary_table: StrategyTable):
     On no-signalling tables this is the agreement form (1/9) sum_u [2 -
     p(x=y|u,u) + p(x=y|u,u+1)/2 + p(x=y|u,u-1)/2], since the functional's
     coefficients sum to 0.  A signalling table raises ValueError naming the
-    witness (checked exactly on exact tables, within ``ALGEBRA_TOL`` on
+    witness (checked exactly on exact tables, within ``FLOAT_ROW_TOL`` on
     float ones): its correlations do not determine its win.
     """
     from .locality import is_no_signalling
 
     if binary_table.shape != (3, 3, 2, 2):
         raise ValueError(f"expected shape (3,3,2,2), got {binary_table.shape}")
-    atol = 0 if binary_table.is_exact else ALGEBRA_TOL
-    ok, witness = is_no_signalling(binary_table, atol=atol)
+    ok, witness = is_no_signalling(binary_table)
     if not ok:
         raise ValueError(f"table signals, so its correlations do not give its win: {witness}")
     return win_from_correlations(correlations_from_table(binary_table))
@@ -168,18 +161,18 @@ def reduce_to_binary(table: StrategyTable) -> StrategyTable:
     """Relabel a never-plays-its-own-colour table onto binary outputs.
 
     Requires P(x = a | a, b) and P(y = b | a, b) to vanish (exactly for
-    rational tables, within ``ALGEBRA_TOL`` for float ones); then x = a - 1
+    exact tables, within ``FLOAT_ROW_TOL`` for float ones); then x = a - 1
     maps to 0 and x = a + 1 to 1, and likewise for y around b.  Float rows
     are renormalized afterwards, absorbing that forbidden mass.
     """
     if table.shape != (3, 3, 3, 3):
         raise ValueError(f"expected colour alphabets (3,3,3,3), got {table.shape}")
-    exact = table.is_exact
+    slack = table._slack()
     probs = []
     for a, b in table.inputs():
         row = table.cells(a, b)
         own = sum(row[3 * a : 3 * a + 3]) + sum(row[b::3])
-        if own > (0 if exact else ALGEBRA_TOL):
+        if own > slack:
             raise ValueError(
                 f"strategy plays a sure-losing colour on input ({a},{b}) "
                 f"with probability {own}"
@@ -187,7 +180,7 @@ def reduce_to_binary(table: StrategyTable) -> StrategyTable:
         kept = [
             row[3 * cyclic_rule(a, xb) + cyclic_rule(b, yb)] for xb in (0, 1) for yb in (0, 1)
         ]
-        if not exact:
+        if slack:
             total = sum(kept)
             kept = [p / total for p in kept]
         probs += map(_coerce, kept)
@@ -324,11 +317,11 @@ def _inner(u, v) -> float:
     return math.fsum(map(operator.mul, u, v))
 
 
-def _unit_rows(rows, count: int, what: str, tol: float) -> tuple[tuple[float, ...], ...]:
+def _unit_rows(rows, count: int, what: str) -> tuple[tuple[float, ...], ...]:
     """``rows`` as ``count`` unit vectors of floats, all of one nonzero dimension.
 
     Anything else, including a scalar, a flat list or non-numeric entries,
-    raises ValueError; so do norms further than ``tol`` from 1.
+    raises ValueError; so do norms further than 1e-12 from 1.
     """
     try:
         vectors = tuple(tuple(map(float, row)) for row in rows)
@@ -339,15 +332,9 @@ def _unit_rows(rows, count: int, what: str, tol: float) -> tuple[tuple[float, ..
     if not all(map(math.isfinite, itertools.chain.from_iterable(vectors))):
         raise ValueError(f"{what} has non-finite entries")
     norms = [math.hypot(*v) for v in vectors]
-    if max(abs(n - 1) for n in norms) > tol:
+    if max(abs(n - 1) for n in norms) > 1e-12:
         raise ValueError(f"{what} rows must be unit vectors, got norms {norms}")
     return vectors
-
-
-def gram_from_vectors(vectors) -> tuple[tuple[float, ...], ...]:
-    """Gram matrix of six unit vectors (Alice's three rows, then Bob's)."""
-    rows = _unit_rows(vectors, 6, "Gram input", CERT_TOL)
-    return tuple(tuple(_inner(u, v) for v in rows) for u in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +554,19 @@ class VectorStrategy(_Frozen):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, alice: tuple[tuple[float, ...], ...], bob: tuple[tuple[float, ...], ...]):
-        alice = _unit_rows(alice, 3, "alice", 1e-12)
-        bob = _unit_rows(bob, 3, "bob", 1e-12)
+        alice = _unit_rows(alice, 3, "alice")
+        bob = _unit_rows(bob, 3, "bob")
         if len(alice[0]) != len(bob[0]):
             raise ValueError("alice and bob vectors differ in dimension")
         self._init(alice, bob)
 
     def correlations(self) -> tuple:
         return tuple(tuple(_inner(x, y) for y in self.bob) for x in self.alice)
+
+    def gram(self) -> tuple[tuple[float, ...], ...]:
+        """Gram matrix of the six vectors, Alice's three and then Bob's."""
+        rows = self.alice + self.bob
+        return tuple(tuple(_inner(u, v) for v in rows) for u in rows)
 
 
 class AscentResult(_Frozen):
@@ -616,19 +608,19 @@ def _targets(vectors) -> list[list[float]]:
     ]
 
 
-def alternating_ascent(
-    seed: int,
-    restarts: int = 20,
-    dim: int = 6,
-    max_sweeps: int = 10_000,
-    min_gain: float = 1e-12,
-) -> AscentResult:
+#: The ascent's vector dimension, its sweep cap per restart, and the gain
+#: below which a restart stops.
+_ASCENT_DIM, _ASCENT_MAX_SWEEPS, _ASCENT_MIN_GAIN = 6, 10_000, 1e-12
+
+
+def alternating_ascent(seed: int, restarts: int = 20) -> AscentResult:
     """Seeded block-coordinate maximization of the signed Bell objective.
 
     Each sweep replaces every Alice vector with the normalized combination
     -2 y_i + y_{i+1} + y_{i-1} of Bob's, then symmetrically for Bob; both
-    half-steps maximize the objective exactly, so sweeps are monotone.  A
-    restart stops after the sweep whose gain falls below ``min_gain``.
+    half-steps maximize the objective exactly, so sweeps are monotone.  The
+    vectors have 6 coordinates.  A restart stops after the sweep whose gain
+    falls below 1e-12, or after 10,000 sweeps.
     Restart k draws from ``random.Random(seed + k)``: Alice's three start
     vectors, then Bob's, then any replacement for a degenerate vector.  The
     first best restart wins.
@@ -637,22 +629,20 @@ def alternating_ascent(
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if dim < 1:
-        raise ValueError("need at least one dimension")
     best = None
     for k in range(restarts):
         rng = random.Random(seed + k)
-        xs = [_unit(_draw(rng, dim), rng) for _ in range(3)]
-        ys = [_unit(_draw(rng, dim), rng) for _ in range(3)]
+        xs = [_unit(_draw(rng, _ASCENT_DIM), rng) for _ in range(3)]
+        ys = [_unit(_draw(rng, _ASCENT_DIM), rng) for _ in range(3)]
         rows = _targets(ys)
         values = [sum(map(_inner, xs, rows))]
-        for _ in range(max_sweeps):
+        for _ in range(_ASCENT_MAX_SWEEPS):
             # Bob's Bell rows are both the objective's and Alice's next targets.
             xs = [_unit(row, rng) for row in rows]
             ys = [_unit(row, rng) for row in _targets(xs)]
             rows = _targets(ys)
             values.append(sum(map(_inner, xs, rows)))
-            if values[-1] - values[-2] < min_gain:
+            if values[-1] - values[-2] < _ASCENT_MIN_GAIN:
                 break
         if best is None or values[-1] > best[0][-1]:
             best = values, xs, ys

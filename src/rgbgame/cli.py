@@ -117,9 +117,7 @@ def cmd_verify_reduction(args):
 def cmd_ns_check(args):
     from . import formats, locality
 
-    table = formats.load_box_file(args.file)
-    atol = 0 if table.is_exact else 1e-9
-    ok, witness = locality.is_no_signalling(table, atol=atol)
+    ok, witness = locality.is_no_signalling(formats.load_box_file(args.file))
     if ok:
         return 0, {"no_signalling": True, "witness": None}, ["no-signalling: yes"]
     results = {"no_signalling": False, "witness": witness.to_json_dict()}
@@ -201,8 +199,7 @@ def cmd_sdp_optimize(args):
     result = bell.alternating_ascent(args.seed, args.restarts)
     sweeps = result.sweep_values
     monotone = all(b - a >= -1e-9 for a, b in zip(sweeps, sweeps[1:]))
-    gram = bell.gram_from_vectors([*result.strategy.alice, *result.strategy.bob])
-    rank = sum(1 for e in bell.sym_eigenvalues(gram) if e > 1e-6)
+    rank = sum(1 for e in bell.sym_eigenvalues(result.strategy.gram()) if e > 1e-6)
     results = {
         "best_value": value_str(result.value),
         "sweeps": len(sweeps) - 1,

@@ -1,8 +1,9 @@
 """Signalling structure of boxes: canonical examples, checks, decompositions.
 
-A box is a StrategyTable viewed as a physical device.  The checks here are
-exact on rational tables (witnesses are produced on failure, never just a
-boolean), and the one-way decompositions reconstruct their input exactly.
+A box is a StrategyTable viewed as a physical device.  The checks here read
+exact tables exactly and float tables within ``FLOAT_ROW_TOL`` (witnesses
+are produced on failure, never just a boolean), and the one-way
+decompositions reconstruct an exact input exactly.
 
 The module also carries the linear-algebra argument showing that the
 perfectly-winning family of the colour game contains exactly one
@@ -32,40 +33,36 @@ from .strategies import (
 # canonical boxes: tables are immutable, so each is built once and shared
 
 
+def _pair_box(k: int, pair) -> StrategyTable:
+    """The k-letter box answering (x, y) = pair(a, b) with certainty."""
+    _check_alphabet(k)
+    return StrategyTable.from_function(
+        (k, k, k, k), lambda a, b, x, y: 1 if (x, y) == pair(a, b) else 0
+    )
+
+
 @functools.lru_cache(maxsize=8, typed=True)
 def id_box(k: int = 3) -> StrategyTable:
     """Both parties output their own input: (x, y) = (a, b)."""
-    _check_alphabet(k)
-    return StrategyTable.from_function(
-        (k, k, k, k), lambda a, b, x, y: 1 if (x, y) == (a, b) else 0
-    )
+    return _pair_box(k, lambda a, b: (a, b))
 
 
 @functools.lru_cache(maxsize=8, typed=True)
 def r_sig_box(k: int = 3) -> StrategyTable:
     """Alice's input appears on both sides: (x, y) = (a, a)."""
-    _check_alphabet(k)
-    return StrategyTable.from_function(
-        (k, k, k, k), lambda a, b, x, y: 1 if (x, y) == (a, a) else 0
-    )
+    return _pair_box(k, lambda a, b: (a, a))
 
 
 @functools.lru_cache(maxsize=8, typed=True)
 def l_sig_box(k: int = 3) -> StrategyTable:
     """Bob's input appears on both sides: (x, y) = (b, b)."""
-    _check_alphabet(k)
-    return StrategyTable.from_function(
-        (k, k, k, k), lambda a, b, x, y: 1 if (x, y) == (b, b) else 0
-    )
+    return _pair_box(k, lambda a, b: (b, b))
 
 
 @functools.lru_cache(maxsize=8, typed=True)
 def sig_box(k: int = 3) -> StrategyTable:
     """Inputs swap sides: (x, y) = (b, a).  Signals both ways."""
-    _check_alphabet(k)
-    return StrategyTable.from_function(
-        (k, k, k, k), lambda a, b, x, y: 1 if (x, y) == (b, a) else 0
-    )
+    return _pair_box(k, lambda a, b: (b, a))
 
 
 @functools.cache
@@ -210,12 +207,13 @@ def _left_witness(table, atol):
     return _right_witness(_swap(table), atol, side="left")
 
 
-def is_no_signalling(table: StrategyTable, atol=0):
+def is_no_signalling(table: StrategyTable):
     """Check both marginal-independence conditions.
 
-    Returns (True, None) or (False, witness).  Exact comparison by default;
-    pass a small ``atol`` for float-valued tables.
+    Returns (True, None) or (False, witness).  Exact tables are compared
+    exactly, float tables within ``FLOAT_ROW_TOL``.
     """
+    atol = table._slack()
     witness = _right_witness(table, atol) or _left_witness(table, atol)
     return (witness is None), witness
 
@@ -235,7 +233,7 @@ class OneWayProtocol(_Frozen):
     ``sender`` maps the sender's input to a distribution over her output;
     ``receiver`` maps (sender input, receiver input, sender output) to a
     distribution over the receiver's output.  Recomposing the product
-    reproduces the decomposed box exactly.
+    reproduces an exact box exactly, a float one within ``FLOAT_ROW_TOL``.
     """
 
     __slots__ = ("direction", "shape", "sender", "receiver")
@@ -253,15 +251,18 @@ class OneWayProtocol(_Frozen):
 def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProtocol:
     """Factor a box along one direction of communication.
 
-    LEFT_TO_RIGHT requires Alice's marginal to be independent of b (checked,
-    witness raised otherwise); the mirror condition for RIGHT_TO_LEFT.  Rows
-    conditioned on a zero-probability sender output are filled uniformly.
+    LEFT_TO_RIGHT requires Alice's marginal to be independent of b (checked
+    exactly on exact tables, within ``FLOAT_ROW_TOL`` on float ones; witness
+    raised otherwise); the mirror condition for RIGHT_TO_LEFT.  The sender's
+    marginal is read at the receiver's input 0.  Rows conditioned on a
+    zero-probability sender output are filled uniformly.
     """
     # Right-to-left is left-to-right on the view with the parties exchanged.
+    atol = table._slack()
     if direction is Direction.LEFT_TO_RIGHT:
-        witness, view = _left_witness(table, 0), table
+        witness, view = _left_witness(table, atol), table
     else:
-        witness, view = _right_witness(table, 0), _swap(table)
+        witness, view = _right_witness(table, atol), _swap(table)
     if witness is not None:
         raise SignallingError(witness)
     na, nb, nx, ny = view.shape

@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
 
 from .bell import (  # noqa: F401 (re-exported: perfbench/ reads the two here)
-    ALGEBRA_TOL,
     correlations_from_table,
     cyclic_rule,
     reduce_to_binary,
 )
-from .strategies import StrategyTable, _Frozen, next_colour, prev_colour
+from .strategies import StrategyTable, _Frozen
+
+#: Float slack of the qubit algebra: Hermitian, idempotent, rank one, spectra
+#: and Born probabilities.
+ALGEBRA_TOL = 1e-12
 
 #: A 2x2 operator as its two rows.
 Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -81,21 +83,19 @@ def _matrix(operator, what: str) -> Matrix:
 
 
 class QubitStrategy(_Frozen):
-    """A per-colour projective measurement with an outcome-to-colour rule.
+    """A per-colour projective measurement, answered by ``cyclic_rule``.
 
     ``projectors[c]`` is the 2x2 projector measured on colour c; outcome 1
-    means it fired.  The rule must answer with a neighbouring colour (one of
-    c-1, c+1 per outcome), which keeps the answer off the asked colour.
+    means it fired and the answer is c+1, otherwise it is c-1.  Any other
+    rule answering both neighbours of c is this one on the complement I - P.
     The projectors are stored as validated rows of Python complex numbers.
+    Its tables are float, so the checks on them read them within
+    ``FLOAT_ROW_TOL``.
     """
 
-    __slots__ = ("projectors", "output_rule")
+    __slots__ = ("projectors",)
 
-    def __init__(
-        self,
-        projectors: tuple[Matrix, Matrix, Matrix],
-        output_rule: Callable[[int, int], int] = cyclic_rule,
-    ):
+    def __init__(self, projectors: tuple[Matrix, Matrix, Matrix]):
         if len(projectors) != 3:
             raise ValueError("need one projector per colour")
         checked = []
@@ -108,17 +108,11 @@ class QubitStrategy(_Frozen):
             if abs((p00 + p11).real - 1) > ALGEBRA_TOL:
                 raise ValueError(f"projector for colour {c} is not rank one")
             checked.append(proj)
-        for c in range(3):
-            answers = {output_rule(c, 0), output_rule(c, 1)}
-            if answers != {prev_colour(c), next_colour(c)}:
-                raise ValueError(
-                    f"output rule for colour {c} must hit both neighbouring colours"
-                )
-        self._init(tuple(checked), output_rule)
+        self._init(tuple(checked))
 
 
 def trine_strategy() -> QubitStrategy:
-    """The optimal strategy: trine projectors with the cyclic outcome rule."""
+    """The optimal strategy: the trine projectors."""
     return QubitStrategy(trine_projectors())
 
 
@@ -196,7 +190,7 @@ def quantum_strategy_table(state, alice: QubitStrategy, bob: QubitStrategy) -> S
     def effects(strategy):
         # Per colour, (answer, effect) for outcome 0 (I - P) and outcome 1 (P).
         return [
-            [(strategy.output_rule(c, 0), _complement(proj)), (strategy.output_rule(c, 1), proj)]
+            [(cyclic_rule(c, 0), _complement(proj)), (cyclic_rule(c, 1), proj)]
             for c, proj in enumerate(strategy.projectors)
         ]
 

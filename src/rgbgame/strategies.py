@@ -8,8 +8,9 @@ round is won when
 
 Everything in this module is exact: probabilities are `fractions.Fraction`
 throughout, and table equality means equality of every entry.  Float-valued
-tables (produced by the quantum simulation) reuse the same container but are
-validated with tolerances instead.
+tables (produced by the quantum simulation) reuse the same container.  Row
+sums, marginals and sure-losing mass are checked exactly on exact tables and
+within ``FLOAT_ROW_TOL`` on float ones.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ RED, GREEN, BLUE = 0, 1, 2
 #: Hard ceiling on the work of local_bound: |X|^|A| x |B| x |Y| score cells.
 ENUMERATION_GUARD = 10**9
 
-#: Row-sum slack allowed for float-valued tables (exact tables get none).
+#: Slack of the sums checked on a float-valued table (exact tables get none).
 FLOAT_ROW_TOL = 1e-9
 
 
@@ -163,6 +165,10 @@ class StrategyTable(_Frozen):
     @property
     def is_exact(self) -> bool:
         return not any(isinstance(p, float) for p in self.probs)
+
+    def _slack(self) -> float:
+        """The slack of a check on this table: 0 if exact, else FLOAT_ROW_TOL."""
+        return 0 if self.is_exact else FLOAT_ROW_TOL
 
     @classmethod
     def from_function(cls, shape, fn) -> "StrategyTable":
@@ -498,16 +504,5 @@ def mix(tables: Sequence[StrategyTable], weights: Sequence) -> StrategyTable:
                 totals = [s + u * v for s, v in zip(totals, nums[i * n : (i + 1) * n])]
         den *= unit
         return StrategyTable(shape, tuple(Fraction(s, den) if s else _ZERO for s in totals))
-    # Zero terms are skipped, except a float zero among exact terms: it turns
-    # the running sum into a float, and later terms are then added as floats.
-    all_float = all(isinstance(w, float) for w in weights)
-    zero = 0.0 if all_float else _ZERO
-    probs = []
-    for column in zip(*(t.probs for t in tables)):
-        terms = [
-            w * p
-            for w, p in zip(weights, column)
-            if p != 0 or not all_float and (isinstance(w, float) or isinstance(p, float))
-        ]
-        probs.append(sum(terms) if terms else zero)
-    return StrategyTable(shape, tuple(probs))
+    columns = zip(*(t.probs for t in tables))
+    return StrategyTable(shape, tuple(sum(map(operator.mul, weights, c)) for c in columns))

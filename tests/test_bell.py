@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from rgbgame.bell import (
     certify_quantum_bound,
     cyclic_rule,
     deterministic_bell_maximum,
-    gram_from_vectors,
     is_positive_semidefinite,
     lemma1_win,
     sym_eigenvalues,
@@ -46,6 +46,7 @@ from rgbgame.quantum import (
     trine_strategy,
 )
 from rgbgame.strategies import (
+    FLOAT_ROW_TOL,
     StrategyTable,
     local_bound,
     mix,
@@ -283,7 +284,7 @@ def test_lemma1_win_refuses_a_signalling_table():
     for table in (binary, floats):
         with pytest.raises(ValueError, match=r"^table signals, .*: side=right, b=0, y=0: "):
             lemma1_win(table)
-    # Float tables are checked within ALGEBRA_TOL: the qubit trine table passes.
+    # Float tables are checked within FLOAT_ROW_TOL: the qubit trine table passes.
     trine = reduce_to_binary(quantum_strategy_table(singlet(), trine_strategy(), trine_strategy()))
     assert abs(lemma1_win(trine) - F(11, 12)) < 1e-12
 
@@ -316,7 +317,7 @@ def _agreement_lemma1_win(binary_table):
     return sum(2 + _bell_row(agree[u], u) / 2 for u in range(3)) / 9
 
 
-def _per_cell_reduce_to_binary(table, atol=1e-12):
+def _per_cell_reduce_to_binary(table, atol=FLOAT_ROW_TOL):
     """``reduce_to_binary`` reading one cell at a time through a dict."""
     exact = table.is_exact
     for a in range(3):
@@ -463,8 +464,7 @@ def test_primal_candidate_from_planar_trine_vectors():
     # degrees for one party and their negatives for the other.
     angles = [2 * np.pi * i / 3 for i in range(3)]
     xs = np.array([[np.cos(t), np.sin(t)] for t in angles])
-    rows = np.vstack([xs, -xs])
-    gram = gram_from_vectors(rows)
+    gram = VectorStrategy(xs, -xs).gram()
     np.testing.assert_allclose(gram, np.array(GRAM_EXACT, dtype=float), atol=1e-12)
     value, _ = verify_primal(gram)
     assert abs(value - 9) < 1e-9
@@ -495,8 +495,6 @@ def test_float_checks_reject_non_finite_entries(bad):
     # and the eigensolver runs 100 sweeps before a misleading ArithmeticError.
     rows = np.vstack([np.eye(3), -np.eye(3)])
     rows[4, 1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        gram_from_vectors(rows)
     with pytest.raises(ValueError, match="bob has non-finite entries"):
         VectorStrategy(rows[:3], rows[3:])
     with pytest.raises(ValueError, match="alice has non-finite entries"):
@@ -519,7 +517,7 @@ def test_verify_input_validation():
     with pytest.raises(ValueError):
         verify_dual(np.full((6, 6), 0.1))  # not diagonal
     with pytest.raises(ValueError):
-        gram_from_vectors(np.ones((6, 4)))  # rows not unit
+        VectorStrategy(np.ones((3, 4)), np.ones((3, 4)))  # rows not unit
 
 
 _E1, _E2 = (1.0, 0.0), (0.0, 1.0)
@@ -550,11 +548,10 @@ def test_vector_strategy_rejects_mixed_dimensions():
 
 
 @pytest.mark.parametrize("rows", _MALFORMED + [[_E1, _E2] * 2, [_E1] * 7], ids=repr)
-def test_gram_from_vectors_rejects_malformed_input(rows):
-    if isinstance(rows, list) and len(rows) == 3:
-        rows = rows + [_E1, _E2, _E1]
-    with pytest.raises(ValueError, match="need 6 vectors of one nonzero dimension"):
-        gram_from_vectors(rows)
+def test_gram_input_rejects_malformed_vectors(rows):
+    # A Gram matrix is read only off a VectorStrategy, which checks both stacks.
+    with pytest.raises(ValueError, match="alice: need 3 vectors of one nonzero dimension"):
+        VectorStrategy(rows, rows).gram()
 
 
 def test_vector_inputs_come_back_as_tuples_of_floats():
@@ -562,7 +559,7 @@ def test_vector_inputs_come_back_as_tuples_of_floats():
     assert strategy.bob == ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     assert all(type(v) is float for row in strategy.alice for v in row)
     assert strategy.correlations() == ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-    gram = gram_from_vectors([*strategy.alice, *strategy.bob])
+    gram = strategy.gram()
     assert isinstance(gram, tuple) and gram[0] == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
 
@@ -737,8 +734,7 @@ def test_single_restarts_are_monotone():
 
 def test_ascent_solution_is_essentially_planar():
     result = alternating_ascent(seed=2026, restarts=20)
-    gram = gram_from_vectors([*result.strategy.alice, *result.strategy.bob])
-    eigs = sym_eigenvalues(gram)
+    eigs = sym_eigenvalues(result.strategy.gram())
     rank = sum(1 for e in eigs if e > 1e-6)
     assert rank == 2
 
@@ -760,21 +756,13 @@ def test_ascent_validates_seed():
         alternating_ascent(seed=-5, restarts=1)
 
 
-def test_ascent_validates_dim():
-    # Unchecked, dim=0 would re-seed an empty vector of norm 0 forever.
-    for dim in (0, -1):
-        with pytest.raises(ValueError, match="at least one dimension"):
-            alternating_ascent(seed=1, restarts=1, dim=dim)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 7, 2019, 2026, 10**6])
 def test_ascent_reaches_nine_with_a_rank_two_gram(seed):
     result = alternating_ascent(seed)
     assert abs(result.value - 9) <= 1e-9
     values = result.sweep_values
     assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
-    gram = gram_from_vectors([*result.strategy.alice, *result.strategy.bob])
-    assert sum(1 for e in sym_eigenvalues(gram) if e > 1e-6) == 2
+    assert sum(1 for e in sym_eigenvalues(result.strategy.gram()) if e > 1e-6) == 2
 
 
 def _reference_objective(xs, ys):
@@ -823,6 +811,16 @@ def _reference_alternating_ascent(seed, restarts=20, dim=6, max_sweeps=10_000, m
     return best
 
 
+def _ascent(seed, restarts, dim=6, max_sweeps=10_000, min_gain=1e-12):
+    """``alternating_ascent`` with its dimension, sweep cap and gain floor set."""
+    with (
+        mock.patch.object(bell, "_ASCENT_DIM", dim),
+        mock.patch.object(bell, "_ASCENT_MAX_SWEEPS", max_sweeps),
+        mock.patch.object(bell, "_ASCENT_MIN_GAIN", min_gain),
+    ):
+        return alternating_ascent(seed, restarts)
+
+
 def _assert_same_ascent(result, expected):
     assert result.value == expected.value
     assert result.sweep_values == expected.sweep_values
@@ -847,7 +845,7 @@ def test_ascent_matches_the_norm_based_code_bit_for_bit(seed, restarts, dim, max
     # degenerate-vector reseed and its draws from each restart's stream are
     # exercised.
     _assert_same_ascent(
-        alternating_ascent(seed, restarts, dim, max_sweeps, min_gain),
+        _ascent(seed, restarts, dim, max_sweeps, min_gain),
         _reference_alternating_ascent(seed, restarts, dim, max_sweeps, min_gain),
     )
 
@@ -855,9 +853,9 @@ def test_ascent_matches_the_norm_based_code_bit_for_bit(seed, restarts, dim, max
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**63), st.integers(1, 12), st.integers(1, 8), _MIN_GAINS)
 def test_each_restart_runs_as_if_alone(seed, restarts, dim, min_gain):
-    alone = [alternating_ascent(seed + k, 1, dim, min_gain=min_gain) for k in range(restarts)]
+    alone = [_ascent(seed + k, 1, dim, min_gain=min_gain) for k in range(restarts)]
     first_best = max(alone, key=lambda result: result.value)
-    _assert_same_ascent(alternating_ascent(seed, restarts, dim, min_gain=min_gain), first_best)
+    _assert_same_ascent(_ascent(seed, restarts, dim, min_gain=min_gain), first_best)
 
 
 class _ZeroedDraws(random.Random):
@@ -897,7 +895,7 @@ def test_degenerate_draws_are_reseeded_in_stream_order(monkeypatch, dim, zeroed)
         return generators[-1]
 
     monkeypatch.setattr(random, "Random", generator)
-    result = alternating_ascent(seed, 4, dim)
+    result = _ascent(seed, 4, dim)
     assert len(generators) == 4
     for g in generators:
         # A zeroed start vector is replaced by a draw after the first six.

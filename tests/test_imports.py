@@ -33,7 +33,7 @@ box_to_json_dict build_ns_constraints certify_quantum_bound chsh_game
 correlations_from_table decompose_one_way deterministic_bell_maximum
 deterministic_strategy dump_box dump_wiring
 enumerate_winning_deterministic_boxes evaluate_wiring family_strategy
-formats gram_from_vectors id_box is_no_signalling joint_prob
+formats id_box is_no_signalling joint_prob
 l1_distance l_sig_box lemma1_win load_box load_box_file
 load_wiring load_wiring_file local_bound locality mix next_colour
 noisy_composition_win noisy_parity_survival noisy_pr
@@ -179,6 +179,35 @@ def test_every_public_annotation_resolves():
     for name in rgbgame.__all__:
         for function in _annotated(getattr(rgbgame, name)):
             typing.get_type_hints(function)
+
+
+# The public parameters that have a default.  A value the code can work out
+# from its input, or one that only tests set, is not a parameter; a new
+# default goes on this list on purpose.
+DEFAULTED_PARAMETERS = {
+    "deterministic_strategy.shape",
+    "id_box.k",
+    "r_sig_box.k",
+    "l_sig_box.k",
+    "sig_box.k",
+    "alternating_ascent.restarts",
+}
+
+
+def test_public_parameters_with_defaults_are_listed():
+    found = set()
+    for name in rgbgame.__all__:
+        value = getattr(rgbgame, name)
+        if inspect.isclass(value):
+            if "__init__" not in vars(value):
+                continue
+            value = value.__init__
+        elif not callable(value):
+            continue
+        for parameter in inspect.signature(value).parameters.values():
+            if parameter.default is not parameter.empty:
+                found.add(f"{name}.{parameter.name}")
+    assert found == DEFAULTED_PARAMETERS
 
 
 # Every subcommand, its --game chsh and --output forms, and the layers each

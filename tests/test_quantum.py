@@ -2,14 +2,23 @@
 
 import itertools
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgbgame import quantum
 from rgbgame.bell import cyclic_rule
-from rgbgame.locality import id_box, is_no_signalling
+from rgbgame.locality import (
+    Direction,
+    decompose_one_way,
+    id_box,
+    is_no_signalling,
+    recompose_one_way,
+)
 from rgbgame.quantum import (
     ALGEBRA_TOL,
     QubitStrategy,
@@ -25,9 +34,8 @@ from rgbgame.quantum import (
     trine_strategy,
 )
 from rgbgame.strategies import (
+    FLOAT_ROW_TOL,
     StrategyTable,
-    next_colour,
-    prev_colour,
     rgb_game,
     rgb_predicate,
     rgrb,
@@ -120,9 +128,6 @@ def test_qubit_strategy_validation():
     ):
         with pytest.raises(ValueError, match=f"colour 1 is {what}"):
             QubitStrategy((red, bad, blue))
-    # Output rule must avoid the input colour.
-    with pytest.raises(ValueError):
-        QubitStrategy(trine_projectors(), output_rule=lambda colour, outcome: colour)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -213,8 +218,24 @@ def test_off_trine_angles_still_normalize():
     t = quantum_strategy_table(singlet(), strat, trine_strategy())
     win = win_probability(t, rgb_game())
     assert 0 <= win <= 1
-    ok, _ = is_no_signalling(t, atol=1e-9)
+    ok, _ = is_no_signalling(t)
     assert ok
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_qubit_tables_are_no_signalling_and_decompose_both_ways(seed):
+    # Rounding leaves marginals ~1e-16 apart; a float table is read within
+    # FLOAT_ROW_TOL, so every quantum table is no-signalling.
+    rng = random.Random(seed)
+    alice, bob = (
+        QubitStrategy(tuple(projector_from_angle(rng.uniform(-180, 180)) for _ in range(3)))
+        for _ in range(2)
+    )
+    table = quantum_strategy_table(singlet(), alice, bob)
+    assert is_no_signalling(table) == (True, None)
+    for direction in Direction:
+        recomposed = recompose_one_way(decompose_one_way(table, direction))
+        assert max(abs(p - q) for p, q in zip(recomposed.probs, table.probs)) <= FLOAT_ROW_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +264,7 @@ def _numpy_born_prob(state, effect_a, effect_b):
 
 
 def _per_cell_table(state, alice, bob, born, identity):
-    """quantum_strategy_table as it was: effects and output rules formed again
+    """quantum_strategy_table as it was: effects and answers formed again
     for every (a, b, out_a, out_b) cell."""
     entries = {}
     for a in range(3):
@@ -254,7 +275,7 @@ def _per_cell_table(state, alice, bob, born, identity):
                 for out_b in (0, 1):
                     proj_b = bob.projectors[b]
                     effect_b = proj_b if out_b else identity(proj_b)
-                    key = (a, b, alice.output_rule(a, out_a), bob.output_rule(b, out_b))
+                    key = (a, b, cyclic_rule(a, out_a), cyclic_rule(b, out_b))
                     entries[key] = entries.get(key, 0.0) + born(state, effect_a, effect_b)
     return StrategyTable.from_function(
         (3, 3, 3, 3), lambda a, b, x, y: entries.get((a, b, x, y), 0.0)
@@ -269,10 +290,6 @@ def _numpy_complement(proj):
     return np.eye(2, dtype=complex) - np.asarray(proj)
 
 
-def _swapped_rule(colour, outcome):
-    return prev_colour(colour) if outcome else next_colour(colour)
-
-
 _ANGLE = st.one_of(
     st.sampled_from([0.0, -0.0, 180.0, -180.0, 120.0, -120.0, 90.0, 360.0]),
     st.floats(-720.0, 720.0),
@@ -283,7 +300,8 @@ _ANGLES = st.one_of(
     _ANGLE.map(lambda t: (t, t, t)),
     st.tuples(_ANGLE, _ANGLE).map(lambda ts: (ts[0], ts[1], ts[0])),
 )
-_RULES = st.sampled_from([cyclic_rule, _swapped_rule])
+#: Whether a party measures I - P in place of each projector P.
+_FLIPS = st.booleans()
 
 
 @st.composite
@@ -296,19 +314,21 @@ def _states(draw):
     return state / norm
 
 
-def _strategies(alice_angles, bob_angles, alice_rule, bob_rule):
-    alice = QubitStrategy(tuple(projector_from_angle(t) for t in alice_angles), alice_rule)
-    bob = QubitStrategy(tuple(projector_from_angle(t) for t in bob_angles), bob_rule)
-    return alice, bob
+def _strategies(alice_angles, bob_angles, alice_flip, bob_flip):
+    def strategy(angles, flip):
+        projectors = (projector_from_angle(t) for t in angles)
+        return QubitStrategy(tuple(map(_complement, projectors) if flip else projectors))
+
+    return strategy(alice_angles, alice_flip), strategy(bob_angles, bob_flip)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ANGLES, _ANGLES, _RULES, _RULES, st.one_of(st.just(None), _states()))
+@given(_ANGLES, _ANGLES, _FLIPS, _FLIPS, st.one_of(st.just(None), _states()))
 def test_table_matches_the_per_cell_kernel_bit_for_bit(
-    alice_angles, bob_angles, alice_rule, bob_rule, state
+    alice_angles, bob_angles, alice_flip, bob_flip, state
 ):
     state = singlet() if state is None else state
-    alice, bob = _strategies(alice_angles, bob_angles, alice_rule, bob_rule)
+    alice, bob = _strategies(alice_angles, bob_angles, alice_flip, bob_flip)
     expected = _per_cell_table(_check_state(state), alice, bob, _reference_born_prob, _complement)
     table = quantum_strategy_table(state, alice, bob)
     assert table.probs == expected.probs
@@ -322,12 +342,12 @@ NUMPY_ATOL = 4 * math.ulp(1.0)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ANGLES, _ANGLES, _RULES, _RULES, st.one_of(st.just(None), _states()))
+@given(_ANGLES, _ANGLES, _FLIPS, _FLIPS, st.one_of(st.just(None), _states()))
 def test_table_is_within_four_ulps_of_the_np_kron_kernel(
-    alice_angles, bob_angles, alice_rule, bob_rule, state
+    alice_angles, bob_angles, alice_flip, bob_flip, state
 ):
     state = singlet() if state is None else state
-    alice, bob = _strategies(alice_angles, bob_angles, alice_rule, bob_rule)
+    alice, bob = _strategies(alice_angles, bob_angles, alice_flip, bob_flip)
     expected = _per_cell_table(state, alice, bob, _numpy_born_prob, _numpy_complement)
     table = quantum_strategy_table(state, alice, bob)
     assert max(abs(p - q) for p, q in zip(table.probs, expected.probs)) <= NUMPY_ATOL
@@ -340,11 +360,24 @@ def test_table_calls_each_output_rule_once_per_colour_and_outcome():
         calls.append((colour, outcome))
         return cyclic_rule(colour, outcome)
 
-    alice = QubitStrategy(trine_projectors(), counting_rule)
-    bob = QubitStrategy(trine_projectors(), counting_rule)
-    calls.clear()
-    quantum_strategy_table(singlet(), alice, bob)
+    with mock.patch.object(quantum, "cyclic_rule", counting_rule):
+        quantum_strategy_table(singlet(), trine_strategy(), trine_strategy())
     assert sorted(calls) == sorted(2 * list(itertools.product(range(3), (0, 1))))
+
+
+def test_the_swapped_rule_is_the_cyclic_rule_on_the_complements():
+    # Why a strategy takes no rule: the other rule that answers both
+    # neighbours, c-1 when P fires and c+1 otherwise, gives the table of
+    # cyclic_rule on each I - P.
+    angles = (10.0, -95.0, 140.0), (0.0, 33.0, -71.5)
+
+    def swapped_rule(colour, outcome):
+        return cyclic_rule(colour, 1 - outcome)
+
+    with mock.patch.object(quantum, "cyclic_rule", swapped_rule):
+        swapped = quantum_strategy_table(singlet(), *_strategies(*angles, False, False))
+    flipped = quantum_strategy_table(singlet(), *_strategies(*angles, True, True))
+    assert max(abs(p - q) for p, q in zip(swapped.probs, flipped.probs)) <= NUMPY_ATOL
 
 
 def test_born_kernel_matches_np_kron_on_mixed_dtypes():
