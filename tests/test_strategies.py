@@ -232,6 +232,121 @@ def test_local_bound_float_weights():
 
 
 # ---------------------------------------------------------------------------
+# the pruned search against the unpruned sweep
+
+
+def _sweep_local_bound(game):
+    """Oracle: best response to each of Alice's |X|^|A| functions, none pruned.
+
+    The integer gain table, the first strict maximum over f_a and the first
+    best y per b, as local_bound computed them before its search was pruned.
+    """
+    na, nb, nx, ny = game.shape
+    weights = {ab: F(w) for ab, w in game.input_dist.items()}
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    gain = [[[0] * (nb * ny) for _ in range(nx)] for _ in range(na)]
+    for (a, b), w in weights.items():
+        for x in range(nx):
+            for y in range(ny):
+                if game.predicate(a, b, x, y):
+                    gain[a][x][b * ny + y] += int(w * scale)
+    best, best_pair = -1, None
+    for f_a in itertools.product(range(nx), repeat=na):
+        scores = list(map(sum, zip(*(gain[a][x] for a, x in enumerate(f_a)))))
+        total, f_b = 0, []
+        for b in range(nb):
+            row = scores[b * ny : (b + 1) * ny]
+            total += max(row)
+            f_b.append(row.index(max(row)))
+        if total > best:
+            best, best_pair = total, (f_a, tuple(f_b))
+    f_a, f_b = best_pair
+    return _pair_value(game, f_a, f_b), f_a, f_b
+
+
+@st.composite
+def sweep_games(draw):
+    """Games of 1-4 letters per alphabet: lookup, always-true or always-false
+    predicates; each pair weighted, weighted zero or left out; exact or
+    float weights (floats over a power of two, so that they sum to 1)."""
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(4))
+    na, nb, nx, ny = shape
+    kind = draw(st.sampled_from(["lookup", "true", "false"]))
+    if kind == "lookup":
+        cells = math.prod(shape)
+        wins = tuple(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+
+        def predicate(a, b, x, y):
+            return wins[((a * nb + b) * nx + x) * ny + y]
+    else:
+        verdict = kind == "true"
+
+        def predicate(a, b, x, y):
+            return verdict
+    pairs = list(itertools.product(range(na), range(nb)))
+    counts = {ab: n for ab in pairs if (n := draw(st.none() | st.integers(0, 6))) is not None}
+    keep = draw(st.sampled_from(pairs))
+    counts[keep] = counts.get(keep, 0) + draw(st.integers(1, 6))
+    total = sum(counts.values())
+    if draw(st.booleans()):
+        dist = {ab: F(n, total) for ab, n in counts.items()}
+    else:
+        # Counts rounded down to 64ths and the remainder on `keep`: dyadic
+        # floats, so the weights sum to exactly 1.
+        den = 64
+        dist = {ab: n * den // total / den for ab, n in counts.items()}
+        dist[keep] += 1 - sum(dist.values())
+    return Game(shape, predicate, dist)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_games())
+def test_local_bound_equals_the_unpruned_sweep(game):
+    expected = _sweep_local_bound(game)
+    got = local_bound(game)
+    assert got == expected
+    assert type(got[0]) is type(expected[0])
+
+
+def test_local_bound_deep_alphabet():
+    # 3000 Alice inputs of one answer each: the search is 3000 levels deep.
+    shape = (3000, 2, 1, 2)
+    game = Game(
+        shape,
+        lambda a, b, x, y: y == (a + b) % 2,
+        {(a, b): F(1, 6000) for a in range(3000) for b in range(2)},
+    )
+    assert local_bound(game) == _sweep_local_bound(game) == (F(1, 2), (0,) * 3000, (0, 0))
+
+
+@st.composite
+def answer_functions(draw):
+    """A shape of 1-4 letters per alphabet and answers that may leave it."""
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(4))
+    na, nb, nx, ny = shape
+    f_a = tuple(draw(st.lists(st.integers(-1, nx), min_size=na, max_size=na)))
+    f_b = tuple(draw(st.lists(st.integers(-1, ny), min_size=nb, max_size=nb)))
+    return shape, f_a, f_b
+
+
+@settings(max_examples=300, deadline=None)
+@given(answer_functions())
+def test_deterministic_strategy_matches_the_per_cell_build(data):
+    shape, f_a, f_b = data
+    try:
+        expected = StrategyTable.from_function(
+            shape, lambda a, b, x, y: 1 if (x == f_a[a] and y == f_b[b]) else 0
+        )
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            deterministic_strategy(f_a, f_b, shape)
+        return
+    got = deterministic_strategy(f_a, f_b, shape)
+    assert got == expected
+    assert all(type(p) is F for p in got.probs)
+
+
+# ---------------------------------------------------------------------------
 # table plumbing
 
 
@@ -655,8 +770,10 @@ def test_mix_weight_validation():
         mix([rgrb(), rgrb()], [F(1, 2), F(1, 3)])
     with pytest.raises(ValueError):
         mix([], [])
-    with pytest.raises(ValueError, match="non-finite"):
-        mix([rgrb(), rgb0()], [float("nan"), 0.5])
+    # NaN fails every comparison, so the weight check must not pass it on.
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="weights must be nonnegative and sum to 1"):
+            mix([rgrb(), rgb0()], [bad, 0.5])
 
 
 def test_rgb_predicate_matches_oracle():
