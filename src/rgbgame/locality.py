@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .strategies import (
     WinningFamilyParams,
     _coerce,
     _Frozen,
+    _numerators,
     next_colour,
     parameter_names,
     prev_colour,
@@ -141,8 +143,9 @@ class _Swapped:
     P'(x, y | a, b) = P(y, x | b, a), so every left-side question about a box
     is the right-side question about its view.  The view holds its own
     entries, each row of the box transposed, in the same row-major order as
-    a table.  Deliberately not a StrategyTable: validating a copy costs more
-    than the check it serves.
+    a table, and an exact box's numerators transposed the same way.
+    Deliberately not a StrategyTable: validating a copy costs more than the
+    check it serves.
     """
 
     def __init__(self, table):
@@ -150,9 +153,10 @@ class _Swapped:
         self.table = table
         self.shape = (nb, na, ny, nx)
         self.probs = _transposed(table.shape, table.probs)
-
-    _index = StrategyTable._index
-    cells = StrategyTable.cells
+        self._exact = None
+        if table._exact:
+            nums, den = table._exact
+            self._exact = (_transposed(table.shape, nums), den)
 
 
 def _transposed(shape, probs) -> tuple:
@@ -188,17 +192,24 @@ def y_marginal(table: StrategyTable, a: int, b: int) -> dict:
 
 
 def _right_witness(table, atol, side="right"):
-    # Does Bob's marginal move when Alice's input does?
-    na, nb, _, ny = table.shape
+    # Does Bob's marginal move when Alice's input does?  An exact table's
+    # marginals are sums of its numerators, compared with atol = 0 and
+    # divided by its denominator only in a witness.
+    na, nb, nx, ny = table.shape
+    values, den = table._exact or (table.probs, None)
+    n = nx * ny
     for b in range(nb):
-        reference = y_marginal(table, 0, b)
+        start = b * n
+        reference = [sum(values[start + y : start + n : ny]) for y in range(ny)]
         for a in range(1, na):
-            current = y_marginal(table, a, b)
+            start = (a * nb + b) * n
+            current = [sum(values[start + y : start + n : ny]) for y in range(ny)]
             for y in range(ny):
                 if abs(current[y] - reference[y]) > atol:
-                    return SignallingWitness(
-                        side, b, y, (0, a), (reference[y], current[y])
-                    )
+                    marginals = (reference[y], current[y])
+                    if den:
+                        marginals = (Fraction(marginals[0], den), Fraction(marginals[1], den))
+                    return SignallingWitness(side, b, y, (0, a), marginals)
     return None
 
 
@@ -255,7 +266,10 @@ def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProto
     exactly on exact tables, within ``FLOAT_ROW_TOL`` on float ones; witness
     raised otherwise); the mirror condition for RIGHT_TO_LEFT.  The sender's
     marginal is read at the receiver's input 0.  Rows conditioned on a
-    zero-probability sender output are filled uniformly.
+    zero-probability sender output are filled uniformly.  On an exact box
+    the sender's marginal is an integer m over the box's denominator D and
+    each receiver entry is the entry's numerator over m: the values of
+    p / mass, one Fraction each.
     """
     # Right-to-left is left-to-right on the view with the parties exchanged.
     atol = table._slack()
@@ -266,38 +280,56 @@ def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProto
     if witness is not None:
         raise SignallingError(witness)
     na, nb, nx, ny = view.shape
-    sender = {a: x_marginal(view, a, 0) for a in range(na)}
-    receiver = {}
+    values, den = view._exact or (view.probs, None)
+    ratio = Fraction if den else operator.truediv
+    n = nx * ny
+    sender, receiver = {}, {}
     for a in range(na):
+        start = a * nb * n
+        masses = [sum(values[start + i : start + i + ny]) for i in range(0, n, ny)]
+        sender[a] = {x: Fraction(m, den) if den else m for x, m in enumerate(masses)}
         for b in range(nb):
-            row = view.cells(a, b)
-            for x in range(nx):
-                mass = sender[a][x]
+            start = (a * nb + b) * n
+            for x, mass in enumerate(masses):
                 if mass == 0:
                     receiver[(a, b, x)] = {y: Fraction(1, ny) for y in range(ny)}
                 else:
-                    cells = row[x * ny : (x + 1) * ny]
-                    receiver[(a, b, x)] = {y: p / mass for y, p in enumerate(cells)}
+                    cells = values[start + x * ny : start + (x + 1) * ny]
+                    receiver[(a, b, x)] = {y: ratio(v, mass) for y, v in enumerate(cells)}
     return OneWayProtocol(direction, table.shape, sender, receiver)
 
 
 def recompose_one_way(protocol: OneWayProtocol) -> StrategyTable:
-    """Multiply a one-way protocol back into a strategy table."""
+    """Multiply a one-way protocol back into a strategy table.
+
+    When every value is an int or a Fraction the products are taken on
+    integer numerators, over the sender's and the receiver's common
+    denominators, and each entry becomes a Fraction once.
+    """
     # A right-to-left protocol is left-to-right on the swapped view, so its
     # product is built on the view's alphabets and swapped back.
     na, nb, nx, ny = protocol.shape
     left_to_right = protocol.direction is Direction.LEFT_TO_RIGHT
     if not left_to_right:
         na, nb, nx, ny = nb, na, ny, nx
-    probs = []
+    senders, receivers = [], []
     for a in range(na):
         sender = protocol.sender[a]
         for b in range(nb):
             for x in range(nx):
-                s, receiver = sender[x], protocol.receiver[(a, b, x)]
-                probs += [_coerce(s * receiver[y]) for y in range(ny)]
+                receiver = protocol.receiver[(a, b, x)]
+                senders += [sender[x]] * ny
+                receivers += [receiver[y] for y in range(ny)]
+    exact = all(isinstance(v, (int, Fraction)) for v in senders + receivers)
+    if exact:
+        (s_nums, s_den), (r_nums, r_den) = _numerators(senders), _numerators(receivers)
+        probs = list(map(operator.mul, s_nums, r_nums))
+    else:
+        probs = [_coerce(s * r) for s, r in zip(senders, receivers)]
     if not left_to_right:
         probs = _transposed((na, nb, nx, ny), probs)
+    if exact:
+        return StrategyTable._from_numerators(protocol.shape, probs, s_den * r_den)
     return StrategyTable(protocol.shape, tuple(probs))
 
 

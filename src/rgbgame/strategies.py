@@ -68,7 +68,7 @@ def probability_to_string(p) -> str:
     return f"{p.numerator}/{p.denominator}"
 
 
-def _numerators(values) -> tuple[list, int]:
+def _numerators(values) -> tuple[tuple, int]:
     """Exact values as integer numerators over their least common denominator.
 
     Returns (numerators, denominator); the exact kernels do their sums and
@@ -76,25 +76,32 @@ def _numerators(values) -> tuple[list, int]:
     """
     dens = [p.denominator for p in values]
     den = math.lcm(*set(dens))
-    return [p.numerator * (den // d) for p, d in zip(values, dens)], den
+    return tuple(p.numerator * (den // d) for p, d in zip(values, dens)), den
 
 
 class _Frozen:
     """An immutable value over ``__slots__``, set once by ``__init__``.
 
-    Equality compares the slots of two instances of one class, the hash and
-    the repr are taken over them, and assignment after ``__init__`` raises.
+    Equality compares the public slots of two instances of one class, the
+    hash and the repr are taken over them, and copy and pickle rebuild from
+    them; a slot named with a leading underscore is derived, and left out.
+    Assignment after ``__init__`` raises.
     """
 
     __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def _init(self, *values) -> None:
-        """Set the slots, in order, to ``values``; called once, by ``__init__``."""
-        for name, value in zip(self.__slots__, values, strict=True):
+        """Set the public slots, in order, to ``values``; called once, by ``__init__``."""
+        for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -105,7 +112,7 @@ class _Frozen:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -123,16 +130,39 @@ class StrategyTable(_Frozen):
     """A conditional distribution P(x, y | a, b) over finite alphabets.
 
     ``shape`` is (|A|, |B|, |X|, |Y|); symbols are 0-based.  ``probs`` is the
-    dense row-major tuple of entries.  Exact tables (every entry a Fraction)
-    must have every row summing to 1 exactly; float tables within 1e-9, and
-    their entries must be finite.  Exact rows are validated in integers, on
-    the numerators over the table's common denominator.
+    dense row-major tuple of entries.  Exact tables (no entry a float) must
+    have every row summing to 1 exactly; float tables within 1e-9, and their
+    entries must be finite.
+
+    An exact table keeps the pair (numerators, D) of its entries over their
+    least common denominator D in the private slot ``_exact`` (None on a
+    float table).  Its rows are validated on these integers, and the exact
+    kernels read them in place of the entries.  The pair is derived from
+    ``probs``, so equality, hashing, the repr and pickling ignore it.
     """
 
-    __slots__ = ("shape", "probs")
+    __slots__ = ("shape", "probs", "_exact")
 
     def __init__(self, shape: tuple[int, int, int, int], probs: tuple):
         self._init(shape, probs)
+        self._validate(None)
+
+    @classmethod
+    def _from_numerators(cls, shape, nums, den) -> "StrategyTable":
+        """The exact table of entries nums[i] / den, built from the integers."""
+        # Dividing by this gcd leaves den the least common denominator.
+        g = math.gcd(den, *nums)
+        nums, den = tuple(n // g for n in nums), den // g
+        # One Fraction per distinct value; Fractions are immutable.
+        shared = {n: Fraction(n, den) if n else _ZERO for n in set(nums)}
+        table = cls.__new__(cls)
+        table._init(shape, tuple(map(shared.__getitem__, nums)))
+        table._validate((nums, den))
+        return table
+
+    def _validate(self, exact) -> None:
+        """Check shape and rows and set ``_exact``; None means derive it."""
+        shape, probs = self.shape, self.probs
         na, nb, nx, ny = shape
         if min(shape) < 1:
             raise ValueError(f"alphabet sizes must be positive, got {shape}")
@@ -140,13 +170,14 @@ class StrategyTable(_Frozen):
             raise ValueError(
                 f"need {na * nb * nx * ny} entries for shape {shape}, got {len(probs)}"
             )
+        if exact is None and not any(isinstance(p, float) for p in probs):
+            exact = _numerators(probs)
+        object.__setattr__(self, "_exact", exact)
         n = nx * ny
-        exact = self.is_exact
-        if exact:
-            nums, den = _numerators(probs)
         for k, (a, b) in enumerate(self.inputs()):
             if exact:
                 # Numerators over the table's common denominator den.
+                nums, den = exact
                 row = nums[k * n : (k + 1) * n]
                 if sum(row) != den:
                     raise ValueError(f"row ({a},{b}) sums to {Fraction(sum(row), den)}, not 1")
@@ -165,11 +196,11 @@ class StrategyTable(_Frozen):
 
     @property
     def is_exact(self) -> bool:
-        return not any(isinstance(p, float) for p in self.probs)
+        return self._exact is not None
 
     def _slack(self) -> float:
         """The slack of a check on this table: 0 if exact, else FLOAT_ROW_TOL."""
-        return 0 if self.is_exact else FLOAT_ROW_TOL
+        return FLOAT_ROW_TOL if self._exact is None else 0
 
     @classmethod
     def from_function(cls, shape, fn) -> "StrategyTable":
@@ -187,7 +218,20 @@ class StrategyTable(_Frozen):
     @classmethod
     def from_dict(cls, shape, entries: Mapping) -> "StrategyTable":
         """Build a table from {(a, b, x, y): p}; missing tuples are zero."""
-        return cls.from_function(shape, lambda a, b, x, y: entries.get((a, b, x, y), 0))
+        na, nb, nx, ny = shape
+        probs = [_ZERO] * (na * nb * nx * ny)
+        for key, p in entries.items():
+            if not (
+                len(key) == 4
+                and key[0] in range(na)
+                and key[1] in range(nb)
+                and key[2] in range(nx)
+                and key[3] in range(ny)
+            ):
+                raise ValueError(f"entry {key!r} outside the alphabets of shape {tuple(shape)}")
+            a, b, x, y = key
+            probs[((a * nb + b) * nx + x) * ny + y] = _coerce(p)
+        return cls(tuple(shape), tuple(probs))
 
     def _index(self, a, b, x, y) -> int:
         na, nb, nx, ny = self.shape
@@ -235,10 +279,17 @@ class Game(_Frozen):
         self._init(shape, predicate, input_dist)
         if min(shape) < 1:
             raise ValueError(f"alphabet sizes must be positive, got {shape}")
-        total = sum(input_dist.values())
-        if total != 1:
+        na, nb = shape[:2]
+        for pair in input_dist:
+            if not (len(pair) == 2 and pair[0] in range(na) and pair[1] in range(nb)):
+                raise ValueError(f"input pair {pair!r} outside range({na}) x range({nb})")
+        weights = input_dist.values()
+        slack = FLOAT_ROW_TOL if any(isinstance(w, float) for w in weights) else 0
+        total = sum(weights)
+        # Written as negations, as in mix, so that a NaN weight is refused.
+        if not abs(total - 1) <= slack:
             raise ValueError(f"input distribution sums to {total}, not 1")
-        if any(w < 0 for w in input_dist.values()):
+        if not all(w >= 0 for w in weights):
             raise ValueError("input distribution has a negative weight")
 
 
@@ -259,13 +310,28 @@ def chsh_game() -> Game:
 def win_probability(table: StrategyTable, game: Game):
     """Expected winning probability of a strategy table in a game.
 
-    Exact when the table is exact; float otherwise.
+    Exact when the table is exact; float otherwise.  Under int or Fraction
+    weights an exact table is summed in integers, over one denominator.
     """
     if table.shape != game.shape:
         raise ValueError(f"table shape {table.shape} != game shape {game.shape}")
-    ny = table.shape[3]
+    _, nb, nx, ny = table.shape
+    dist = game.input_dist
+    if table._exact and all(isinstance(w, (int, Fraction)) for w in dist.values()):
+        nums, den = table._exact
+        units, unit = _numerators(list(dist.values()))
+        n = nx * ny
+        total = 0
+        for (a, b), u in zip(dist, units):
+            if u:
+                start = (a * nb + b) * n
+                total += u * sum(
+                    v for i, v in enumerate(nums[start : start + n])
+                    if v and game.predicate(a, b, *divmod(i, ny))
+                )
+        return Fraction(total, unit * den)
     total = Fraction(0)
-    for (a, b), weight in game.input_dist.items():
+    for (a, b), weight in dist.items():
         if weight == 0:
             continue
         # Zero cells are skipped, so an all-losing float row adds int 0.
@@ -511,6 +577,13 @@ def l1_distance(table_a: StrategyTable, table_b: StrategyTable):
     """Entrywise L1 distance between two tables on the same alphabets."""
     if table_a.shape != table_b.shape:
         raise ValueError(f"shape mismatch: {table_a.shape} != {table_b.shape}")
+    if table_a._exact and table_b._exact:
+        (nums_a, den_a), (nums_b, den_b) = table_a._exact, table_b._exact
+        den = math.lcm(den_a, den_b)
+        scale_a, scale_b = den // den_a, den // den_b
+        return Fraction(
+            sum(abs(p * scale_a - q * scale_b) for p, q in zip(nums_a, nums_b)), den
+        )
     return sum(abs(p - q) for p, q in zip(table_a.probs, table_b.probs))
 
 
@@ -527,16 +600,16 @@ def mix(tables: Sequence[StrategyTable], weights: Sequence) -> StrategyTable:
     # comparison, is refused here.
     if not (all(w >= 0 for w in weights) and abs(sum(weights) - 1) <= slack):
         raise ValueError("weights must be nonnegative and sum to 1")
-    if not slack and all(t.is_exact for t in tables):
+    if not slack and all(t._exact for t in tables):
         # Each column summed in integers over one common denominator.
         units, unit = _numerators(weights)
-        nums, den = _numerators([p for t in tables for p in t.probs])
-        n = len(tables[0].probs)
-        totals = [0] * n
-        for i, u in enumerate(units):
+        den = math.lcm(*(t._exact[1] for t in tables))
+        totals = [0] * len(tables[0].probs)
+        for u, t in zip(units, tables):
             if u:
-                totals = [s + u * v for s, v in zip(totals, nums[i * n : (i + 1) * n])]
-        den *= unit
-        return StrategyTable(shape, tuple(Fraction(s, den) if s else _ZERO for s in totals))
+                nums, d = t._exact
+                u *= den // d
+                totals = [s + u * v for s, v in zip(totals, nums)]
+        return StrategyTable._from_numerators(shape, totals, den * unit)
     columns = zip(*(t.probs for t in tables))
     return StrategyTable(shape, tuple(sum(map(operator.mul, weights, c)) for c in columns))

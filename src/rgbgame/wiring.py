@@ -19,10 +19,8 @@ from fractions import Fraction
 
 from .strategies import (
     StrategyTable,
-    _ZERO,
     _coerce,
     _Frozen,
-    _numerators,
     next_colour,
     prev_colour,
     rgb_game,
@@ -90,9 +88,9 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
         )
     oa, ob, ox, oy = protocol.outer_shape
     ia, ib, ix, iy = protocol.inner_shape
-    exact = base.is_exact
+    exact = base._exact
     if exact:
-        nums, unit = _numerators(base.probs)
+        nums, unit = exact
         share, den = 1, protocol.randomness * unit**protocol.calls
     else:
         share = Fraction(1, protocol.randomness)
@@ -133,10 +131,10 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
                         )
                     key = ((a * ob + b) * ox + x) * oy + y
                     entries[key] = entries.get(key, 0) + weight
-    probs = [_ZERO] * (oa * ob * ox * oy)
-    for key, total in entries.items():
-        probs[key] = Fraction(total, den) if exact else _coerce(total)
-    return StrategyTable(protocol.outer_shape, tuple(probs))
+    totals = [entries.get(key, 0) for key in range(oa * ob * ox * oy)]
+    if exact:
+        return StrategyTable._from_numerators(protocol.outer_shape, totals, den)
+    return StrategyTable(protocol.outer_shape, tuple(map(_coerce, totals)))
 
 
 # ---------------------------------------------------------------------------

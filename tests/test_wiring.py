@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rgbgame.locality import is_no_signalling, pr_box
 from rgbgame.strategies import (
     StrategyTable,
+    _numerators,
     chsh_game,
     deterministic_strategy,
     l1_distance,
@@ -309,7 +310,10 @@ def _check_against_the_per_cell_loop(protocol, base):
         with pytest.raises(ValueError, match=re.escape(str(err))):
             evaluate_wiring(protocol, base)
         return
-    assert _typed(evaluate_wiring(protocol, base).probs) == expected
+    table = evaluate_wiring(protocol, base)
+    assert _typed(table.probs) == expected
+    # The integer path leaves the entries' pair over their least common denominator.
+    assert table._exact == (_numerators(table.probs) if table.is_exact else None)
 
 
 @settings(max_examples=60, deadline=None)
