@@ -502,13 +502,8 @@ class CertificateReport(_Frozen):
 
     def to_json_dict(self) -> dict:
         return {
-            "primal_value": self.primal_value,
-            "dual_value": self.dual_value,
-            "gap": self.gap,
-            "primal_eigenvalues": list(self.primal_eigenvalues),
-            "dual_slack_eigenvalues": list(self.dual_slack_eigenvalues),
-            "bound": self.bound,
-            "implied_win_bound": self.implied_win_bound,
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in zip(self._fields, self._values())
         }
 
 

@@ -8,7 +8,8 @@ decompositions reconstruct an exact input exactly.
 The module also carries the linear-algebra argument showing that the
 perfectly-winning family of the colour game contains exactly one
 no-signalling box: the all-1/2 member.  That computation is done with exact
-Gaussian elimination over the 15 family parameters.
+Gaussian elimination over the 15 family parameters, by ``_rref`` alone: an
+equation is implied by a system when adding it leaves the rank unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from fractions import Fraction
 from .strategies import (
     StrategyTable,
     WinningFamilyParams,
-    _coerce,
     _Frozen,
     _numerators,
     next_colour,
@@ -37,7 +37,8 @@ from .strategies import (
 
 def _pair_box(k: int, pair) -> StrategyTable:
     """The k-letter box answering (x, y) = pair(a, b) with certainty."""
-    _check_alphabet(k)
+    if k < 1:
+        raise ValueError(f"alphabet size must be at least 1, got {k}")
     return StrategyTable.from_function(
         (k, k, k, k), lambda a, b, x, y: 1 if (x, y) == pair(a, b) else 0
     )
@@ -77,11 +78,6 @@ def pr_box() -> StrategyTable:
     )
 
 
-def _check_alphabet(k: int):
-    if k < 1:
-        raise ValueError(f"alphabet size must be at least 1, got {k}")
-
-
 # ---------------------------------------------------------------------------
 # no-signalling checks
 
@@ -109,13 +105,10 @@ class SignallingWitness(_Frozen):
         self._init(side, fixed_input, output, sender_inputs, marginals)
 
     def to_json_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "fixed_input": self.fixed_input,
-            "output": self.output,
-            "sender_inputs": list(self.sender_inputs),
-            "marginals": [probability_to_string(m) for m in self.marginals],
-        }
+        data = dict(zip(self._fields, self._values()))
+        data["sender_inputs"] = list(self.sender_inputs)
+        data["marginals"] = [probability_to_string(m) for m in self.marginals]
+        return data
 
     def __str__(self):
         receiver, sender = ("y", "a") if self.side == "right" else ("x", "b")
@@ -320,17 +313,14 @@ def recompose_one_way(protocol: OneWayProtocol) -> StrategyTable:
                 receiver = protocol.receiver[(a, b, x)]
                 senders += [sender[x]] * ny
                 receivers += [receiver[y] for y in range(ny)]
-    exact = all(isinstance(v, (int, Fraction)) for v in senders + receivers)
-    if exact:
-        (s_nums, s_den), (r_nums, r_den) = _numerators(senders), _numerators(receivers)
-        probs = list(map(operator.mul, s_nums, r_nums))
-    else:
-        probs = [_coerce(s * r) for s, r in zip(senders, receivers)]
+    den = None
+    if all(isinstance(v, (int, Fraction)) for v in senders + receivers):
+        (senders, s_den), (receivers, r_den) = _numerators(senders), _numerators(receivers)
+        den = s_den * r_den
+    probs = list(map(operator.mul, senders, receivers))
     if not left_to_right:
         probs = _transposed((na, nb, nx, ny), probs)
-    if exact:
-        return StrategyTable._from_numerators(protocol.shape, probs, s_den * r_den)
-    return StrategyTable(protocol.shape, tuple(probs))
+    return StrategyTable._from_numerators(protocol.shape, probs, den)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +347,10 @@ def build_ns_constraints() -> LinearSystem:
     each same-colour row (a = b = u) with its two neighbouring rows gives, for
     every u: p_u = 1 - p_{u,u+1} = p_{u,u-1} on Alice's side and
     1 - p_u = 1 - q_{u+1,u} = q_{u-1,u} on Bob's, i.e. 12 equalities in the
-    15 parameters, plus the range inequalities of the family itself.
+    15 parameters.  The inequalities are the family's entries: 15 rows
+    v >= 0, one per parameter, and 6 rows p_uv + q_uv <= 1, one per pair
+    of distinct colours.  No row says p_u <= 1: on the equalities that
+    bound follows from p_u + p_{u,u+1} = 1.
     """
     names = parameter_names()
     index = {name: i for i, name in enumerate(names)}
@@ -391,10 +384,10 @@ def _rref(rows: list[list[Fraction]]):
     """In-place reduced row echelon form; returns [(row index, pivot column)].
 
     Rows have one trailing constant entry.  Raises on an inconsistent system.
+    Rows are replaced, never changed, so ``_rref(rows + [row])`` leaves the
+    caller's ``rows`` as they were.
     """
-    if not rows:
-        return []
-    width = len(rows[0]) - 1
+    width = len(rows[0]) - 1 if rows else 0
     pivots = []
     rank = 0
     for col in range(width):
@@ -405,7 +398,8 @@ def _rref(rows: list[list[Fraction]]):
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         scale = rows[rank][col]
-        rows[rank] = [c / scale for c in rows[rank]]
+        if scale != 1:
+            rows[rank] = [c / scale for c in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
                 factor = rows[r][col]
@@ -418,71 +412,51 @@ def _rref(rows: list[list[Fraction]]):
     return pivots
 
 
-def _reduce_form(coeffs, constant, rows, pivots):
-    """Residual of the affine form coeffs . v + constant modulo equality rows."""
-    form = list(coeffs) + [Fraction(constant)]
-    for r, col in pivots:
-        factor = form[col]
-        if factor != 0:
-            # row r encodes: v_col + sum(tail) = const, i.e. the affine form
-            # (row coeffs) . v - const vanishes on every solution.
-            form = [
-                f - factor * c for f, c in zip(form[:-1], rows[r][:-1])
-            ] + [form[-1] + factor * rows[r][-1]]
-    return form
-
-
 def solve_ns_unique() -> WinningFamilyParams:
     """Solve the no-signalling constraints exactly; the solution is a point.
 
     Elimination of the 12 marginal equalities leaves the three same-colour
     parameters free, but the two entries P(v, u | u, v) and P(u, v | v, u)
-    of the family reduce to opposite linear forms, so nonnegativity pins both
-    to zero.  Adding those equalities collapses the system to the all-1/2
-    assignment; any residual freedom or inconsistency raises.
+    of the family sum to zero on every solution (adding that equation leaves
+    the rank under ``_rref`` unchanged), so nonnegativity pins both to zero.
+    Adding those equalities collapses the system to the all-1/2 assignment;
+    any residual freedom or inconsistency raises.
     """
     system = build_ns_constraints()
     names = system.variables
-    index = {name: i for i, name in enumerate(names)}
 
-    def leftover_form(u, v):
-        # P(v, u | u, v) = 1 - p_uv - q_uv as (coefficients, constant).
-        coeffs = [Fraction(0)] * len(names)
-        coeffs[index[f"p{u}{v}"]] = Fraction(-1)
-        coeffs[index[f"q{u}{v}"]] = Fraction(-1)
-        return coeffs, Fraction(1)
+    def entry_is_zero(u, v):
+        # P(v, u | u, v) = 1 - p_uv - q_uv = 0 as the row p_uv + q_uv = 1.
+        return [Fraction(name in (f"p{u}{v}", f"q{u}{v}")) for name in names] + [Fraction(1)]
 
     rows = [list(coeffs) + [const] for coeffs, const in system.equalities]
-    pivots = _rref(rows)
+    rank = len(_rref(rows))
 
-    extra = []
+    pinned = []
     for u in range(3):
         v = next_colour(u)
-        coeffs_uv, const_uv = leftover_form(u, v)
-        coeffs_vu, const_vu = leftover_form(v, u)
-        paired = _reduce_form(
-            [c1 + c2 for c1, c2 in zip(coeffs_uv, coeffs_vu)],
-            const_uv + const_vu,
-            rows,
-            pivots,
-        )
-        if any(c != 0 for c in paired):
+        uv, vu = entry_is_zero(u, v), entry_is_zero(v, u)
+        # P(v,u|u,v) + P(u,v|v,u) = 0 is implied when adding it leaves the
+        # rank unchanged; _rref raises when only its constant disagrees.
+        try:
+            implied = len(_rref(rows + [list(map(operator.add, uv, vu))])) == rank
+        except ArithmeticError:
+            implied = False
+        if not implied:
             raise ArithmeticError(
                 "expected P(v,u|u,v) + P(u,v|v,u) to vanish modulo no-signalling"
             )
         # Both entries are probabilities and sum to zero, hence each is zero.
-        extra.append([-c for c in coeffs_uv] + [const_uv])
-        extra.append([-c for c in coeffs_vu] + [const_vu])
+        pinned += [uv, vu]
 
-    rows = [list(coeffs) + [const] for coeffs, const in system.equalities] + extra
+    rows += pinned
     pivots = _rref(rows)
     if len(pivots) != len(names):
         raise ArithmeticError(
             f"solution space is not a point: rank {len(pivots)} of {len(names)}"
         )
-    solution = [Fraction(0)] * len(names)
-    for r, col in pivots:
-        solution[col] = rows[r][-1]
+    # Full rank: pivot i sits in column i, so row i reads v_i = its constant.
+    solution = [row[-1] for row in rows[: len(names)]]
 
     for coeffs, const in system.inequalities:
         value = sum(c * s for c, s in zip(coeffs, solution))

@@ -60,6 +60,11 @@ def _coerce(p):
     return Fraction(p)
 
 
+def _is_symbol(s, size) -> bool:
+    # An int in range(size); the range test alone also holds 1.0 and Fraction(1).
+    return isinstance(s, int) and 0 <= s < size
+
+
 def probability_to_string(p) -> str:
     """Canonical text for one probability: lowest-terms "num/den" or %.17g."""
     if isinstance(p, float):
@@ -149,7 +154,10 @@ class StrategyTable(_Frozen):
 
     @classmethod
     def _from_numerators(cls, shape, nums, den) -> "StrategyTable":
-        """The exact table of entries nums[i] / den, built from the integers."""
+        """The exact table of entries nums[i] / den, built from the integers;
+        with den None, the table of entries nums, built by the constructor."""
+        if den is None:
+            return cls(shape, tuple(map(_coerce, nums)))
         # Dividing by this gcd leaves den the least common denominator.
         g = math.gcd(den, *nums)
         nums, den = tuple(n // g for n in nums), den // g
@@ -221,13 +229,7 @@ class StrategyTable(_Frozen):
         na, nb, nx, ny = shape
         probs = [_ZERO] * (na * nb * nx * ny)
         for key, p in entries.items():
-            if not (
-                len(key) == 4
-                and key[0] in range(na)
-                and key[1] in range(nb)
-                and key[2] in range(nx)
-                and key[3] in range(ny)
-            ):
+            if not (len(key) == 4 and all(map(_is_symbol, key, shape))):
                 raise ValueError(f"entry {key!r} outside the alphabets of shape {tuple(shape)}")
             a, b, x, y = key
             probs[((a * nb + b) * nx + x) * ny + y] = _coerce(p)
@@ -281,7 +283,7 @@ class Game(_Frozen):
             raise ValueError(f"alphabet sizes must be positive, got {shape}")
         na, nb = shape[:2]
         for pair in input_dist:
-            if not (len(pair) == 2 and pair[0] in range(na) and pair[1] in range(nb)):
+            if not (len(pair) == 2 and all(map(_is_symbol, pair, shape))):
                 raise ValueError(f"input pair {pair!r} outside range({na}) x range({nb})")
         weights = input_dist.values()
         slack = FLOAT_ROW_TOL if any(isinstance(w, float) for w in weights) else 0
@@ -317,30 +319,21 @@ def win_probability(table: StrategyTable, game: Game):
         raise ValueError(f"table shape {table.shape} != game shape {game.shape}")
     _, nb, nx, ny = table.shape
     dist = game.input_dist
-    if table._exact and all(isinstance(w, (int, Fraction)) for w in dist.values()):
-        nums, den = table._exact
-        units, unit = _numerators(list(dist.values()))
-        n = nx * ny
-        total = 0
-        for (a, b), u in zip(dist, units):
-            if u:
-                start = (a * nb + b) * n
-                total += u * sum(
-                    v for i, v in enumerate(nums[start : start + n])
-                    if v and game.predicate(a, b, *divmod(i, ny))
-                )
-        return Fraction(total, unit * den)
-    total = Fraction(0)
-    for (a, b), weight in dist.items():
-        if weight == 0:
-            continue
-        # Zero cells are skipped, so an all-losing float row adds int 0.
-        mass = sum(
-            p for i, p in enumerate(table.cells(a, b))
-            if p != 0 and game.predicate(a, b, *divmod(i, ny))
-        )
-        total += weight * mass
-    return total
+    values, den, weights, total = table.probs, None, dist.values(), _ZERO
+    if table._exact and all(isinstance(w, (int, Fraction)) for w in weights):
+        # The table's numerators over D, the weights' numerators over unit.
+        (values, d), (weights, unit) = table._exact, _numerators(list(weights))
+        den, total = d * unit, 0
+    n = nx * ny
+    for (a, b), w in zip(dist, weights):
+        if w:
+            start = (a * nb + b) * n
+            # Zero cells are skipped, so an all-losing float row adds int 0.
+            total += w * sum(
+                v for i, v in enumerate(values[start : start + n])
+                if v and game.predicate(a, b, *divmod(i, ny))
+            )
+    return Fraction(total, den) if den else total
 
 
 def deterministic_strategy(f_a, f_b, shape=(3, 3, 3, 3)) -> StrategyTable:

@@ -13,18 +13,15 @@ on bit-encoded colours) rebuild the colour box.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from fractions import Fraction
 
 from .strategies import (
     StrategyTable,
-    _coerce,
     _Frozen,
     next_colour,
     prev_colour,
     rgb_game,
-    rgrb,
     win_probability,
 )
 
@@ -89,11 +86,10 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
     oa, ob, ox, oy = protocol.outer_shape
     ia, ib, ix, iy = protocol.inner_shape
     exact = base._exact
+    share, den = Fraction(1, protocol.randomness), None
     if exact:
         nums, unit = exact
         share, den = 1, protocol.randomness * unit**protocol.calls
-    else:
-        share = Fraction(1, protocol.randomness)
     # Nonzero ((x, y), p) items of each base row, read once per distinct
     # row; an exact row holds its numerators over D, at the same offsets.
     rows: dict[tuple[int, int], list] = {}
@@ -132,9 +128,7 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
                     key = ((a * ob + b) * ox + x) * oy + y
                     entries[key] = entries.get(key, 0) + weight
     totals = [entries.get(key, 0) for key in range(oa * ob * ox * oy)]
-    if exact:
-        return StrategyTable._from_numerators(protocol.outer_shape, totals, den)
-    return StrategyTable(protocol.outer_shape, tuple(map(_coerce, totals)))
+    return StrategyTable._from_numerators(protocol.outer_shape, totals, den)
 
 
 # ---------------------------------------------------------------------------

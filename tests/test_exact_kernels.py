@@ -395,8 +395,11 @@ def test_game_weights_follow_the_rule_of_mix():
         Game((1, 2, 1, 1), predicate, {(0, 0): F(2), (0, 1): F(-1)})
 
 
-@pytest.mark.parametrize("pair", [(-1, 0), (2, 0), (0, 2), (0, -1), (0, 0, 0), (0,)])
+@pytest.mark.parametrize(
+    "pair", [(-1, 0), (2, 0), (0, 2), (0, -1), (0, 0, 0), (0,), (1.0, 0), (0, F(1))]
+)
 def test_game_refuses_input_pairs_outside_the_alphabets(pair):
+    # 1.0 and Fraction(1) lie in range(2) but index nothing.
     half = F(1, 2)
     message = f"input pair {pair!r} outside range(2) x range(2)"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -404,8 +407,10 @@ def test_game_refuses_input_pairs_outside_the_alphabets(pair):
 
 
 @pytest.mark.parametrize(
-    "key", [(0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0), (0, 0, 0, 0, 0)]
+    "key",
+    [(0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 1.0, 0)],
 )
 def test_from_dict_refuses_keys_outside_the_alphabets(key):
+    # Two outputs for x, so that a float key does not equal the key (0, 0, 0, 0).
     with pytest.raises(ValueError, match=re.escape(f"entry {key!r} outside the alphabets")):
-        StrategyTable.from_dict((1, 1, 1, 1), {(0, 0, 0, 0): 1, key: 7})
+        StrategyTable.from_dict((1, 1, 2, 1), {(0, 0, 0, 0): 1, key: 7})

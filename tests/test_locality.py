@@ -8,11 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rgbgame import locality
 from rgbgame.locality import (
     Direction,
+    LinearSystem,
     OneWayProtocol,
     SignallingError,
     SignallingWitness,
+    _rref,
     build_ns_constraints,
     decompose_one_way,
     id_box,
@@ -35,6 +38,7 @@ from rgbgame.strategies import (
     family_strategy,
     l1_distance,
     mix,
+    next_colour,
     parameter_names,
     rgb0,
     rgb_game,
@@ -491,3 +495,176 @@ def test_unique_ns_member_is_the_uniform_one():
     assert l1_distance(family_strategy(params), rgrb()) == 0
     ok, _ = is_no_signalling(family_strategy(params))
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# the proof's elimination routine and its failure branches
+
+
+def test_rref_reports_the_rank_and_reduces_in_place():
+    rows = [[F(2), F(4), F(6)], [F(1), F(2), F(3)], [F(0), F(1), F(1)]]
+    pivots = _rref(rows)
+    # x + 2y = 3 twice over and y = 1: rank 2, with x = 1 and y = 1.
+    assert pivots == [(0, 0), (1, 1)]
+    assert rows == [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
+    assert len(_rref([[F(1), F(1), F(0)]] * 3)) == 1
+    assert _rref([]) == []
+
+
+def test_rref_refuses_an_inconsistent_system():
+    with pytest.raises(ArithmeticError, match="^inconsistent linear system$"):
+        _rref([[F(1), F(1), F(1)], [F(2), F(2), F(3)]])
+
+
+def test_rref_of_an_extended_list_leaves_the_callers_rows_alone():
+    # The uniqueness proof tests a row with _rref(rows + [row]) and then goes
+    # on with rows: neither the list nor a row in it may change.
+    rows = [list(coeffs) + [const] for coeffs, const in build_ns_constraints().equalities]
+    _rref(rows)
+    inner = [list(row) for row in rows]
+    ids = [id(row) for row in rows]
+    paired = _pair_row(0, 1)
+    assert len(_rref(rows + [paired])) == 12
+    with pytest.raises(ArithmeticError, match="inconsistent"):
+        _rref(rows + [paired[:-1] + [F(3)]])
+    assert [id(row) for row in rows] == ids
+    assert rows == inner
+
+
+def _parent_proof(system):
+    """The proof as it read with a second elimination routine: each pair's
+    form P(v,u|u,v) + P(u,v|v,u) reduced modulo the rows in echelon form.
+    Returns the pinned pairs and the point, or raises as solve_ns_unique does.
+    """
+    names = system.variables
+    index = {name: i for i, name in enumerate(names)}
+
+    def reduce_form(coeffs, constant, rows, pivots):
+        form = list(coeffs) + [F(constant)]
+        for r, col in pivots:
+            factor = form[col]
+            if factor != 0:
+                form = [
+                    f - factor * c for f, c in zip(form[:-1], rows[r][:-1])
+                ] + [form[-1] + factor * rows[r][-1]]
+        return form
+
+    def leftover_form(u, v):
+        coeffs = [F(0)] * len(names)
+        coeffs[index[f"p{u}{v}"]] = F(-1)
+        coeffs[index[f"q{u}{v}"]] = F(-1)
+        return coeffs, F(1)
+
+    rows = [list(coeffs) + [const] for coeffs, const in system.equalities]
+    pivots = _rref(rows)
+    pinned, extra = [], []
+    for u in range(3):
+        v = next_colour(u)
+        coeffs_uv, const_uv = leftover_form(u, v)
+        coeffs_vu, const_vu = leftover_form(v, u)
+        paired = reduce_form(
+            [c1 + c2 for c1, c2 in zip(coeffs_uv, coeffs_vu)], const_uv + const_vu, rows, pivots
+        )
+        if any(c != 0 for c in paired):
+            raise ArithmeticError(
+                "expected P(v,u|u,v) + P(u,v|v,u) to vanish modulo no-signalling"
+            )
+        pinned.append((u, v))
+        extra.append([-c for c in coeffs_uv] + [const_uv])
+        extra.append([-c for c in coeffs_vu] + [const_vu])
+    rows = [list(coeffs) + [const] for coeffs, const in system.equalities] + extra
+    pivots = _rref(rows)
+    if len(pivots) != len(names):
+        raise ArithmeticError(
+            f"solution space is not a point: rank {len(pivots)} of {len(names)}"
+        )
+    solution = [F(0)] * len(names)
+    for r, col in pivots:
+        solution[col] = rows[r][-1]
+    for coeffs, const in system.inequalities:
+        if sum(c * s for c, s in zip(coeffs, solution)) < const:
+            raise ArithmeticError("unique solution violates a range inequality")
+    return pinned, tuple(solution)
+
+
+def _entry_zero(u, v):
+    """P(v, u | u, v) = 0 as the equality p_uv + q_uv = 1."""
+    return tuple(F(name in (f"p{u}{v}", f"q{u}{v}")) for name in parameter_names()), F(1)
+
+
+def _pair_row(u, v):
+    """P(v, u | u, v) + P(u, v | v, u) = 0 as one row with its constant."""
+    (c1, k1), (c2, k2) = _entry_zero(u, v), _entry_zero(v, u)
+    return [a + b for a, b in zip(c1, c2)] + [k1 + k2]
+
+
+def _without_equalities(*dropped):
+    system = build_ns_constraints()
+    kept = tuple(e for i, e in enumerate(system.equalities) if i not in dropped)
+    return LinearSystem(system.variables, kept, system.inequalities)
+
+
+def _entries_stated_zero_without_two_equalities():
+    # The six entries are given as equalities, so the pairing holds whatever
+    # is dropped; the rest pin the point even without one equality, but not
+    # without both of equalities 0 and 2 (p0 + p01 = 1 and p0 = q10).
+    system = _without_equalities(0, 2)
+    zeros = tuple(_entry_zero(u, v) for u in range(3) for v in range(3) if u != v)
+    return LinearSystem(system.variables, system.equalities + zeros, system.inequalities)
+
+
+def _with_constants_moved(shift):
+    # Each equality c . v = k becomes c . v = k - c_p0 * shift: the same
+    # system in the variable p0 + shift, whose point has p0 = 1/2 - shift.
+    system = build_ns_constraints()
+    moved = tuple((c, k - c[0] * shift) for c, k in system.equalities)
+    return LinearSystem(system.variables, moved, system.inequalities)
+
+
+def _with_one_constant_off():
+    # Every pair's form stays in the rows' span, but with the wrong constant.
+    system = build_ns_constraints()
+    (c, k), rest = system.equalities[0], system.equalities[1:]
+    return LinearSystem(system.variables, ((c, k + 1),) + rest, system.inequalities)
+
+
+PAIRING = "expected P(v,u|u,v) + P(u,v|v,u) to vanish modulo no-signalling"
+
+BROKEN_SYSTEMS = [
+    ("not a point", _entries_stated_zero_without_two_equalities, "not a point: rank 14 of 15"),
+    ("pairing, equality dropped", lambda: _without_equalities(5), PAIRING),
+    ("pairing, constant off", _with_one_constant_off, PAIRING),
+    ("range inequality", lambda: _with_constants_moved(1), "violates a range inequality"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", [case[1:] for case in BROKEN_SYSTEMS], ids=[case[0] for case in BROKEN_SYSTEMS]
+)
+def test_ns_unique_raises_on_a_broken_system(monkeypatch, build, message):
+    system = build()
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        _parent_proof(system)
+    monkeypatch.setattr(locality, "build_ns_constraints", lambda: system)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        solve_ns_unique()
+
+
+@pytest.mark.parametrize("shift", [0, F(-1, 4), F(1, 3)])
+def test_the_rank_test_and_the_parent_proof_agree(monkeypatch, shift):
+    # The real system, and the same system in p0 + shift, whose point moves
+    # to p0 = 1/2 - shift and stays inside every range row.
+    system = _with_constants_moved(shift)
+    pinned, point = _parent_proof(system)
+    assert pinned == [(0, 1), (1, 2), (2, 0)]
+    assert point == (F(1, 2) - shift,) + (F(1, 2),) * 14
+    monkeypatch.setattr(locality, "build_ns_constraints", lambda: system)
+    assert solve_ns_unique().as_vector() == point
+    # The rank test implies exactly the forms that reduce to zero: each
+    # pinned pair's sum, and none of the six entries on its own.
+    rows = [list(coeffs) + [const] for coeffs, const in system.equalities]
+    rank = len(_rref(rows))
+    for u, v in pinned:
+        assert len(_rref(rows + [_pair_row(u, v)])) == rank
+        for entry in (_entry_zero(u, v), _entry_zero(v, u)):
+            assert len(_rref(rows + [list(entry[0]) + [entry[1]]])) == rank + 1
