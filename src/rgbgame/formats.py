@@ -7,8 +7,9 @@ exact tables and as 17-significant-digit decimals for float tables, which
 round-trips IEEE doubles exactly (1.0 is written "1.0", so it stays a float).
 
 A wiring file stores the call count, the shared-randomness alphabet, both
-box shapes, and every local map tabulated over its full finite domain as
-[own_input, [earlier_outputs...], randomness, value] records.
+box shapes, and every local map as [own_input, [earlier_outputs...],
+randomness, value] records, one per point of its finite domain, in the order
+of the map's table in WiringProtocol.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _encode_string
 
 import rgbgame  # rgbgame.WiringProtocol loads wiring when first read, not with this module
 
-from .strategies import StrategyTable, probability_to_string
+from .strategies import StrategyTable, _is_int, probability_to_string
 
 
 #: Most entries a box document's dense table, or a wiring's outer table, may
@@ -57,11 +58,6 @@ def _parse_probability(value, where: str):
         except (ValueError, ZeroDivisionError):
             raise BoxFormatError(f"{where}: cannot parse probability {value!r}") from None
     raise BoxFormatError(f"{where}: probability must be a number or string")
-
-
-def _is_int(value) -> bool:
-    """An integer in the document; JSON true/false load as bool, an int subclass."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _read_alphabets(value, what: str, error_cls) -> tuple[int, int, int, int]:
@@ -109,7 +105,8 @@ def box_from_json_dict(data) -> StrategyTable:
     if not isinstance(records, list):
         raise BoxFormatError("table must be a list of records")
     names = ("a", "b", "x", "y")
-    entries: dict[tuple[int, int, int, int], object] = {}
+    # Each entry under its index in the dense row-major table.
+    entries: dict[int, object] = {}
     for i, record in enumerate(records):
         where = f"table[{i}]"
         if not isinstance(record, dict):
@@ -118,7 +115,7 @@ def box_from_json_dict(data) -> StrategyTable:
             raise BoxFormatError(
                 f"{where}: record must have exactly the keys a, b, x, y, p"
             )
-        key = []
+        key, index = [], 0
         for name, size in zip(names, shape):
             v = record[name]
             if not _is_int(v):
@@ -128,23 +125,26 @@ def box_from_json_dict(data) -> StrategyTable:
                     f"{where}: field {name!r} = {v} outside range({size})"
                 )
             key.append(v)
-        key = tuple(key)
-        if key in entries:
-            raise BoxFormatError(f"{where}: duplicate entry for (a,b,x,y) = {key}")
-        entries[key] = _parse_probability(record["p"], f"{where}: field 'p'")
+            index = index * size + v
+        if index in entries:
+            raise BoxFormatError(f"{where}: duplicate entry for (a,b,x,y) = {tuple(key)}")
+        entries[index] = _parse_probability(record["p"], f"{where}: field 'p'")
 
     # A row without records sums to 0: refuse it before building the dense
     # table, whose size is the product of the declared alphabets.
-    covered = {key[:2] for key in entries}
-    for a, b in itertools.product(range(shape[0]), range(shape[1])):
-        if (a, b) not in covered:
+    covered = {index // (shape[2] * shape[3]) for index in entries}
+    for row, (a, b) in enumerate(itertools.product(range(shape[0]), range(shape[1]))):
+        if row not in covered:
             raise BoxFormatError(f"row ({a},{b}) sums to 0, not 1")
     if math.prod(shape) > MAX_BOX_ENTRIES:
         raise BoxFormatError(
             f"alphabets {list(shape)} give {math.prod(shape)} entries, more than {MAX_BOX_ENTRIES}"
         )
+    probs = [Fraction(0)] * math.prod(shape)
+    for index, p in entries.items():
+        probs[index] = p
     try:
-        return StrategyTable.from_dict(shape, entries)
+        return StrategyTable(shape, tuple(probs))
     except ValueError as err:
         raise BoxFormatError(str(err)) from err
 
@@ -225,94 +225,57 @@ _WIRING_KEYS = {
 }
 
 
-def _tabulate(fn, own_size, prior_size, priors_len, randomness, value_size, kind):
-    rows = []
-    for own in range(own_size):
-        for priors in itertools.product(range(prior_size), repeat=priors_len):
-            for r in range(randomness):
-                value = fn(own, priors, r)
-                if not (_is_int(value) and 0 <= value < value_size):
-                    raise WiringFormatError(
-                        f"{kind} map sends ({own}, {priors}, {r}) to {value!r}, "
-                        f"not an integer in range({value_size})"
-                    )
-                rows.append([own, list(priors), r, value])
-    return rows
-
-
 def wiring_to_json_dict(protocol: rgbgame.WiringProtocol) -> dict:
-    oa, ob, ox, oy = protocol.outer_shape
-    ia, ib, ix, iy = protocol.inner_shape
+    calls, randomness = protocol.calls, protocol.randomness
+    tables = (
+        *protocol.alice_inputs, *protocol.bob_inputs, protocol.alice_output, protocol.bob_output
+    )
+    maps = rgbgame.wiring._maps(calls, randomness, protocol.outer_shape, protocol.inner_shape)
+    records = [
+        [[own, list(priors), r, value] for (own, priors, r), value in zip(points, table)]
+        for table, (_, points, _) in zip(tables, maps)
+    ]
     return {
-        "calls": protocol.calls,
-        "randomness": protocol.randomness,
+        "calls": calls,
+        "randomness": randomness,
         "outer_alphabets": list(protocol.outer_shape),
         "inner_alphabets": list(protocol.inner_shape),
-        "alice_inputs": [
-            _tabulate(fn, oa, ix, k, protocol.randomness, ia, f"alice_inputs[{k}]")
-            for k, fn in enumerate(protocol.alice_inputs)
-        ],
-        "bob_inputs": [
-            _tabulate(fn, ob, iy, k, protocol.randomness, ib, f"bob_inputs[{k}]")
-            for k, fn in enumerate(protocol.bob_inputs)
-        ],
-        "alice_output": _tabulate(
-            protocol.alice_output, oa, ix, protocol.calls, protocol.randomness, ox,
-            "alice_output",
-        ),
-        "bob_output": _tabulate(
-            protocol.bob_output, ob, iy, protocol.calls, protocol.randomness, oy,
-            "bob_output",
-        ),
+        "alice_inputs": records[:calls],
+        "bob_inputs": records[calls:-2],
+        "alice_output": records[-2],
+        "bob_output": records[-1],
     }
 
 
-def _read_map(rows, own_size, prior_size, priors_len, randomness, value_size, kind):
-    """Turn tabulated rows back into a callable, checking totality and ranges."""
+def _read_map(rows, name, points) -> tuple:
+    """The table of one map's records, which hold each of its domain points
+    once; the protocol checks the values."""
     if not isinstance(rows, list):
-        raise WiringFormatError(f"{kind} must be a list of records")
-    table = {}
+        raise WiringFormatError(f"{name} must be a list of records")
+    index = {point: i for i, point in enumerate(points)}
+    table = [None] * len(points)
     for i, row in enumerate(rows):
-        where = f"{kind}[{i}]"
+        where = f"{name}[{i}]"
         if (
             not isinstance(row, list)
             or len(row) != 4
-            or not _is_int(row[0])
             or not isinstance(row[1], list)
-            or not _is_int(row[2])
-            or not _is_int(row[3])
+            or not all(map(_is_int, (row[0], *row[1], row[2], row[3])))
         ):
             raise WiringFormatError(
                 f"{where}: record must be [own, [priors...], randomness, value]"
             )
-        own, priors, r, value = row[0], tuple(row[1]), row[2], row[3]
-        if not 0 <= own < own_size:
-            raise WiringFormatError(f"{where}: own input {own} outside range({own_size})")
-        if len(priors) != priors_len or not all(
-            _is_int(v) and 0 <= v < prior_size for v in priors
-        ):
-            raise WiringFormatError(
-                f"{where}: priors {list(priors)} are not {priors_len} "
-                f"values in range({prior_size})"
-            )
-        if not 0 <= r < randomness:
-            raise WiringFormatError(f"{where}: randomness {r} outside range({randomness})")
-        if not 0 <= value < value_size:
-            raise WiringFormatError(f"{where}: value {value} outside range({value_size})")
-        point = (own, priors, r)
-        if point in table:
+        point = (row[0], tuple(row[1]), row[2])
+        at = index.get(point)
+        if at is None:
+            raise WiringFormatError(f"{where}: {point} is not a point of the map's domain")
+        if table[at] is not None:
             raise WiringFormatError(f"{where}: duplicate entry for {point}")
-        table[point] = value
-    expected = own_size * prior_size**priors_len * randomness
-    if len(table) != expected:
-        raise WiringFormatError(
-            f"{kind} covers {len(table)} of {expected} domain points"
-        )
-
-    def fn(own, priors, r, _table=table):
-        return _table[(own, tuple(priors), r)]
-
-    return fn
+        table[at] = row[3]
+    if None in table:
+        covered = len(table) - table.count(None)
+        raise WiringFormatError(f"{name} covers {covered} of {len(table)} domain points")
+    return tuple(table)
 
 
 def wiring_from_json_dict(data) -> rgbgame.WiringProtocol:
@@ -340,8 +303,8 @@ def wiring_from_json_dict(data) -> rgbgame.WiringProtocol:
             f"outer_alphabets {list(outer_shape)} give {math.prod(outer_shape)} entries, "
             f"more than {MAX_BOX_ENTRIES}"
         )
-    oa, ob, ox, oy = outer_shape
-    ia, ib, ix, iy = inner_shape
+    oa, ob, _, _ = outer_shape
+    _, _, ix, iy = inner_shape
 
     for key in ("alice_inputs", "bob_inputs"):
         if not isinstance(data[key], list) or len(data[key]) != calls:
@@ -358,26 +321,16 @@ def wiring_from_json_dict(data) -> rgbgame.WiringProtocol:
             f"randomness, outer inputs and {calls} calls give more than {MAX_BOX_ENTRIES} branches"
         )
 
-    return rgbgame.WiringProtocol(
-        calls=calls,
-        randomness=randomness,
-        outer_shape=outer_shape,
-        inner_shape=inner_shape,
-        alice_inputs=tuple(
-            _read_map(rows, oa, ix, k, randomness, ia, f"alice_inputs[{k}]")
-            for k, rows in enumerate(data["alice_inputs"])
-        ),
-        bob_inputs=tuple(
-            _read_map(rows, ob, iy, k, randomness, ib, f"bob_inputs[{k}]")
-            for k, rows in enumerate(data["bob_inputs"])
-        ),
-        alice_output=_read_map(
-            data["alice_output"], oa, ix, calls, randomness, ox, "alice_output"
-        ),
-        bob_output=_read_map(
-            data["bob_output"], ob, iy, calls, randomness, oy, "bob_output"
-        ),
-    )
+    rows = (*data["alice_inputs"], *data["bob_inputs"], data["alice_output"], data["bob_output"])
+    maps = rgbgame.wiring._maps(calls, randomness, outer_shape, inner_shape)
+    tables = [_read_map(map_rows, name, points) for map_rows, (name, points, _) in zip(rows, maps)]
+    try:
+        return rgbgame.WiringProtocol(
+            calls, randomness, outer_shape, inner_shape,
+            tables[:calls], tables[calls:-2], *tables[-2:],
+        )
+    except ValueError as err:
+        raise WiringFormatError(str(err)) from err
 
 
 def dump_wiring(protocol: rgbgame.WiringProtocol) -> str:

@@ -65,6 +65,11 @@ def _is_symbol(s, size) -> bool:
     return isinstance(s, int) and 0 <= s < size
 
 
+def _is_int(value) -> bool:
+    """An int and not a bool; JSON true/false load as bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def probability_to_string(p) -> str:
     """Canonical text for one probability: lowest-terms "num/den" or %.17g."""
     if isinstance(p, float):
@@ -237,11 +242,14 @@ class StrategyTable(_Frozen):
 
     def _index(self, a, b, x, y) -> int:
         na, nb, nx, ny = self.shape
-        if not (0 <= a < na and 0 <= b < nb and 0 <= x < nx and 0 <= y < ny):
+        index = ((a * nb + b) * nx + x) * ny + y
+        # A float or Fraction symbol makes the index one, though 1.0 is in range.
+        if not (type(index) is int and 0 <= a < na and 0 <= b < nb and 0 <= x < nx
+                and 0 <= y < ny):
             for value, size, name in ((a, na, "a"), (b, nb, "b"), (x, nx, "x"), (y, ny, "y")):
-                if not 0 <= value < size:
-                    raise ValueError(f"symbol {name}={value} outside range(0, {size})")
-        return ((a * nb + b) * nx + x) * ny + y
+                if not _is_symbol(value, size):
+                    raise ValueError(f"symbol {name}={value!r} outside range(0, {size})")
+        return index
 
     def prob(self, a: int, b: int, x: int, y: int):
         """The entry P(x, y | a, b)."""

@@ -13,17 +13,36 @@ on bit-encoded colours) rebuild the colour box.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import functools
+import itertools
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .strategies import (
     StrategyTable,
     _Frozen,
+    _is_int,
     next_colour,
     prev_colour,
     rgb_game,
     win_probability,
 )
+
+
+def _maps(calls: int, randomness: int, outer_shape, inner_shape):
+    """Each local map's name, the points (own, priors, r) of its domain in
+    table order, and the size of its value alphabet, in the order of the fields."""
+    (oa, ob, ox, oy), (ia, ib, ix, iy) = outer_shape, inner_shape
+
+    def domain(own, prior, priors_len):
+        priors = itertools.product(range(prior), repeat=priors_len)
+        return list(itertools.product(range(own), priors, range(randomness)))
+
+    for name, own, prior, size in (("alice_inputs", oa, ix, ia), ("bob_inputs", ob, iy, ib)):
+        for k in range(calls):
+            yield f"{name}[{k}]", domain(own, prior, k), size
+    yield "alice_output", domain(oa, ix, calls), ox
+    yield "bob_output", domain(ob, iy, calls), oy
 
 
 class WiringProtocol(_Frozen):
@@ -34,6 +53,12 @@ class WiringProtocol(_Frozen):
     sub-outputs, r) to the final answer.  Bob's maps mirror this on his side,
     so neither map can see anything of the other party.  Shared randomness is
     uniform on range(randomness).
+
+    Each map is held as the tuple of its values over its domain: own input,
+    then the earlier sub-outputs in itertools.product order, then r, the
+    order of a wiring file's records.  A map is given as those values or as
+    a callable of (own, priors, r), tabulated once; every value is checked
+    here, and protocols compare and hash by their tables.
     """
 
     __slots__ = (
@@ -53,28 +78,45 @@ class WiringProtocol(_Frozen):
         randomness: int,
         outer_shape: tuple[int, int, int, int],
         inner_shape: tuple[int, int, int, int],
-        alice_inputs: tuple[Callable[[int, tuple, int], int], ...],
-        bob_inputs: tuple[Callable[[int, tuple, int], int], ...],
-        alice_output: Callable[[int, tuple, int], int],
-        bob_output: Callable[[int, tuple, int], int],
+        alice_inputs: tuple[Callable | Sequence[int], ...],
+        bob_inputs: tuple[Callable | Sequence[int], ...],
+        alice_output: Callable | Sequence[int],
+        bob_output: Callable | Sequence[int],
     ):
-        self._init(
-            calls, randomness, outer_shape, inner_shape,
-            alice_inputs, bob_inputs, alice_output, bob_output,
-        )
         if calls < 0:
             raise ValueError("number of calls must be nonnegative")
         if randomness < 1:
             raise ValueError("shared randomness alphabet must be nonempty")
         if len(alice_inputs) != calls or len(bob_inputs) != calls:
             raise ValueError("need one input map per call and per party")
+        tables = []
+        for fn, (name, points, size) in zip(
+            (*alice_inputs, *bob_inputs, alice_output, bob_output),
+            _maps(calls, randomness, outer_shape, inner_shape),
+        ):
+            values = tuple(itertools.starmap(fn, points)) if callable(fn) else tuple(fn)
+            if len(values) != len(points):
+                raise ValueError(f"{name} map has {len(values)} values, not {len(points)}")
+            for point, value in zip(points, values):
+                if not (_is_int(value) and 0 <= value < size):
+                    raise ValueError(
+                        f"{name} map sends {point} to {value!r}, not an integer in range({size})"
+                    )
+            tables.append(values)
+        self._init(
+            calls, randomness, tuple(outer_shape), tuple(inner_shape),
+            tuple(tables[:calls]), tuple(tables[calls:-2]), *tables[-2:],
+        )
 
 
 def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTable:
     """The exact outer table realized by running a wiring over a base box.
 
     Sums over shared randomness and every branch of sub-outputs; exact when
-    the base is exact.  Alphabet mismatches and out-of-range map values raise.
+    the base is exact.  A base of another shape raises; the map values were
+    checked when the protocol was built.  A branch carries each party's own
+    input and sub-outputs as one integer xs, xs * |X'| + x_k after call k,
+    and reads a map at xs * R + r, the point's place in the map's table.
     An exact base is read as integer numerators over its common denominator
     D, so every branch weight is an integer over R * D**calls (R the shared
     randomness), and each outer entry becomes a Fraction once, at the end.
@@ -84,47 +126,40 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
             f"base box shape {base.shape} != wiring inner shape {protocol.inner_shape}"
         )
     oa, ob, ox, oy = protocol.outer_shape
-    ia, ib, ix, iy = protocol.inner_shape
+    _, ib, ix, iy = protocol.inner_shape
+    randomness = protocol.randomness
     exact = base._exact
-    share, den = Fraction(1, protocol.randomness), None
+    share, den = Fraction(1, randomness), None
     if exact:
         nums, unit = exact
-        share, den = 1, protocol.randomness * unit**protocol.calls
-    # Nonzero ((x, y), p) items of each base row, read once per distinct
-    # row; an exact row holds its numerators over D, at the same offsets.
+        share, den = 1, randomness * unit**protocol.calls
+    # Nonzero (x, y, p) items of each base row, read once per distinct row;
+    # an exact row holds its numerators over D, at the same offsets.
     rows: dict[tuple[int, int], list] = {}
     entries: dict[int, object] = {}
     for a in range(oa):
         for b in range(ob):
-            for r in range(protocol.randomness):
-                branches = [((), (), share)]
-                for k in range(protocol.calls):
+            for r in range(randomness):
+                branches = [(a, b, share)]
+                for alice_map, bob_map in zip(protocol.alice_inputs, protocol.bob_inputs):
                     grown = []
                     for xs, ys, weight in branches:
-                        a_k = protocol.alice_inputs[k](a, xs, r)
-                        b_k = protocol.bob_inputs[k](b, ys, r)
-                        if not (0 <= a_k < ia and 0 <= b_k < ib):
-                            raise ValueError(
-                                f"call {k} maps ({a},{b}) outside the base alphabets"
-                            )
+                        a_k = alice_map[xs * randomness + r]
+                        b_k = bob_map[ys * randomness + r]
                         items = rows.get((a_k, b_k))
                         if items is None:
                             start = (a_k * ib + b_k) * ix * iy
                             items = rows[a_k, b_k] = [
-                                (divmod(i, iy), nums[start + i] if exact else p)
+                                (*divmod(i, iy), nums[start + i] if exact else p)
                                 for i, p in enumerate(base.cells(a_k, b_k))
                                 if p != 0
                             ]
-                        for (x_k, y_k), p in items:
-                            grown.append((xs + (x_k,), ys + (y_k,), weight * p))
+                        for x_k, y_k, p in items:
+                            grown.append((xs * ix + x_k, ys * iy + y_k, weight * p))
                     branches = grown
                 for xs, ys, weight in branches:
-                    x = protocol.alice_output(a, xs, r)
-                    y = protocol.bob_output(b, ys, r)
-                    if not (0 <= x < ox and 0 <= y < oy):
-                        raise ValueError(
-                            f"output map value ({x},{y}) outside the outer alphabets"
-                        )
+                    x = protocol.alice_output[xs * randomness + r]
+                    y = protocol.bob_output[ys * randomness + r]
                     key = ((a * ob + b) * ox + x) * oy + y
                     entries[key] = entries.get(key, 0) + weight
     totals = [entries.get(key, 0) for key in range(oa * ob * ox * oy)]
@@ -135,6 +170,7 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
 # colour box -> XOR box, one call
 
 
+@functools.cache
 def pr_from_rgrb() -> WiringProtocol:
     """One call to the colour box realizes the binary XOR box exactly.
 
@@ -167,6 +203,7 @@ def _lsb(c: int) -> int:
     return c & 1
 
 
+@functools.cache
 def rgrb_from_pr() -> WiringProtocol:
     """Two XOR calls rebuild the colour box exactly.
 

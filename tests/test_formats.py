@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,24 @@ class TestBoxDiagnostics:
         ):
             load_box(text)
 
+    @pytest.mark.parametrize(
+        "alphabets, match",
+        [([40, 40, 40, 40], r"^row \(0,1\) sums to 0"), ([1, 1, 1000, 1000], "1000000 entries")],
+    )
+    def test_refused_boxes_allocate_no_dense_table(self, alphabets, match):
+        # The dense tables would hold 2,560,000 and 1,000,000 entries; the
+        # reader refuses both from their one record, in well under a megabyte.
+        record = {"a": 0, "b": 0, "x": 0, "y": 0, "p": 1}
+        text = json.dumps({"alphabets": alphabets, "table": [record]})
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoxFormatError, match=match):
+                load_box(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_box_at_the_size_limit_loads(self):
         assert MAX_BOX_ENTRIES == 2**16
         text = json.dumps(
@@ -226,6 +245,9 @@ def test_wiring_round_trips_evaluate_identically():
         direct = evaluate_wiring(protocol, base)
         reloaded = evaluate_wiring(again, base)
         assert l1_distance(direct, reloaded) == 0
+        # Protocols are values: equal tables make equal, equally hashed protocols.
+        for twin in (again, build.__wrapped__()):
+            assert twin == protocol and hash(twin) == hash(protocol)
 
 
 @st.composite
@@ -272,6 +294,8 @@ def random_wirings(draw):
 def test_wiring_files_round_trip_byte_for_byte(protocol):
     text = dump_wiring(protocol)
     assert dump_wiring(load_wiring(text)) == text
+    assert load_wiring(text) == protocol
+    assert hash(load_wiring(text)) == hash(protocol)
 
 
 def test_wiring_document_layout():
@@ -301,7 +325,9 @@ def test_wiring_duplicate_and_range_checks():
 
     doc = wiring_to_json_dict(pr_from_rgrb())
     doc["alice_output"][0][3] = 7
-    with pytest.raises(WiringFormatError, match="outside"):
+    # The protocol checks the value and names the map and the domain point.
+    message = r"^alice_output map sends \(0, \(0,\), 0\) to 7, not an integer in range\(2\)$"
+    with pytest.raises(WiringFormatError, match=message):
         wiring_from_json_dict(doc)
 
 
@@ -330,19 +356,19 @@ def test_wiring_rejects_json_booleans(path, match):
 
 
 def test_wiring_dump_rejects_boolean_map_values():
+    # The protocol refuses the map when it is built, so no document is written.
     base = pr_from_rgrb()
-    protocol = WiringProtocol(
-        base.calls,
-        base.randomness,
-        base.outer_shape,
-        base.inner_shape,
-        base.alice_inputs,
-        base.bob_inputs,
-        alice_output=lambda own, priors, r: priors[0] == 1,
-        bob_output=base.bob_output,
-    )
-    with pytest.raises(WiringFormatError, match="not an integer"):
-        dump_wiring(protocol)
+    with pytest.raises(ValueError, match="not an integer"):
+        WiringProtocol(
+            base.calls,
+            base.randomness,
+            base.outer_shape,
+            base.inner_shape,
+            base.alice_inputs,
+            base.bob_inputs,
+            alice_output=lambda own, priors, r: priors[0] == 1,
+            bob_output=base.bob_output,
+        )
 
 
 def test_wiring_key_checks():
@@ -394,7 +420,7 @@ def test_oversized_wiring_is_refused_before_any_map_is_read(monkeypatch, tmp_pat
 def test_wiring_at_the_size_limit_loads():
     protocol = wiring_from_json_dict(_outer_wiring([256, 256, 1, 1]))
     assert protocol.outer_shape == (256, 256, 1, 1)
-    assert protocol.alice_output(255, (), 0) == 0
+    assert protocol.alice_output[255] == 0
 
 
 def _parity_wiring_doc(calls):

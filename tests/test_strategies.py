@@ -505,6 +505,23 @@ def test_accessors_reject_symbols_outside_the_alphabets(a, b, message):
             table.prob(0, 0, x, y)
 
 
+def test_accessors_reject_symbols_that_are_not_integers():
+    # 1.0 and Fraction(1) pass a range test; the read names them instead of
+    # failing on the tuple index.
+    table = rgrb()
+    cases = [
+        (lambda: table.prob(0, 0, 1.0, 0), "x=1.0"),
+        (lambda: table.prob(F(1), 0, 0, 0), "a=Fraction(1, 1)"),
+        (lambda: table.cells(0, 1.0), "b=1.0"),
+        (lambda: table.cells(2.0, 0), "a=2.0"),
+        (lambda: table.row(1, 0.0), "b=0.0"),
+    ]
+    for read, message in cases:
+        expected = re.escape(f"symbol {message} outside range(0, 3)")
+        with pytest.raises(ValueError, match=expected):
+            read()
+
+
 def test_from_function_makes_every_exact_entry_a_fraction():
     t = StrategyTable.from_function((2, 1, 2, 1), lambda a, b, x, y: [1, 0, F(0), True][2 * a + x])
     assert t.probs == (1, 0, 0, 1)

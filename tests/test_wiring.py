@@ -1,8 +1,9 @@
 """Wiring evaluation, both named reductions, and noise propagation."""
 
+import pickle
 import random
-import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -82,18 +83,35 @@ def test_wiring_validation():
         )
     with pytest.raises(ValueError):
         evaluate_wiring(passthrough((3, 3, 3, 3)), pr_box())
-    bad_range = WiringProtocol(
-        calls=1,
-        randomness=1,
-        outer_shape=(2, 2, 2, 2),
-        inner_shape=(2, 2, 2, 2),
-        alice_inputs=(lambda a, xs, r: 5,),
-        bob_inputs=(lambda b, ys, r: b,),
-        alice_output=lambda a, xs, r: xs[0],
-        bob_output=lambda b, ys, r: ys[0],
-    )
-    with pytest.raises(ValueError):
-        evaluate_wiring(bad_range, pr_box())
+    message = r"^alice_inputs\[0\] map sends \(0, \(\), 0\) to 5, not an integer in range\(2\)$"
+    with pytest.raises(ValueError, match=message):
+        WiringProtocol(
+            calls=1,
+            randomness=1,
+            outer_shape=(2, 2, 2, 2),
+            inner_shape=(2, 2, 2, 2),
+            alice_inputs=(lambda a, xs, r: 5,),
+            bob_inputs=(lambda b, ys, r: b,),
+            alice_output=lambda a, xs, r: xs[0],
+            bob_output=lambda b, ys, r: ys[0],
+        )
+
+
+def test_maps_given_as_tables_or_callables_make_one_protocol():
+    # pr_from_rgrb's maps written out in domain order: own input, then the
+    # earlier sub-outputs, then shared randomness.
+    tables = ((0, 1),), ((0, 2),), (0, 0, 1, 0, 0, 1), (0, 1, 0, 0, 1, 0)
+    protocol = WiringProtocol(1, 1, (2, 2, 2, 2), (3, 3, 3, 3), *tables)
+    assert protocol == pr_from_rgrb() and hash(protocol) == hash(pr_from_rgrb())
+    assert (protocol.alice_inputs, protocol.bob_inputs) == tables[:2]
+    assert (protocol.alice_output, protocol.bob_output) == tables[2:]
+    assert pickle.loads(pickle.dumps(rgrb_from_pr())) == rgrb_from_pr()
+    assert pr_from_rgrb() != rgrb_from_pr()
+    with pytest.raises(ValueError, match=r"^bob_output map has 5 values, not 6$"):
+        WiringProtocol(1, 1, (2, 2, 2, 2), (3, 3, 3, 3), *tables[:3], tables[3][:5])
+    float_value = (0, 0, 1, 0, 0, 2.0)
+    with pytest.raises(ValueError, match=r"^alice_output map sends \(1, \(2,\), 0\) to 2\.0"):
+        WiringProtocol(1, 1, (2, 2, 2, 2), (3, 3, 3, 3), *tables[:2], float_value, tables[3])
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +151,18 @@ def test_reductions_compose_to_the_identity():
 # no-signalling preservation (wirings cannot create signalling)
 
 
-def random_wiring(rng, outer_shape, inner_shape, calls=2, randomness=2, spill=0.0):
-    """A tabulated wiring; each map value falls just outside its alphabet
-    with probability ``spill``."""
+def random_maps(rng, outer_shape, inner_shape, calls=2, randomness=2, spill=0.0):
+    """The fields of a random tabulated wiring, its maps as callables, and
+    whether any map value fell just outside its alphabet, as each does with
+    probability ``spill``."""
     oa, ob, ox, oy = outer_shape
     ia, ib, ix, iy = inner_shape
+    spilled = False
 
     def value(size):
+        nonlocal spilled
         if spill and rng.random() < spill:
+            spilled = True
             return rng.choice((-1, size))
         return rng.randrange(size)
 
@@ -153,7 +175,7 @@ def random_wiring(rng, outer_shape, inner_shape, calls=2, randomness=2, spill=0.
         }
         return lambda own, priors, r, t=table: t[(own, tuple(priors), r)]
 
-    return WiringProtocol(
+    fields = SimpleNamespace(
         calls=calls,
         randomness=randomness,
         outer_shape=outer_shape,
@@ -163,6 +185,13 @@ def random_wiring(rng, outer_shape, inner_shape, calls=2, randomness=2, spill=0.
         alice_output=random_map(oa, ix, calls, ox),
         bob_output=random_map(ob, iy, calls, oy),
     )
+    return fields, spilled
+
+
+def random_wiring(rng, outer_shape, inner_shape, calls=2, randomness=2):
+    """A tabulated wiring whose every map value lies in its alphabet."""
+    fields, _ = random_maps(rng, outer_shape, inner_shape, calls, randomness)
+    return WiringProtocol(**vars(fields))
 
 
 def _tuples(size, length):
@@ -224,7 +253,10 @@ def test_wirings_of_random_ns_boxes_stay_no_signalling(base, outer, calls, rando
 
 
 def _reference_evaluate_wiring(protocol, base):
-    """Oracle: evaluate_wiring reading the base box one prob() per cell."""
+    """Oracle: evaluate_wiring reading the base box one prob() per cell.
+
+    ``protocol`` holds the fields of a WiringProtocol with its maps as
+    callables, which the oracle calls at every branch it reaches."""
     if base.shape != protocol.inner_shape:
         raise ValueError(
             f"base box shape {base.shape} != wiring inner shape {protocol.inner_shape}"
@@ -299,19 +331,19 @@ def _typed(probs):
     st.randoms(use_true_random=False),
 )
 def test_evaluate_wiring_matches_the_per_cell_loop(base, outer, calls, randomness, spill, rng):
-    protocol = random_wiring(rng, outer, base.shape, calls, randomness, spill)
-    _check_against_the_per_cell_loop(protocol, base)
+    fields, spilled = random_maps(rng, outer, base.shape, calls, randomness, spill)
+    _check_against_the_per_cell_loop(fields, spilled, base)
 
 
-def _check_against_the_per_cell_loop(protocol, base):
-    try:
-        expected = _typed(_reference_evaluate_wiring(protocol, base).probs)
-    except ValueError as err:
-        with pytest.raises(ValueError, match=re.escape(str(err))):
-            evaluate_wiring(protocol, base)
+def _check_against_the_per_cell_loop(fields, spilled, base):
+    # A map value outside its alphabet is refused when the protocol is
+    # built, whether or not an evaluation would reach it.
+    if spilled:
+        with pytest.raises(ValueError, match=r"map sends .* not an integer in range\("):
+            WiringProtocol(**vars(fields))
         return
-    table = evaluate_wiring(protocol, base)
-    assert _typed(table.probs) == expected
+    table = evaluate_wiring(WiringProtocol(**vars(fields)), base)
+    assert _typed(table.probs) == _typed(_reference_evaluate_wiring(fields, base).probs)
     # The integer path leaves the entries' pair over their least common denominator.
     assert table._exact == (_numerators(table.probs) if table.is_exact else None)
 
@@ -329,8 +361,8 @@ def test_evaluate_wiring_matches_the_per_cell_loop_over_several_calls(
     base, outer, calls, randomness, spill, rng
 ):
     # Branch weights are products of up to three entries over R * D**calls.
-    protocol = random_wiring(rng, outer, base.shape, calls, randomness, spill)
-    _check_against_the_per_cell_loop(protocol, base)
+    fields, spilled = random_maps(rng, outer, base.shape, calls, randomness, spill)
+    _check_against_the_per_cell_loop(fields, spilled, base)
 
 
 def test_evaluate_wiring_reads_each_base_row_once():
