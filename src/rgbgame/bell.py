@@ -6,9 +6,9 @@ the nine correlations c[a][b] = <A_a B_b>, through
     win = (1/36) * sum_i (8 - 2 c[i][i] + c[i][i+1] + c[i][i-1]),
 
 so maximizing the win maximizes R = |sum_i (-2 c[i][i] + c[i][i+1] +
-c[i][i-1])| = 36 win - 24.  Deterministic strategies reach R = 8, the local
-bound of the functional read as an XOR game with weights |c_ab| / 12;
-quantum ones reach R = 9, and general no-signalling boxes R = 12.
+c[i][i-1])| = 36 win - 24.  Deterministic strategies reach R = 8, found by
+the same best-response search as ``local_bound``; quantum ones reach R = 9,
+and general no-signalling boxes R = 12.
 
 The quantum point is checked exactly.  The trine strategy's table is derived
 in Q(sqrt 3) from its kets and the singlet, and wins 11/12.  Its optimality
@@ -39,11 +39,10 @@ import random
 from fractions import Fraction
 
 from .strategies import (
-    Game,
     StrategyTable,
+    _best_response,
     _coerce,
     _Frozen,
-    local_bound,
     next_colour,
     prev_colour,
 )
@@ -122,30 +121,20 @@ def lemma1_win(binary_table: StrategyTable):
     return win_from_correlations(correlations_from_table(binary_table))
 
 
-def _xor_game() -> Game:
-    """The functional as an XOR game (Cleve, Hoyer, Toner and Watrous).
-
-    Input (a, b) weighs |c_ab| / 12, for c_ab the cross block of ``W_EXACT``,
-    and is won when x ^ y = [c_ab < 0]: a deterministic pair's correlations
-    are +-1, so its signed functional is R = 12 (2 win - 1).
-    """
-    cross = {(a, b): W_EXACT[a][3 + b] for a in range(3) for b in range(3)}
-    return Game(
-        (3, 3, 2, 2),
-        lambda a, b, x, y: (x ^ y) == (cross[a, b] < 0),
-        {ab: abs(c) / 12 for ab, c in cross.items()},
-    )
-
-
 def deterministic_bell_maximum() -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact maximum of the signed functional over deterministic binary strategies.
 
-    The maximum is R = 12 (2 w - 1) for w the local bound of ``_xor_game``,
-    and the colour game's 36 win - 24 equals it at the witness: the first
-    pair of assignments of one bit per colour that attains it (R = 8).
+    A deterministic pair's correlations c_ab are +-1, so answers (x, y) to
+    (a, b) pay the coefficient of c_ab in ``W_EXACT``, negated if x != y.
+    The colour game's 36 win - 24 equals the maximum at the witness: the
+    first pair of assignments of one bit per colour that attains it (R = 8).
     """
-    win, f, g = local_bound(_xor_game())
-    return int(12 * (2 * win - 1)), (f, g)
+    gain = [
+        [[int(c) * (1 if x == y else -1) for c in row[3:] for y in (0, 1)] for x in (0, 1)]
+        for row in W_EXACT[:3]
+    ]
+    value, f, g = _best_response(gain, 2)
+    return value, (f, g)
 
 
 # ---------------------------------------------------------------------------

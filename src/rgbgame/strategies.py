@@ -60,14 +60,14 @@ def _coerce(p):
     return Fraction(p)
 
 
-def _is_symbol(s, size) -> bool:
-    # An int in range(size); the range test alone also holds 1.0 and Fraction(1).
-    return isinstance(s, int) and 0 <= s < size
-
-
 def _is_int(value) -> bool:
     """An int and not a bool; JSON true/false load as bool, an int subclass."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_symbol(s, size) -> bool:
+    # An int, not a bool, in range(size); a range test alone holds 1.0 and True.
+    return _is_int(s) and 0 <= s < size
 
 
 def probability_to_string(p) -> str:
@@ -243,9 +243,9 @@ class StrategyTable(_Frozen):
     def _index(self, a, b, x, y) -> int:
         na, nb, nx, ny = self.shape
         index = ((a * nb + b) * nx + x) * ny + y
-        # A float or Fraction symbol makes the index one, though 1.0 is in range.
-        if not (type(index) is int and 0 <= a < na and 0 <= b < nb and 0 <= x < nx
-                and 0 <= y < ny):
+        # 1.0, Fraction(1) and True are in range but are not symbols.
+        if not (type(a) is type(b) is type(x) is type(y) is int and 0 <= a < na
+                and 0 <= b < nb and 0 <= x < nx and 0 <= y < ny):
             for value, size, name in ((a, na, "a"), (b, nb, "b"), (x, nx, "x"), (y, ny, "y")):
                 if not _is_symbol(value, size):
                     raise ValueError(f"symbol {name}={value!r} outside range(0, {size})")
@@ -354,7 +354,7 @@ def deterministic_strategy(f_a, f_b, shape=(3, 3, 3, 3)) -> StrategyTable:
             x, y = f_a[a], f_b[b]
             # An answer outside the alphabet leaves the row zero, which the
             # table's row check refuses.
-            if x in range(nx) and y in range(ny):
+            if _is_symbol(x, nx) and _is_symbol(y, ny):
                 row[x * ny + y] = _ONE
             probs += row
     return StrategyTable(tuple(shape), tuple(probs))
@@ -505,45 +505,28 @@ def enumerate_winning_deterministic_boxes(game: Game) -> int:
     return count
 
 
-def local_bound(game: Game):
-    """Maximum winning probability over unassisted deterministic pairs.
+def _best_response(gain, ny) -> tuple:
+    """The lexicographically first best pair (score, f_a, f_b) for integer payoffs.
 
+    ``gain[a][x][b * ny + y]``, of any sign, is what input pair (a, b) pays
+    when Alice answers x and Bob y; a pair scores the sum of its payoffs.
     Best response: for each of Alice's functions, Bob answers each input b
-    on its own with the y that wins the most weight, because the score of a
-    pair is a sum of one term per b.  Alice's functions are searched depth
-    first, one input at a time, and a prefix is dropped when even the best
-    answers to her remaining inputs could not beat the best pair found so
-    far.  With no pruning that is |X|^|A| x |B| x |Y| work, and games where
-    it exceeds ENUMERATION_GUARD are refused; typical games reach far fewer
-    of her functions (a median of 20 of 256, quartiles 12 and 28, on random
-    4-letter games with half of each row's output pairs winning).  The
-    weights are scaled to integers by the lcm of their exact denominators
-    (floats included), so every comparison is exact and cheap.
-
-    Returns (value, f_a, f_b) where (f_a, f_b) is the lexicographically first
-    argmax, and value sums the game's own weights (Fractions stay Fractions).
+    on its own with the y that scores the most, because the score of a pair
+    is a sum of one term per b.  Alice's functions are searched depth first,
+    one input at a time, and a prefix is dropped when even the best answers
+    to her remaining inputs could not beat the best pair found so far.
+    With no pruning that is |X|^|A| x |B| x |Y| work; typical games reach
+    far fewer of her functions (a median of 20 of 256, quartiles 12 and 28,
+    on random 4-letter games with half of each row's output pairs winning).
     """
-    na, nb, nx, ny = game.shape
-    if nx**na * nb * ny > ENUMERATION_GUARD:
-        raise ValueError("deterministic strategy space exceeds the enumeration guard")
-    weights = {ab: Fraction(w) for ab, w in game.input_dist.items()}
-    scale = math.lcm(*(w.denominator for w in weights.values()))
-    width = nb * ny
-    # gain[a][x][b * ny + y]: the scaled weight of (a, b) when (x, y) wins it.
-    gain = [[[0] * width for _ in range(nx)] for _ in range(na)]
-    for (a, b), w in weights.items():
-        units = int(w * scale)
-        for x in range(nx):
-            for y in range(ny):
-                if game.predicate(a, b, x, y):
-                    gain[a][x][b * ny + y] += units
+    na, nx, width = len(gain), len(gain[0]), len(gain[0][0])
     # rest[a][j]: the most that inputs a, a + 1, ... can still add to column j.
     rest = [[0] * width]
     for rows in reversed(gain):
         rest.append(list(map(operator.add, rest[-1], map(max, zip(*rows)))))
     rest.reverse()
     starts = range(0, width, ny)
-    best, best_column, f_a = -1, None, None
+    best, best_column, f_a = -math.inf, None, None
     # Depth first in itertools.product order.  A stack entry (a, x, column)
     # sets Alice's answer to input a to x; column[b * ny + y] is the score
     # of the prefix ending there when Bob answers y to b.
@@ -566,6 +549,33 @@ def local_bound(game: Game):
         stack.extend(reversed([(a, x, child) for x, child in enumerate(children)]))
     # index takes the first best y for each b.
     f_b = tuple(best_column.index(max(best_column[i : i + ny]), i) - i for i in starts)
+    return best, f_a, f_b
+
+
+def local_bound(game: Game):
+    """Maximum winning probability over unassisted deterministic pairs.
+
+    ``_best_response`` searches the game's weights, scaled to integers by the
+    lcm of their exact denominators (floats included) so that every
+    comparison is exact and cheap; games where its work without pruning
+    exceeds ENUMERATION_GUARD are refused.  Returns (value, f_a, f_b) for
+    the lexicographically first argmax; value sums the game's own weights
+    (Fractions stay Fractions).
+    """
+    na, nb, nx, ny = game.shape
+    if nx**na * nb * ny > ENUMERATION_GUARD:
+        raise ValueError("deterministic strategy space exceeds the enumeration guard")
+    weights = {ab: Fraction(w) for ab, w in game.input_dist.items()}
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    # gain[a][x][b * ny + y]: the scaled weight of (a, b) when (x, y) wins it.
+    gain = [[[0] * (nb * ny) for _ in range(nx)] for _ in range(na)]
+    for (a, b), w in weights.items():
+        units = int(w * scale)
+        for x in range(nx):
+            for y in range(ny):
+                if game.predicate(a, b, x, y):
+                    gain[a][x][b * ny + y] += units
+    _, f_a, f_b = _best_response(gain, ny)
     value = sum(
         weight
         for (a, b), weight in game.input_dist.items()

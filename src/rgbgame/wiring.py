@@ -21,7 +21,7 @@ from fractions import Fraction
 from .strategies import (
     StrategyTable,
     _Frozen,
-    _is_int,
+    _is_symbol,
     next_colour,
     prev_colour,
     rgb_game,
@@ -98,7 +98,7 @@ class WiringProtocol(_Frozen):
             if len(values) != len(points):
                 raise ValueError(f"{name} map has {len(values)} values, not {len(points)}")
             for point, value in zip(points, values):
-                if not (_is_int(value) and 0 <= value < size):
+                if not _is_symbol(value, size):
                     raise ValueError(
                         f"{name} map sends {point} to {value!r}, not an integer in range({size})"
                     )

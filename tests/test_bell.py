@@ -21,7 +21,6 @@ from rgbgame.bell import (
     VectorStrategy,
     _bell_row,
     _signed_bell,
-    _xor_game,
     alternating_ascent,
     bell_quantity,
     certify_quantum_bound,
@@ -48,7 +47,6 @@ from rgbgame.quantum import (
 from rgbgame.strategies import (
     FLOAT_ROW_TOL,
     StrategyTable,
-    local_bound,
     mix,
     rgb_game,
     rgrb,
@@ -290,18 +288,22 @@ def test_lemma1_win_refuses_a_signalling_table():
 
 
 def test_the_functional_is_defined_once():
-    # The XOR game's signed weights are the cross block of W_EXACT, and its
-    # local bound is R = 8 at the sweep's witness.
-    game = _xor_game()
-    assert game.shape == (3, 3, 2, 2)
-    for (a, b), weight in game.input_dist.items():
-        wins = [game.predicate(a, b, x, y) for x in (0, 1) for y in (0, 1)]
-        assert wins[0] == wins[3] != wins[1] == wins[2]
-        assert 12 * weight * (1 if wins[0] else -1) == W_EXACT[a][3 + b]
-    assert len(game.input_dist) == 9
-    win, f, g = local_bound(game)
-    assert 12 * (2 * win - 1) == 8
-    assert (f, g) == _sweep_bell_maximum()[1]
+    # The payoffs the maximum searches are the cross block of W_EXACT times
+    # the correlation sign of the answers, and their maximum is R = 8 at the
+    # sweep's witness.
+    with mock.patch.object(bell, "_best_response", wraps=bell._best_response) as search:
+        value, (f, g) = deterministic_bell_maximum()
+    search.assert_called_once()
+    gain, ny = search.call_args.args
+    assert ny == 2 and len(gain) == 3
+    assert all(len(gain[a]) == 2 and len(gain[a][x]) == 6 for a in range(3) for x in (0, 1))
+    for a, b, x, y in itertools.product(range(3), range(3), (0, 1), (0, 1)):
+        payoff = gain[a][x][2 * b + y]
+        assert type(payoff) is int
+        assert payoff == W_EXACT[a][3 + b] * (1 if x == y else -1)
+    best, (f_sweep, g_sweep) = _sweep_bell_maximum()
+    assert sum(gain[a][f_sweep[a]][2 * b + g_sweep[b]] for a in range(3) for b in range(3)) == 8
+    assert (value, (f, g)) == (best, (f_sweep, g_sweep)) == (8, ((0, 0, 1), (1, 1, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -396,10 +396,11 @@ def test_game_weights_follow_the_rule_of_mix():
 
 
 @pytest.mark.parametrize(
-    "pair", [(-1, 0), (2, 0), (0, 2), (0, -1), (0, 0, 0), (0,), (1.0, 0), (0, F(1))]
+    "pair",
+    [(-1, 0), (2, 0), (0, 2), (0, -1), (0, 0, 0), (0,), (1.0, 0), (0, F(1)), (True, 0), (1, True)],
 )
 def test_game_refuses_input_pairs_outside_the_alphabets(pair):
-    # 1.0 and Fraction(1) lie in range(2) but index nothing.
+    # 1.0, Fraction(1) and True lie in range(2) but are not symbols.
     half = F(1, 2)
     message = f"input pair {pair!r} outside range(2) x range(2)"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -408,9 +409,12 @@ def test_game_refuses_input_pairs_outside_the_alphabets(pair):
 
 @pytest.mark.parametrize(
     "key",
-    [(0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 1.0, 0)],
+    [
+        (0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 1.0, 0),
+        (0, 0, True, 0),
+    ],
 )
 def test_from_dict_refuses_keys_outside_the_alphabets(key):
-    # Two outputs for x, so that a float key does not equal the key (0, 0, 0, 0).
+    # Two outputs for x, so that a float or bool key does not equal the key (0, 0, 0, 0).
     with pytest.raises(ValueError, match=re.escape(f"entry {key!r} outside the alphabets")):
         StrategyTable.from_dict((1, 1, 2, 1), {(0, 0, 0, 0): 1, key: 7})

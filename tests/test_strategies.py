@@ -18,6 +18,7 @@ from rgbgame.strategies import (
     Game,
     StrategyTable,
     WinningFamilyParams,
+    _best_response,
     chsh_game,
     deterministic_strategy,
     enumerate_winning_deterministic_boxes,
@@ -184,6 +185,37 @@ def test_best_response_equals_brute_force(game):
     got = local_bound(game)
     assert got == expected
     assert type(got[0]) is type(expected[0])
+
+
+def _brute_force_best_response(gain, ny):
+    """Oracle: every function pair on a payoff table, first strict maximum."""
+    na, nx, nb = len(gain), len(gain[0]), len(gain[0][0]) // ny
+    best = None
+    for f_a in itertools.product(range(nx), repeat=na):
+        for f_b in itertools.product(range(ny), repeat=nb):
+            score = sum(gain[a][f_a[a]][b * ny + f_b[b]] for a in range(na) for b in range(nb))
+            if best is None or score > best[0]:
+                best = (score, f_a, f_b)
+    return best
+
+
+@st.composite
+def signed_payoff_tables(draw):
+    na, nb, nx, ny = (draw(st.integers(1, 3)) for _ in range(4))
+    entries = draw(st.sampled_from([st.integers(-9, -1), st.just(0), st.integers(-9, 9)]))
+    row = st.lists(entries, min_size=nb * ny, max_size=nb * ny)
+    return [[draw(row) for _ in range(nx)] for _ in range(na)], ny
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_payoff_tables())
+def test_signed_best_response_equals_brute_force(table):
+    # All negative, all zero and mixed payoffs: the first leaf is kept
+    # whatever its sign.
+    gain, ny = table
+    got = _best_response(gain, ny)
+    assert got == _brute_force_best_response(gain, ny)
+    assert type(got[0]) is int
 
 
 def test_local_bound_rectangular_game_against_oracle():
@@ -515,11 +547,18 @@ def test_accessors_reject_symbols_that_are_not_integers():
         (lambda: table.cells(0, 1.0), "b=1.0"),
         (lambda: table.cells(2.0, 0), "a=2.0"),
         (lambda: table.row(1, 0.0), "b=0.0"),
+        (lambda: table.prob(True, 0, 0, 1), "a=True"),
+        (lambda: table.cells(0, False), "b=False"),
     ]
     for read, message in cases:
         expected = re.escape(f"symbol {message} outside range(0, 3)")
         with pytest.raises(ValueError, match=expected):
             read()
+    # An answer that is not an int leaves its row zero, as one outside the
+    # alphabet does.
+    for f_a in ((1.0, 0, 0), (True, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape("row (0,0) sums to 0, not 1")):
+            deterministic_strategy(f_a, (0, 0, 0))
 
 
 def test_from_function_makes_every_exact_entry_a_fraction():
