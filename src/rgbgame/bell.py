@@ -474,21 +474,6 @@ class CertificateReport(_Frozen):
         "implied_win_bound",
     )
 
-    def __init__(
-        self,
-        primal_value: float,
-        dual_value: float,
-        gap: float,
-        primal_eigenvalues: tuple[float, ...],
-        dual_slack_eigenvalues: tuple[float, ...],
-        bound: float,
-        implied_win_bound: float,
-    ):
-        self._init(
-            primal_value, dual_value, gap, primal_eigenvalues, dual_slack_eigenvalues,
-            bound, implied_win_bound,
-        )
-
     def to_json_dict(self) -> dict:
         return {
             name: list(value) if isinstance(value, tuple) else value
@@ -542,7 +527,7 @@ class VectorStrategy(_Frozen):
         bob = _unit_rows(bob, 3, "bob")
         if len(alice[0]) != len(bob[0]):
             raise ValueError("alice and bob vectors differ in dimension")
-        self._init(alice, bob)
+        super().__init__(alice, bob)
 
     def correlations(self) -> tuple:
         return tuple(tuple(_inner(x, y) for y in self.bob) for x in self.alice)
@@ -559,9 +544,6 @@ class AscentResult(_Frozen):
 
     __slots__ = ("value", "strategy", "sweep_values")
     __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, value: float, strategy: VectorStrategy, sweep_values: tuple[float, ...]):
-        self._init(value, strategy, sweep_values)
 
 
 def _draw(rng: random.Random, dim: int) -> list[float]:

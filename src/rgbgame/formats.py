@@ -232,8 +232,8 @@ def wiring_to_json_dict(protocol: rgbgame.WiringProtocol) -> dict:
     )
     maps = rgbgame.wiring._maps(calls, randomness, protocol.outer_shape, protocol.inner_shape)
     records = [
-        [[own, list(priors), r, value] for (own, priors, r), value in zip(points, table)]
-        for table, (_, points, _) in zip(tables, maps)
+        [[own, list(priors), r, value] for (own, priors, r), value in zip(points(), table)]
+        for table, (_, points, *_) in zip(tables, maps)
     ]
     return {
         "calls": calls,
@@ -323,7 +323,9 @@ def wiring_from_json_dict(data) -> rgbgame.WiringProtocol:
 
     rows = (*data["alice_inputs"], *data["bob_inputs"], data["alice_output"], data["bob_output"])
     maps = rgbgame.wiring._maps(calls, randomness, outer_shape, inner_shape)
-    tables = [_read_map(map_rows, name, points) for map_rows, (name, points, _) in zip(rows, maps)]
+    tables = [
+        _read_map(map_rows, name, points()) for map_rows, (name, points, *_) in zip(rows, maps)
+    ]
     try:
         return rgbgame.WiringProtocol(
             calls, randomness, outer_shape, inner_shape,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from collections.abc import Mapping
 from fractions import Fraction
 
 from .strategies import (
@@ -94,16 +93,6 @@ class SignallingWitness(_Frozen):
 
     __slots__ = ("side", "fixed_input", "output", "sender_inputs", "marginals")
 
-    def __init__(
-        self,
-        side: str,
-        fixed_input: int,
-        output: int,
-        sender_inputs: tuple[int, int],
-        marginals: tuple,
-    ):
-        self._init(side, fixed_input, output, sender_inputs, marginals)
-
     def to_json_dict(self) -> dict:
         data = dict(zip(self._fields, self._values()))
         data["sender_inputs"] = list(self.sender_inputs)
@@ -143,7 +132,6 @@ class _Swapped:
 
     def __init__(self, table):
         na, nb, nx, ny = table.shape
-        self.table = table
         self.shape = (nb, na, ny, nx)
         self.probs = _transposed(table.shape, table.probs)
         self._exact = None
@@ -163,11 +151,6 @@ def _transposed(shape, probs) -> tuple:
             for y in range(ny):
                 swapped += row[y::ny]
     return tuple(swapped)
-
-
-def _swap(table):
-    # Swapping back returns the box itself rather than a view of a view.
-    return table.table if isinstance(table, _Swapped) else _Swapped(table)
 
 
 def x_marginal(table: StrategyTable, a: int, b: int) -> dict:
@@ -208,7 +191,7 @@ def _right_witness(table, atol, side="right"):
 
 def _left_witness(table, atol):
     # Does Alice's marginal move when Bob's input does?
-    return _right_witness(_swap(table), atol, side="left")
+    return _right_witness(_Swapped(table), atol, side="left")
 
 
 def is_no_signalling(table: StrategyTable):
@@ -242,15 +225,6 @@ class OneWayProtocol(_Frozen):
 
     __slots__ = ("direction", "shape", "sender", "receiver")
 
-    def __init__(
-        self,
-        direction: Direction,
-        shape: tuple[int, int, int, int],
-        sender: Mapping[int, Mapping[int, Fraction]],
-        receiver: Mapping[tuple[int, int, int], Mapping[int, Fraction]],
-    ):
-        self._init(direction, shape, sender, receiver)
-
 
 def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProtocol:
     """Factor a box along one direction of communication.
@@ -269,7 +243,7 @@ def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProto
     if direction is Direction.LEFT_TO_RIGHT:
         witness, view = _left_witness(table, atol), table
     else:
-        witness, view = _right_witness(table, atol), _swap(table)
+        witness, view = _right_witness(table, atol), _Swapped(table)
     if witness is not None:
         raise SignallingError(witness)
     na, nb, nx, ny = view.shape
@@ -335,9 +309,6 @@ class LinearSystem(_Frozen):
     """
 
     __slots__ = ("variables", "equalities", "inequalities")
-
-    def __init__(self, variables: tuple[str, ...], equalities: tuple, inequalities: tuple):
-        self._init(variables, equalities, inequalities)
 
 
 def build_ns_constraints() -> LinearSystem:

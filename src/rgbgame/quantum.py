@@ -108,7 +108,7 @@ class QubitStrategy(_Frozen):
             if abs((p00 + p11).real - 1) > ALGEBRA_TOL:
                 raise ValueError(f"projector for colour {c} is not rank one")
             checked.append(proj)
-        self._init(tuple(checked))
+        super().__init__(tuple(checked))
 
 
 def trine_strategy() -> QubitStrategy:

@@ -70,6 +70,13 @@ def _is_symbol(s, size) -> bool:
     return _is_int(s) and 0 <= s < size
 
 
+def _shape(shape) -> tuple:
+    """Four alphabet sizes, each an int of at least 1, as a tuple."""
+    if len(shape := tuple(shape)) != 4 or not all(_is_int(n) and n >= 1 for n in shape):
+        raise ValueError(f"alphabet sizes must be positive, got {shape}")
+    return shape
+
+
 def probability_to_string(p) -> str:
     """Canonical text for one probability: lowest-terms "num/den" or %.17g."""
     if isinstance(p, float):
@@ -92,6 +99,8 @@ def _numerators(values) -> tuple[tuple, int]:
 class _Frozen:
     """An immutable value over ``__slots__``, set once by ``__init__``.
 
+    The constructor binds the public slots in ``__slots__`` order, by position
+    and then by name; a missing, repeated or unknown field raises TypeError.
     Equality compares the public slots of two instances of one class, the
     hash and the repr are taken over them, and copy and pickle rebuild from
     them; a slot named with a leading underscore is derived, and left out.
@@ -105,9 +114,19 @@ class _Frozen:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
-    def _init(self, *values) -> None:
-        """Set the public slots, in order, to ``values``; called once, by ``__init__``."""
-        for name, value in zip(self._fields, values, strict=True):
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            given, rest = fields[: len(values)], fields[len(values) :]
+            if len(values) > len(fields) or named.keys() != set(rest):
+                missing = [name for name in rest if name not in named]
+                raise TypeError(
+                    f"{type(self).__qualname__}() takes fields {', '.join(fields)}: got "
+                    f"{len(values)} by position, missing {missing}, repeated "
+                    f"{sorted(named.keys() & given)}, unknown {sorted(named.keys() - fields)}"
+                )
+            values += tuple(map(named.__getitem__, rest))
+        for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -154,7 +173,7 @@ class StrategyTable(_Frozen):
     __slots__ = ("shape", "probs", "_exact")
 
     def __init__(self, shape: tuple[int, int, int, int], probs: tuple):
-        self._init(shape, probs)
+        super().__init__(_shape(shape), probs)
         self._validate(None)
 
     @classmethod
@@ -169,7 +188,7 @@ class StrategyTable(_Frozen):
         # One Fraction per distinct value; Fractions are immutable.
         shared = {n: Fraction(n, den) if n else _ZERO for n in set(nums)}
         table = cls.__new__(cls)
-        table._init(shape, tuple(map(shared.__getitem__, nums)))
+        _Frozen.__init__(table, _shape(shape), tuple(map(shared.__getitem__, nums)))
         table._validate((nums, den))
         return table
 
@@ -177,8 +196,6 @@ class StrategyTable(_Frozen):
         """Check shape and rows and set ``_exact``; None means derive it."""
         shape, probs = self.shape, self.probs
         na, nb, nx, ny = shape
-        if min(shape) < 1:
-            raise ValueError(f"alphabet sizes must be positive, got {shape}")
         if len(probs) != na * nb * nx * ny:
             raise ValueError(
                 f"need {na * nb * nx * ny} entries for shape {shape}, got {len(probs)}"
@@ -218,27 +235,20 @@ class StrategyTable(_Frozen):
     @classmethod
     def from_function(cls, shape, fn) -> "StrategyTable":
         """Build a table from fn(a, b, x, y) -> probability."""
-        na, nb, nx, ny = shape
-        probs = tuple(
-            _coerce(fn(a, b, x, y))
-            for a in range(na)
-            for b in range(nb)
-            for x in range(nx)
-            for y in range(ny)
-        )
-        return cls(tuple(shape), probs)
+        keys = itertools.product(*map(range, _shape(shape)))
+        return cls(shape, tuple(_coerce(fn(*key)) for key in keys))
 
     @classmethod
     def from_dict(cls, shape, entries: Mapping) -> "StrategyTable":
         """Build a table from {(a, b, x, y): p}; missing tuples are zero."""
-        na, nb, nx, ny = shape
+        na, nb, nx, ny = _shape(shape)
         probs = [_ZERO] * (na * nb * nx * ny)
         for key, p in entries.items():
             if not (len(key) == 4 and all(map(_is_symbol, key, shape))):
                 raise ValueError(f"entry {key!r} outside the alphabets of shape {tuple(shape)}")
             a, b, x, y = key
             probs[((a * nb + b) * nx + x) * ny + y] = _coerce(p)
-        return cls(tuple(shape), tuple(probs))
+        return cls(shape, tuple(probs))
 
     def _index(self, a, b, x, y) -> int:
         na, nb, nx, ny = self.shape
@@ -286,12 +296,10 @@ class Game(_Frozen):
         predicate: Callable[[int, int, int, int], bool],
         input_dist: Mapping[tuple[int, int], Fraction],
     ):
-        self._init(shape, predicate, input_dist)
-        if min(shape) < 1:
-            raise ValueError(f"alphabet sizes must be positive, got {shape}")
-        na, nb = shape[:2]
+        super().__init__(_shape(shape), predicate, input_dist)
+        na, nb = self.shape[:2]
         for pair in input_dist:
-            if not (len(pair) == 2 and all(map(_is_symbol, pair, shape))):
+            if not (len(pair) == 2 and all(map(_is_symbol, pair, self.shape))):
                 raise ValueError(f"input pair {pair!r} outside range({na}) x range({nb})")
         weights = input_dist.values()
         slack = FLOAT_ROW_TOL if any(isinstance(w, float) for w in weights) else 0
@@ -310,11 +318,15 @@ def rgb_game() -> Game:
     return Game((3, 3, 3, 3), rgb_predicate, dist)
 
 
+def _chsh_predicate(a: int, b: int, x: int, y: int) -> bool:
+    return (x ^ y) == (a & b)
+
+
 def chsh_game() -> Game:
     """The binary XOR game (x ^ y must equal a & b), uniform inputs."""
     weight = Fraction(1, 4)
     dist = {(a, b): weight for a in range(2) for b in range(2)}
-    return Game((2, 2, 2, 2), lambda a, b, x, y: (x ^ y) == (a & b), dist)
+    return Game((2, 2, 2, 2), _chsh_predicate, dist)
 
 
 def win_probability(table: StrategyTable, game: Game):
@@ -346,7 +358,7 @@ def win_probability(table: StrategyTable, game: Game):
 
 def deterministic_strategy(f_a, f_b, shape=(3, 3, 3, 3)) -> StrategyTable:
     """The 0/1 table where Alice plays f_a[a] and Bob plays f_b[b]."""
-    na, nb, nx, ny = shape
+    na, nb, nx, ny = _shape(shape)
     probs = []
     for a in range(na):
         for b in range(nb):
@@ -357,7 +369,7 @@ def deterministic_strategy(f_a, f_b, shape=(3, 3, 3, 3)) -> StrategyTable:
             if _is_symbol(x, nx) and _is_symbol(y, ny):
                 row[x * ny + y] = _ONE
             probs += row
-    return StrategyTable(tuple(shape), tuple(probs))
+    return StrategyTable(shape, tuple(probs))
 
 
 _CROSS_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
@@ -399,7 +411,7 @@ class WinningFamilyParams(_Frozen):
         for uv in _CROSS_PAIRS:
             if p_cross[uv] + q_cross[uv] > 1:
                 raise ValueError(f"p_cross{uv} + q_cross{uv} exceeds 1")
-        self._init(p0, p1, p2, p_cross, q_cross)
+        super().__init__(p0, p1, p2, p_cross, q_cross)
 
     def __hash__(self):
         # The cross tables are dicts, so only the same-colour values hash.
@@ -493,16 +505,11 @@ def enumerate_winning_deterministic_boxes(game: Game) -> int:
     pairs, so an unsatisfiable row makes it zero.
     """
     na, nb, nx, ny = game.shape
-    count = 1
-    for a in range(na):
-        for b in range(nb):
-            count *= sum(
-                1
-                for x in range(nx)
-                for y in range(ny)
-                if game.predicate(a, b, x, y)
-            )
-    return count
+    outputs = list(itertools.product(range(nx), range(ny)))
+    return math.prod(
+        sum(1 for x, y in outputs if game.predicate(a, b, x, y))
+        for a, b in itertools.product(range(na), range(nb))
+    )
 
 
 def _best_response(gain, ny) -> tuple:

@@ -30,19 +30,22 @@ from .strategies import (
 
 
 def _maps(calls: int, randomness: int, outer_shape, inner_shape):
-    """Each local map's name, the points (own, priors, r) of its domain in
-    table order, and the size of its value alphabet, in the order of the fields."""
+    """Each local map's name, a function listing its domain's points (own, priors, r)
+    in table order, their number, and the size of its value alphabet, in field order."""
     (oa, ob, ox, oy), (ia, ib, ix, iy) = outer_shape, inner_shape
 
     def domain(own, prior, priors_len):
-        priors = itertools.product(range(prior), repeat=priors_len)
-        return list(itertools.product(range(own), priors, range(randomness)))
+        def points():
+            priors = itertools.product(range(prior), repeat=priors_len)
+            return list(itertools.product(range(own), priors, range(randomness)))
+
+        return points, own * prior**priors_len * randomness
 
     for name, own, prior, size in (("alice_inputs", oa, ix, ia), ("bob_inputs", ob, iy, ib)):
         for k in range(calls):
-            yield f"{name}[{k}]", domain(own, prior, k), size
-    yield "alice_output", domain(oa, ix, calls), ox
-    yield "bob_output", domain(ob, iy, calls), oy
+            yield f"{name}[{k}]", *domain(own, prior, k), size
+    yield "alice_output", *domain(oa, ix, calls), ox
+    yield "bob_output", *domain(ob, iy, calls), oy
 
 
 class WiringProtocol(_Frozen):
@@ -90,20 +93,22 @@ class WiringProtocol(_Frozen):
         if len(alice_inputs) != calls or len(bob_inputs) != calls:
             raise ValueError("need one input map per call and per party")
         tables = []
-        for fn, (name, points, size) in zip(
+        for fn, (name, points, count, size) in zip(
             (*alice_inputs, *bob_inputs, alice_output, bob_output),
             _maps(calls, randomness, outer_shape, inner_shape),
         ):
-            values = tuple(itertools.starmap(fn, points)) if callable(fn) else tuple(fn)
-            if len(values) != len(points):
-                raise ValueError(f"{name} map has {len(values)} values, not {len(points)}")
-            for point, value in zip(points, values):
+            # A map given as values is checked without listing its domain.
+            values = tuple(itertools.starmap(fn, points())) if callable(fn) else tuple(fn)
+            if len(values) != count:
+                raise ValueError(f"{name} map has {len(values)} values, not {count}")
+            for i, value in enumerate(values):
                 if not _is_symbol(value, size):
+                    point = points()[i]
                     raise ValueError(
                         f"{name} map sends {point} to {value!r}, not an integer in range({size})"
                     )
             tables.append(values)
-        self._init(
+        super().__init__(
             calls, randomness, tuple(outer_shape), tuple(inner_shape),
             tuple(tables[:calls]), tuple(tables[calls:-2]), *tables[-2:],
         )

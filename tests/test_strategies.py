@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgbgame.locality import r_sig_box
+from rgbgame.bell import alternating_ascent, certify_quantum_bound
+from rgbgame.locality import (
+    Direction,
+    build_ns_constraints,
+    decompose_one_way,
+    is_no_signalling,
+    pr_box,
+    r_sig_box,
+)
 from rgbgame.strategies import (
     FLOAT_ROW_TOL,
     Game,
@@ -768,12 +776,32 @@ def test_value_classes_are_immutable_values():
     table, half = rgrb(), WinningFamilyParams.constant(F(1, 2))
     other = WinningFamilyParams.from_vector([F(1, 2)] * 14 + [F(1, 3)])
     game = Game((1, 1, 1, 1), rgb_predicate, {(0, 0): F(1)})
-    for value, field in ((table, "probs"), (half, "p0"), (game, "predicate")):
+    # The records, which _Frozen.__init__ binds with no constructor of their own.
+    records = (
+        (is_no_signalling(r_sig_box())[1], "side"),
+        (decompose_one_way(pr_box(), Direction.LEFT_TO_RIGHT), "sender"),
+        (build_ns_constraints(), "equalities"),
+        (certify_quantum_bound(), "gap"),
+        (alternating_ascent(1, restarts=1), "strategy"),
+    )
+    for value, field in ((table, "probs"), (half, "p0"), (game, "predicate"), *records):
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
             setattr(value, field, None)
         with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
             delattr(value, field)
-        assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
+        # AscentResult compares by identity, so its rebuilt twins by their repr.
+        same = repr if type(value).__eq__ is object.__eq__ else (lambda v: v)
+        assert same(copy.copy(value)) == same(pickle.loads(pickle.dumps(value))) == same(value)
+        cls, values = type(value), value._values()
+        assert same(cls(*values)) == same(cls(**dict(zip(cls._fields, values)))) == same(value)
+        # Missing, unknown and repeated fields are named, as by a signature.
+        for args, named, wrong in (
+            (values[:-1], {}, cls._fields[-1]),
+            (values, {"colour": 0}, "colour"),
+            (values, {field: None}, field),
+        ):
+            with pytest.raises(TypeError, match=re.escape(repr(wrong))):
+                cls(*args, **named)
     assert table == StrategyTable(table.shape, table.probs) != r_sig_box()
     assert hash(table) == hash(StrategyTable(table.shape, table.probs))
     assert repr(StrategyTable((1, 1, 1, 1), (F(1),))) == (
@@ -784,6 +812,30 @@ def test_value_classes_are_immutable_values():
     assert game == Game((1, 1, 1, 1), rgb_predicate, {(0, 0): F(1)})
     with pytest.raises(TypeError, match="unhashable"):
         hash(game)
+
+
+_PAIRS = tuple(itertools.product(range(3), range(3)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda shape: StrategyTable(shape, rgrb().probs),
+        lambda shape: StrategyTable.from_function(shape, rgrb().prob),
+        lambda shape: StrategyTable.from_dict(shape, {(a, b, 0, 0): 1 for a, b in _PAIRS}),
+        lambda shape: deterministic_strategy((1, 2, 0), (2, 0, 1), shape),
+        lambda shape: Game(shape, rgb_predicate, rgb_game().input_dist),
+    ],
+    ids=["StrategyTable", "from_function", "from_dict", "deterministic_strategy", "Game"],
+)
+def test_shapes_are_four_positive_ints_held_as_a_tuple(build):
+    assert build([3, 3, 3, 3]) == build((3, 3, 3, 3))
+    assert build([3, 3, 3, 3]).shape == (3, 3, 3, 3)
+    for shape in ((0, 3, 3, 3), (3.0, 3, 3, 3), (True, 1, 1, 1), (3, 3, 3)):
+        with pytest.raises(ValueError, match=r"^alphabet sizes must be positive, got \("):
+            build(shape)
+    # A module-level predicate: two calls build equal games.
+    assert chsh_game() == chsh_game()
 
 
 # ---------------------------------------------------------------------------
