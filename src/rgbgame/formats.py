@@ -5,6 +5,8 @@ sorted by (a, b, x, y) with zeros omitted so equal tables serialize to equal
 bytes.  Probabilities are written as fractions in lowest terms ("2/3") for
 exact tables and as 17-significant-digit decimals for float tables, which
 round-trips IEEE doubles exactly (1.0 is written "1.0", so it stays a float).
+Exact entries are written from, and read into, the table's integer
+numerators over its least common denominator; the bytes are the same.
 
 A wiring file stores the call count, the shared-randomness alphabet, both
 box shapes, and every local map as [own_input, [earlier_outputs...],
@@ -22,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _encode_string
 
 import rgbgame  # rgbgame.WiringProtocol loads wiring when first read, not with this module
 
-from .strategies import StrategyTable, _is_int, probability_to_string
+from .strategies import _ZERO, StrategyTable, _is_int, _shape, probability_to_string
 
 
 #: Most entries a box document's dense table, or a wiring's outer table, may
@@ -41,19 +43,23 @@ class WiringFormatError(ValueError):
 
 
 def _parse_probability(value, where: str):
+    # An exact entry is read as the pair (numerator, denominator).
     if isinstance(value, bool):
         raise BoxFormatError(f"{where}: probability must be a number or string")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, float):
         return value
     if isinstance(value, str):
-        text = value.strip()
         try:
-            if "/" in text:
-                return Fraction(text)
-            if text.lstrip("+-").isdigit():
-                return Fraction(int(text))
+            # The canonical spelling, ASCII digits "n/d", is read with int() alone.
+            num, _, den = value.partition("/")
+            if value.isascii() and num.isdigit() and den.isdigit() and int(den):
+                return int(num), int(den)
+            text = value.strip()
+            if "/" in text or text.lstrip("+-").isdigit():
+                p = Fraction(text)
+                return p.numerator, p.denominator
             return float(text)
         except (ValueError, ZeroDivisionError):
             raise BoxFormatError(f"{where}: cannot parse probability {value!r}") from None
@@ -61,13 +67,11 @@ def _parse_probability(value, where: str):
 
 
 def _read_alphabets(value, what: str, error_cls) -> tuple[int, int, int, int]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 4
-        or not all(_is_int(n) and n >= 1 for n in value)
-    ):
-        raise error_cls(f"{what} must be a list of four positive integers")
-    return tuple(value)
+    # A string or an object would be read by its characters or its keys.
+    try:
+        return _shape(value if isinstance(value, list) else (value,))
+    except ValueError as err:
+        raise error_cls(f"{what}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +85,33 @@ def _entry_text(p) -> str:
 
 
 def box_to_json_dict(table: StrategyTable) -> dict:
+    cells, den = table._exact or (table.probs, None)
+    text = _entry_text
+    if den:
+        # Each distinct numerator's entry in lowest terms, written once.
+        text = {n: f"{n // (g := math.gcd(n, den))}/{den // g}" for n in set(cells)}.__getitem__
+    keys = itertools.product(*map(range, table.shape))
     records = [
-        {"a": a, "b": b, "x": x, "y": y, "p": _entry_text(p)}
-        for a, b in table.inputs()
-        for (x, y), p in table.row(a, b).items()
+        {"a": a, "b": b, "x": x, "y": y, "p": text(v)} for (a, b, x, y), v in zip(keys, cells) if v
     ]
     return {"alphabets": list(table.shape), "table": records}
+
+
+def _refuse_record(where: str, record, shape) -> None:
+    """Raise the error that names what is wrong with a box record."""
+    if not isinstance(record, dict):
+        raise BoxFormatError(f"{where}: record must be an object")
+    if record.keys() != _RECORD_KEYS:
+        raise BoxFormatError(f"{where}: record must have exactly the keys a, b, x, y, p")
+    for name, size in zip("abxy", shape):
+        v = record[name]
+        if type(v) is not int:
+            raise BoxFormatError(f"{where}: field {name!r} must be an integer")
+        if not 0 <= v < size:
+            raise BoxFormatError(f"{where}: field {name!r} = {v} outside range({size})")
+
+
+_RECORD_KEYS = {"a", "b", "x", "y", "p"}
 
 
 def box_from_json_dict(data) -> StrategyTable:
@@ -99,52 +124,51 @@ def box_from_json_dict(data) -> StrategyTable:
     if unknown:
         raise BoxFormatError(f"box document has unknown key(s) {sorted(unknown)}")
 
-    shape = _read_alphabets(data["alphabets"], "alphabets", BoxFormatError)
+    shape = na, nb, nx, ny = _read_alphabets(data["alphabets"], "alphabets", BoxFormatError)
 
     records = data["table"]
     if not isinstance(records, list):
         raise BoxFormatError("table must be a list of records")
-    names = ("a", "b", "x", "y")
-    # Each entry under its index in the dense row-major table.
-    entries: dict[int, object] = {}
+    # Each entry under its index in the dense row-major table, and each
+    # distinct probability text parsed once.
+    entries, parsed = {}, {}
     for i, record in enumerate(records):
-        where = f"table[{i}]"
-        if not isinstance(record, dict):
-            raise BoxFormatError(f"{where}: record must be an object")
-        if set(record) != {"a", "b", "x", "y", "p"}:
-            raise BoxFormatError(
-                f"{where}: record must have exactly the keys a, b, x, y, p"
-            )
-        key, index = [], 0
-        for name, size in zip(names, shape):
-            v = record[name]
-            if not _is_int(v):
-                raise BoxFormatError(f"{where}: field {name!r} must be an integer")
-            if not 0 <= v < size:
-                raise BoxFormatError(
-                    f"{where}: field {name!r} = {v} outside range({size})"
-                )
-            key.append(v)
-            index = index * size + v
+        if not (isinstance(record, dict) and record.keys() == _RECORD_KEYS):
+            _refuse_record(f"table[{i}]", record, shape)
+        a, b, x, y = record["a"], record["b"], record["x"], record["y"]
+        if not (type(a) is type(b) is type(x) is type(y) is int
+                and 0 <= a < na and 0 <= b < nb and 0 <= x < nx and 0 <= y < ny):
+            _refuse_record(f"table[{i}]", record, shape)
+        index = ((a * nb + b) * nx + x) * ny + y
         if index in entries:
-            raise BoxFormatError(f"{where}: duplicate entry for (a,b,x,y) = {tuple(key)}")
-        entries[index] = _parse_probability(record["p"], f"{where}: field 'p'")
+            raise BoxFormatError(f"table[{i}]: duplicate entry for (a,b,x,y) = {(a, b, x, y)}")
+        p = record["p"]
+        entry = parsed.get(p) if type(p) is str else None
+        if entry is None:
+            entry = parsed[p] = _parse_probability(p, f"table[{i}]: field 'p'")
+        entries[index] = entry
 
     # A row without records sums to 0: refuse it before building the dense
     # table, whose size is the product of the declared alphabets.
-    covered = {index // (shape[2] * shape[3]) for index in entries}
-    for row, (a, b) in enumerate(itertools.product(range(shape[0]), range(shape[1]))):
+    covered = {index // (nx * ny) for index in entries}
+    for row, (a, b) in enumerate(itertools.product(range(na), range(nb))):
         if row not in covered:
             raise BoxFormatError(f"row ({a},{b}) sums to 0, not 1")
     if math.prod(shape) > MAX_BOX_ENTRIES:
         raise BoxFormatError(
             f"alphabets {list(shape)} give {math.prod(shape)} entries, more than {MAX_BOX_ENTRIES}"
         )
-    probs = [Fraction(0)] * math.prod(shape)
+    # Numerators over the entries' least common denominator, unless one is a float.
+    floats = any(type(p) is float for p in entries.values())
+    den = None if floats else math.lcm(*{p[1] for p in entries.values()})
+    cells = [_ZERO if floats else 0] * math.prod(shape)
     for index, p in entries.items():
-        probs[index] = p
+        if floats:
+            cells[index] = p if type(p) is float else Fraction(*p)
+        else:
+            cells[index] = p[0] * (den // p[1])
     try:
-        return StrategyTable(shape, tuple(probs))
+        return StrategyTable._from_numerators(shape, cells, den)
     except ValueError as err:
         raise BoxFormatError(str(err)) from err
 
@@ -255,22 +279,20 @@ def _read_map(rows, name, points) -> tuple:
     index = {point: i for i, point in enumerate(points)}
     table = [None] * len(points)
     for i, row in enumerate(rows):
-        where = f"{name}[{i}]"
-        if (
-            not isinstance(row, list)
-            or len(row) != 4
-            or not isinstance(row[1], list)
-            or not all(map(_is_int, (row[0], *row[1], row[2], row[3])))
+        if not (
+            isinstance(row, list) and len(row) == 4 and isinstance(row[1], list)
+            and type(row[0]) is type(row[2]) is type(row[3]) is int
+            and {*map(type, row[1])} <= {int}
         ):
             raise WiringFormatError(
-                f"{where}: record must be [own, [priors...], randomness, value]"
+                f"{name}[{i}]: record must be [own, [priors...], randomness, value]"
             )
         point = (row[0], tuple(row[1]), row[2])
         at = index.get(point)
         if at is None:
-            raise WiringFormatError(f"{where}: {point} is not a point of the map's domain")
+            raise WiringFormatError(f"{name}[{i}]: {point} is not a point of the map's domain")
         if table[at] is not None:
-            raise WiringFormatError(f"{where}: duplicate entry for {point}")
+            raise WiringFormatError(f"{name}[{i}]: duplicate entry for {point}")
         table[at] = row[3]
     if None in table:
         covered = len(table) - table.count(None)

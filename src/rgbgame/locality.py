@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import operator
 from fractions import Fraction
 
 from .strategies import (
     StrategyTable,
     WinningFamilyParams,
+    _ZERO,
     _Frozen,
     _numerators,
     next_colour,
@@ -123,9 +125,9 @@ class _Swapped:
     """Read-only view of a box with the parties' roles exchanged.
 
     P'(x, y | a, b) = P(y, x | b, a), so every left-side question about a box
-    is the right-side question about its view.  The view holds its own
-    entries, each row of the box transposed, in the same row-major order as
-    a table, and an exact box's numerators transposed the same way.
+    is the right-side question about its view.  The view holds the box's
+    entries, each row transposed, in a table's row-major order; for an
+    exact box, whose kernels read nothing else, it holds only the numerators.
     Deliberately not a StrategyTable: validating a copy costs more than the
     check it serves.
     """
@@ -133,11 +135,9 @@ class _Swapped:
     def __init__(self, table):
         na, nb, nx, ny = table.shape
         self.shape = (nb, na, ny, nx)
-        self.probs = _transposed(table.shape, table.probs)
-        self._exact = None
-        if table._exact:
-            nums, den = table._exact
-            self._exact = (_transposed(table.shape, nums), den)
+        values, den = table._exact or (table.probs, None)
+        values = _transposed(table.shape, values)
+        self.probs, self._exact = (None, (values, den)) if den else (values, None)
 
 
 def _transposed(shape, probs) -> tuple:
@@ -236,7 +236,7 @@ def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProto
     zero-probability sender output are filled uniformly.  On an exact box
     the sender's marginal is an integer m over the box's denominator D and
     each receiver entry is the entry's numerator over m: the values of
-    p / mass, one Fraction each.
+    p / mass, one Fraction per distinct pair of integers.
     """
     # Right-to-left is left-to-right on the view with the parties exchanged.
     atol = table._slack()
@@ -248,21 +248,22 @@ def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProto
         raise SignallingError(witness)
     na, nb, nx, ny = view.shape
     values, den = view._exact or (view.probs, None)
-    ratio = Fraction if den else operator.truediv
+    exact_ratio = functools.cache(lambda v, m: Fraction(v, m) if v else _ZERO)
+    divide = exact_ratio if den else operator.truediv
     n = nx * ny
     sender, receiver = {}, {}
     for a in range(na):
         start = a * nb * n
         masses = [sum(values[start + i : start + i + ny]) for i in range(0, n, ny)]
-        sender[a] = {x: Fraction(m, den) if den else m for x, m in enumerate(masses)}
+        sender[a] = {x: divide(m, den) if den else m for x, m in enumerate(masses)}
         for b in range(nb):
             start = (a * nb + b) * n
             for x, mass in enumerate(masses):
                 if mass == 0:
-                    receiver[(a, b, x)] = {y: Fraction(1, ny) for y in range(ny)}
+                    receiver[(a, b, x)] = dict.fromkeys(range(ny), Fraction(1, ny))
                 else:
                     cells = values[start + x * ny : start + (x + 1) * ny]
-                    receiver[(a, b, x)] = {y: ratio(v, mass) for y, v in enumerate(cells)}
+                    receiver[(a, b, x)] = {y: divide(v, mass) for y, v in enumerate(cells)}
     return OneWayProtocol(direction, table.shape, sender, receiver)
 
 
@@ -273,27 +274,22 @@ def recompose_one_way(protocol: OneWayProtocol) -> StrategyTable:
     integer numerators, over the sender's and the receiver's common
     denominators, and each entry becomes a Fraction once.
     """
-    # A right-to-left protocol is left-to-right on the swapped view, so its
-    # product is built on the view's alphabets and swapped back.
+    # A right-to-left protocol is left-to-right on the swapped view: entry
+    # (a, b, x, y) of the table is entry (b, a, y, x) of the view.
     na, nb, nx, ny = protocol.shape
-    left_to_right = protocol.direction is Direction.LEFT_TO_RIGHT
-    if not left_to_right:
-        na, nb, nx, ny = nb, na, ny, nx
-    senders, receivers = [], []
-    for a in range(na):
-        sender = protocol.sender[a]
-        for b in range(nb):
-            for x in range(nx):
-                receiver = protocol.receiver[(a, b, x)]
-                senders += [sender[x]] * ny
-                receivers += [receiver[y] for y in range(ny)]
+    keys = itertools.product(range(na), range(nb), range(nx), range(ny))
+    if protocol.direction is Direction.RIGHT_TO_LEFT:
+        na, nx = nb, ny
+        keys = ((b, a, y, x) for a, b, x, y in keys)
+    keys = list(keys)
+    senders = [protocol.sender[a][x] for a in range(na) for x in range(nx)]
+    receivers = [protocol.receiver[a, b, x][y] for a, b, x, y in keys]
     den = None
-    if all(isinstance(v, (int, Fraction)) for v in senders + receivers):
+    if all(map(isinstance, senders + receivers, itertools.repeat((int, Fraction)))):
         (senders, s_den), (receivers, r_den) = _numerators(senders), _numerators(receivers)
         den = s_den * r_den
-    probs = list(map(operator.mul, senders, receivers))
-    if not left_to_right:
-        probs = _transposed((na, nb, nx, ny), probs)
+    # An entry is the sender's value (a, x) times the receiver's (a, b, x, y).
+    probs = [senders[a * nx + x] * r for (a, _, x, _), r in zip(keys, receivers)]
     return StrategyTable._from_numerators(protocol.shape, probs, den)
 
 

@@ -73,7 +73,7 @@ def _is_symbol(s, size) -> bool:
 def _shape(shape) -> tuple:
     """Four alphabet sizes, each an int of at least 1, as a tuple."""
     if len(shape := tuple(shape)) != 4 or not all(_is_int(n) and n >= 1 for n in shape):
-        raise ValueError(f"alphabet sizes must be positive, got {shape}")
+        raise ValueError(f"alphabet sizes must be four integers, each at least 1, got {shape}")
     return shape
 
 
@@ -81,7 +81,7 @@ def probability_to_string(p) -> str:
     """Canonical text for one probability: lowest-terms "num/den" or %.17g."""
     if isinstance(p, float):
         return "%.17g" % p
-    p = Fraction(p)
+    p = p if type(p) is Fraction else Fraction(p)
     return f"{p.numerator}/{p.denominator}"
 
 
@@ -184,7 +184,7 @@ class StrategyTable(_Frozen):
             return cls(shape, tuple(map(_coerce, nums)))
         # Dividing by this gcd leaves den the least common denominator.
         g = math.gcd(den, *nums)
-        nums, den = tuple(n // g for n in nums), den // g
+        nums, den = (tuple(n // g for n in nums) if g != 1 else tuple(nums)), den // g
         # One Fraction per distinct value; Fractions are immutable.
         shared = {n: Fraction(n, den) if n else _ZERO for n in set(nums)}
         table = cls.__new__(cls)
@@ -375,10 +375,10 @@ def deterministic_strategy(f_a, f_b, shape=(3, 3, 3, 3)) -> StrategyTable:
 _CROSS_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
-def _check_unit(name, value) -> Fraction:
-    value = Fraction(value)
-    if not 0 <= value <= 1:
-        raise ValueError(f"{name} = {value} outside [0, 1]")
+def _check_unit(value, name, key="") -> Fraction:
+    value = value if type(value) is Fraction else Fraction(value)
+    if not 0 <= value.numerator <= value.denominator:
+        raise ValueError(f"{name}{key} = {value} outside [0, 1]")
     return value
 
 
@@ -402,14 +402,15 @@ class WinningFamilyParams(_Frozen):
         p_cross: Mapping[tuple[int, int], Fraction],
         q_cross: Mapping[tuple[int, int], Fraction],
     ):
-        p0, p1, p2 = _check_unit("p0", p0), _check_unit("p1", p1), _check_unit("p2", p2)
+        p0, p1, p2 = _check_unit(p0, "p0"), _check_unit(p1, "p1"), _check_unit(p2, "p2")
         for name, table in (("p_cross", p_cross), ("q_cross", q_cross)):
             if set(table) != set(_CROSS_PAIRS):
                 raise ValueError(f"{name} must be keyed by the 6 ordered colour pairs")
-        p_cross = {uv: _check_unit(f"p_cross{uv}", p) for uv, p in p_cross.items()}
-        q_cross = {uv: _check_unit(f"q_cross{uv}", q) for uv, q in q_cross.items()}
+        p_cross = {uv: _check_unit(p, "p_cross", uv) for uv, p in p_cross.items()}
+        q_cross = {uv: _check_unit(q, "q_cross", uv) for uv, q in q_cross.items()}
         for uv in _CROSS_PAIRS:
-            if p_cross[uv] + q_cross[uv] > 1:
+            (p, d), (q, e) = p_cross[uv].as_integer_ratio(), q_cross[uv].as_integer_ratio()
+            if p * e + q * d > d * e:
                 raise ValueError(f"p_cross{uv} + q_cross{uv} exceeds 1")
         super().__init__(p0, p1, p2, p_cross, q_cross)
 
@@ -457,17 +458,18 @@ def parameter_names() -> tuple[str, ...]:
 
 def family_strategy(params: WinningFamilyParams) -> StrategyTable:
     """The exact strategy table realized by a family parameter assignment."""
-    entries: dict[tuple[int, int, int, int], Fraction] = {}
+    nums, den = _numerators(params.as_vector())
+    cells = [0] * 81
     for u in range(3):
-        entries[(u, u, next_colour(u), prev_colour(u))] = params.p_same[u]
-        entries[(u, u, prev_colour(u), next_colour(u))] = 1 - params.p_same[u]
-    for u, v in _CROSS_PAIRS:
-        w = 3 - u - v  # the third colour
-        p, q = params.p_cross[(u, v)], params.q_cross[(u, v)]
-        entries[(u, v, w, u)] = p
-        entries[(u, v, v, w)] = q
-        entries[(u, v, v, u)] = 1 - p - q
-    return StrategyTable.from_dict((3, 3, 3, 3), entries)
+        row = (u * 3 + u) * 9
+        cells[row + next_colour(u) * 3 + prev_colour(u)] = nums[u]
+        cells[row + prev_colour(u) * 3 + next_colour(u)] = den - nums[u]
+    for (u, v), p, q in zip(_CROSS_PAIRS, nums[3:9], nums[9:]):
+        row, w = (u * 3 + v) * 9, 3 - u - v  # w is the third colour
+        cells[row + w * 3 + u] = p
+        cells[row + v * 3 + w] = q
+        cells[row + v * 3 + u] = den - p - q
+    return StrategyTable._from_numerators((3, 3, 3, 3), cells, den)
 
 
 # The constant boxes are immutable, so each is built once and shared.

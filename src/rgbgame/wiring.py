@@ -21,7 +21,9 @@ from fractions import Fraction
 from .strategies import (
     StrategyTable,
     _Frozen,
+    _is_int,
     _is_symbol,
+    _shape,
     next_colour,
     prev_colour,
     rgb_game,
@@ -86,10 +88,11 @@ class WiringProtocol(_Frozen):
         alice_output: Callable | Sequence[int],
         bob_output: Callable | Sequence[int],
     ):
-        if calls < 0:
-            raise ValueError("number of calls must be nonnegative")
-        if randomness < 1:
-            raise ValueError("shared randomness alphabet must be nonempty")
+        if not _is_int(calls) or calls < 0:
+            raise ValueError(f"number of calls must be an integer of at least 0, got {calls!r}")
+        if not _is_int(randomness) or randomness < 1:
+            raise ValueError(f"randomness must be an integer of at least 1, got {randomness!r}")
+        outer_shape, inner_shape = _shape(outer_shape), _shape(inner_shape)
         if len(alice_inputs) != calls or len(bob_inputs) != calls:
             raise ValueError("need one input map per call and per party")
         tables = []
@@ -101,15 +104,15 @@ class WiringProtocol(_Frozen):
             values = tuple(itertools.starmap(fn, points())) if callable(fn) else tuple(fn)
             if len(values) != count:
                 raise ValueError(f"{name} map has {len(values)} values, not {count}")
-            for i, value in enumerate(values):
-                if not _is_symbol(value, size):
-                    point = points()[i]
-                    raise ValueError(
-                        f"{name} map sends {point} to {value!r}, not an integer in range({size})"
-                    )
+            # An int subclass passes the loop, which only words a refusal.
+            if {*map(type, values)} != {int} or min(values) < 0 or max(values) >= size:
+                for point, value in zip(points(), values):
+                    if not _is_symbol(value, size):
+                        message = f"{name} map sends {point} to {value!r}, not an integer"
+                        raise ValueError(f"{message} in range({size})")
             tables.append(values)
         super().__init__(
-            calls, randomness, tuple(outer_shape), tuple(inner_shape),
+            calls, randomness, outer_shape, inner_shape,
             tuple(tables[:calls]), tuple(tables[calls:-2]), *tables[-2:],
         )
 
@@ -121,7 +124,7 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
     the base is exact.  A base of another shape raises; the map values were
     checked when the protocol was built.  A branch carries each party's own
     input and sub-outputs as one integer xs, xs * |X'| + x_k after call k,
-    and reads a map at xs * R + r, the point's place in the map's table.
+    and reads a map at xs in the slice of its table that holds randomness r.
     An exact base is read as integer numerators over its common denominator
     D, so every branch weight is an integer over R * D**calls (R the shared
     randomness), and each outer entry becomes a Fraction once, at the end.
@@ -133,41 +136,42 @@ def evaluate_wiring(protocol: WiringProtocol, base: StrategyTable) -> StrategyTa
     oa, ob, ox, oy = protocol.outer_shape
     _, ib, ix, iy = protocol.inner_shape
     randomness = protocol.randomness
-    exact = base._exact
-    share, den = Fraction(1, randomness), None
-    if exact:
-        nums, unit = exact
+    share, den, values = Fraction(1, randomness), None, base.probs
+    if base._exact:
+        values, unit = base._exact
         share, den = 1, randomness * unit**protocol.calls
-    # Nonzero (x, y, p) items of each base row, read once per distinct row;
-    # an exact row holds its numerators over D, at the same offsets.
-    rows: dict[tuple[int, int], list] = {}
-    entries: dict[int, object] = {}
-    for a in range(oa):
-        for b in range(ob):
-            for r in range(randomness):
+    # The nonzero items (x', y', p) of each base row (a', b') a call can reach,
+    # at a' |B'| + b', read once; an exact row holds its numerators over D.
+    maps = zip(protocol.alice_inputs, protocol.bob_inputs)
+    rows = dict.fromkeys(i * ib + j for alice, bob in maps for i in set(alice) for j in set(bob))
+    for k in rows:
+        cells = base.cells(*divmod(k, ib))
+        rows[k] = [(*divmod(i, iy), values[k * ix * iy + i]) for i, p in enumerate(cells) if p]
+    totals = [0] * (oa * ob * ox * oy)
+    for r in range(randomness):
+        maps = zip(protocol.alice_inputs, protocol.bob_inputs)
+        calls = [(alice[r::randomness], bob[r::randomness]) for alice, bob in maps]
+        x_of, y_of = protocol.alice_output[r::randomness], protocol.bob_output[r::randomness]
+        for a in range(oa):
+            for b in range(ob):
                 branches = [(a, b, share)]
-                for alice_map, bob_map in zip(protocol.alice_inputs, protocol.bob_inputs):
-                    grown = []
-                    for xs, ys, weight in branches:
-                        a_k = alice_map[xs * randomness + r]
-                        b_k = bob_map[ys * randomness + r]
-                        items = rows.get((a_k, b_k))
-                        if items is None:
-                            start = (a_k * ib + b_k) * ix * iy
-                            items = rows[a_k, b_k] = [
-                                (*divmod(i, iy), nums[start + i] if exact else p)
-                                for i, p in enumerate(base.cells(a_k, b_k))
-                                if p != 0
-                            ]
-                        for x_k, y_k, p in items:
-                            grown.append((xs * ix + x_k, ys * iy + y_k, weight * p))
-                    branches = grown
+                for alice_map, bob_map in calls[:-1]:
+                    branches = [
+                        (xs * ix + x_k, ys * iy + y_k, weight * p)
+                        for xs, ys, weight in branches
+                        for x_k, y_k, p in rows[alice_map[xs] * ib + bob_map[ys]]
+                    ]
+                start = (a * ob + b) * ox
+                if not calls:
+                    totals[(start + x_of[a]) * oy + y_of[b]] += share
+                    continue
+                # The last call's branches go straight into the outer entries.
+                alice_map, bob_map = calls[-1]
                 for xs, ys, weight in branches:
-                    x = protocol.alice_output[xs * randomness + r]
-                    y = protocol.bob_output[ys * randomness + r]
-                    key = ((a * ob + b) * ox + x) * oy + y
-                    entries[key] = entries.get(key, 0) + weight
-    totals = [entries.get(key, 0) for key in range(oa * ob * ox * oy)]
+                    row = rows[alice_map[xs] * ib + bob_map[ys]]
+                    xs, ys = xs * ix, ys * iy
+                    for x_k, y_k, p in row:
+                        totals[(start + x_of[xs + x_k]) * oy + y_of[ys + y_k]] += weight * p
     return StrategyTable._from_numerators(protocol.outer_shape, totals, den)
 
 
@@ -257,12 +261,17 @@ def rgrb_from_pr() -> WiringProtocol:
 def noisy_pr(p) -> StrategyTable:
     """A unit-marginal XOR box whose parity is correct with probability p.
 
-    Exact when p is rational, float-valued when p is a float.
+    Exact, with entries n and d - n over 2d, when p = n/d is rational; float-valued otherwise.
     """
     if not isinstance(p, float):
-        p = Fraction(p)
+        p = p if type(p) is Fraction else Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"noise parameter {p} outside [0, 1]")
+    if not isinstance(p, float):
+        n, d = p.numerator, p.denominator
+        bits = itertools.product((0, 1), repeat=4)
+        cells = [n if (x ^ y) == (a & b) else d - n for a, b, x, y in bits]
+        return StrategyTable._from_numerators((2, 2, 2, 2), cells, 2 * d)
     hit, miss = p / 2, (1 - p) / 2
     return StrategyTable.from_function(
         (2, 2, 2, 2), lambda a, b, x, y: hit if (x ^ y) == (a & b) else miss

@@ -2,13 +2,17 @@
 
 Each ``_fraction_*`` function below is a kernel as it read before exact
 tables kept their integer numerators: it rebuilds integers from the entries
-on every call, or sums and divides the entries as Fractions.  The new
-kernels must give the same values with the same types, the same witnesses,
-and tables whose cached pair is the entries over their least common
-denominator.
+on every call, or sums and divides the entries as Fractions.  The box file
+reader and writer, the family parameters, ``family_strategy``, ``noisy_pr``
+and ``evaluate_wiring`` are here as they read before they worked on
+numerators too.  The new kernels must give the same values with the same
+types, the same witnesses and messages, and tables whose cached pair is the
+entries over their least common denominator.
 """
 
 import copy
+import itertools
+import math
 import pickle
 import re
 from fractions import Fraction
@@ -17,6 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgbgame.formats import (
+    BoxFormatError,
+    _read_alphabets,
+    box_from_json_dict,
+    box_to_json_dict,
+    dump_box,
+    json_text,
+)
 from rgbgame.locality import (
     Direction,
     OneWayProtocol,
@@ -27,17 +39,25 @@ from rgbgame.locality import (
     recompose_one_way,
 )
 from rgbgame.strategies import (
+    _CROSS_PAIRS,
     FLOAT_ROW_TOL,
     Game,
     StrategyTable,
+    WinningFamilyParams,
     _coerce,
+    _is_int,
     _numerators,
+    family_strategy,
     l1_distance,
     mix,
+    next_colour,
+    prev_colour,
+    probability_to_string,
     rgb_predicate,
     rgrb,
     win_probability,
 )
+from rgbgame.wiring import WiringProtocol, _maps, evaluate_wiring, noisy_pr
 
 F = Fraction
 
@@ -185,6 +205,165 @@ def _fraction_mix(tables, weights):
 
 def _fraction_l1(table_a, table_b):
     return sum(abs(p - q) for p, q in zip(table_a.probs, table_b.probs))
+
+
+def _fraction_check_unit(name, value):
+    value = Fraction(value)
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name} = {value} outside [0, 1]")
+    return value
+
+
+def _fraction_params(values):
+    """WinningFamilyParams.from_vector as it read: the 15 values, checked as
+    Fractions, in canonical order."""
+    p0, p1, p2 = (_fraction_check_unit(f"p{u}", v) for u, v in enumerate(values[:3]))
+    p_cross, q_cross = (
+        {uv: _fraction_check_unit(f"{name}{uv}", v) for uv, v in zip(_CROSS_PAIRS, part)}
+        for name, part in (("p_cross", values[3:9]), ("q_cross", values[9:]))
+    )
+    for uv in _CROSS_PAIRS:
+        if p_cross[uv] + q_cross[uv] > 1:
+            raise ValueError(f"p_cross{uv} + q_cross{uv} exceeds 1")
+    return (p0, p1, p2, *p_cross.values(), *q_cross.values())
+
+
+def _fraction_family_strategy(params):
+    entries = {}
+    for u in range(3):
+        entries[(u, u, next_colour(u), prev_colour(u))] = params.p_same[u]
+        entries[(u, u, prev_colour(u), next_colour(u))] = 1 - params.p_same[u]
+    for u, v in _CROSS_PAIRS:
+        w = 3 - u - v
+        p, q = params.p_cross[(u, v)], params.q_cross[(u, v)]
+        entries[(u, v, w, u)] = p
+        entries[(u, v, v, w)] = q
+        entries[(u, v, v, u)] = 1 - p - q
+    return StrategyTable.from_dict((3, 3, 3, 3), entries)
+
+
+def _fraction_noisy_pr(p):
+    if not isinstance(p, float):
+        p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"noise parameter {p} outside [0, 1]")
+    hit, miss = p / 2, (1 - p) / 2
+    return StrategyTable.from_function(
+        (2, 2, 2, 2), lambda a, b, x, y: hit if (x ^ y) == (a & b) else miss
+    )
+
+
+def _dict_evaluate_wiring(protocol, base):
+    """evaluate_wiring as it read: entries summed into a dict, each map read
+    at xs * R + r, base rows read when a branch first reaches them."""
+    oa, ob, ox, oy = protocol.outer_shape
+    _, ib, ix, iy = protocol.inner_shape
+    randomness = protocol.randomness
+    exact = base._exact
+    share, den = Fraction(1, randomness), None
+    if exact:
+        nums, unit = exact
+        share, den = 1, randomness * unit**protocol.calls
+    rows = {}
+    entries = {}
+    for a in range(oa):
+        for b in range(ob):
+            for r in range(randomness):
+                branches = [(a, b, share)]
+                for alice_map, bob_map in zip(protocol.alice_inputs, protocol.bob_inputs):
+                    grown = []
+                    for xs, ys, weight in branches:
+                        a_k = alice_map[xs * randomness + r]
+                        b_k = bob_map[ys * randomness + r]
+                        items = rows.get((a_k, b_k))
+                        if items is None:
+                            start = (a_k * ib + b_k) * ix * iy
+                            items = rows[a_k, b_k] = [
+                                (*divmod(i, iy), nums[start + i] if exact else p)
+                                for i, p in enumerate(base.cells(a_k, b_k))
+                                if p != 0
+                            ]
+                        for x_k, y_k, p in items:
+                            grown.append((xs * ix + x_k, ys * iy + y_k, weight * p))
+                    branches = grown
+                for xs, ys, weight in branches:
+                    x = protocol.alice_output[xs * randomness + r]
+                    y = protocol.bob_output[ys * randomness + r]
+                    key = ((a * ob + b) * ox + x) * oy + y
+                    entries[key] = entries.get(key, 0) + weight
+    totals = [entries.get(key, 0) for key in range(oa * ob * ox * oy)]
+    return StrategyTable._from_numerators(protocol.outer_shape, totals, den)
+
+
+def _fraction_entry_text(p):
+    text = probability_to_string(p)
+    return text + ".0" if isinstance(p, float) and text.isdigit() else text
+
+
+def _fraction_box_to_json_dict(table):
+    records = [
+        {"a": a, "b": b, "x": x, "y": y, "p": _fraction_entry_text(p)}
+        for a, b in table.inputs()
+        for (x, y), p in table.row(a, b).items()
+    ]
+    return {"alphabets": list(table.shape), "table": records}
+
+
+def _fraction_parse_probability(value, where):
+    if isinstance(value, bool):
+        raise BoxFormatError(f"{where}: probability must be a number or string")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            if "/" in text:
+                return Fraction(text)
+            if text.lstrip("+-").isdigit():
+                return Fraction(int(text))
+            return float(text)
+        except (ValueError, ZeroDivisionError):
+            raise BoxFormatError(f"{where}: cannot parse probability {value!r}") from None
+    raise BoxFormatError(f"{where}: probability must be a number or string")
+
+
+def _fraction_box_from_json_dict(data):
+    """The reader as it was, from its alphabets on: every field checked in
+    turn, every probability parsed by Fraction, the table built by the
+    constructor."""
+    shape = _read_alphabets(data["alphabets"], "alphabets", BoxFormatError)
+    entries = {}
+    for i, record in enumerate(data["table"]):
+        where = f"table[{i}]"
+        if not isinstance(record, dict):
+            raise BoxFormatError(f"{where}: record must be an object")
+        if set(record) != {"a", "b", "x", "y", "p"}:
+            raise BoxFormatError(f"{where}: record must have exactly the keys a, b, x, y, p")
+        key, index = [], 0
+        for name, size in zip("abxy", shape):
+            v = record[name]
+            if not _is_int(v):
+                raise BoxFormatError(f"{where}: field {name!r} must be an integer")
+            if not 0 <= v < size:
+                raise BoxFormatError(f"{where}: field {name!r} = {v} outside range({size})")
+            key.append(v)
+            index = index * size + v
+        if index in entries:
+            raise BoxFormatError(f"{where}: duplicate entry for (a,b,x,y) = {tuple(key)}")
+        entries[index] = _fraction_parse_probability(record["p"], f"{where}: field 'p'")
+    covered = {index // (shape[2] * shape[3]) for index in entries}
+    for row, (a, b) in enumerate(itertools.product(range(shape[0]), range(shape[1]))):
+        if row not in covered:
+            raise BoxFormatError(f"row ({a},{b}) sums to 0, not 1")
+    probs = [Fraction(0)] * math.prod(shape)
+    for index, p in entries.items():
+        probs[index] = p
+    try:
+        return StrategyTable(shape, tuple(probs))
+    except ValueError as err:
+        raise BoxFormatError(str(err)) from err
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +524,132 @@ def test_float_tables_take_the_float_path(pair, data):
     mixed = mix([table, other], [F(1, 3), F(2, 3)])
     assert _typed(mixed.probs) == _typed(_fraction_mix([table, other], [F(1, 3), F(2, 3)]).probs)
     _assert_cached_pair(mixed)
+
+
+def _outcome(fn, *args):
+    """What a call gives, typed: its result through ``_typed``, or the class
+    and message of the ValueError it raises."""
+    try:
+        result = fn(*args)
+    except ValueError as err:
+        return type(err), str(err)
+    if isinstance(result, StrategyTable):
+        _assert_cached_pair(result)
+        return result.shape, _typed(result.probs)
+    return _typed(result)
+
+
+_ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+#: Spellings of an exact entry n/d that the reader accepts besides the canonical one.
+_SPELLINGS = (
+    lambda n, d: f"{2 * n}/{2 * d}",
+    lambda n, d: f" {n}/{d} ",
+    lambda n, d: f"+{n}/{d}",
+    lambda n, d: f"{n}/{d}".translate(_ARABIC_INDIC_DIGITS),
+    lambda n, d: f"{n}_0/{d}0",
+    lambda n, d: n if d == 1 else f"{n}/{d}",
+    lambda n, d: n / d,
+)
+
+#: Malformed values of a record field, and of the probability.
+_BAD_FIELDS = (True, 1.0, "0", None, -1, 3)
+_BAD_PROBABILITIES = (True, None, [1], "1/0", "00/0", "1/-2", "1 /2", "one", "-1/2", "3/2", 2)
+
+
+def _faults(doc, i):
+    """Copies of the document, each with one fault at or near record i."""
+    table = doc["table"]
+    record = table[i]
+    for bad in ([0, 0, 0, 0], "record", {**record, "q": 1}, {"a": 0, "b": 0, "x": 0, "y": 0}):
+        yield {**doc, "table": table[:i] + [bad] + table[i + 1 :]}
+    for name, bad in itertools.product("abxyp", _BAD_FIELDS + _BAD_PROBABILITIES):
+        yield {**doc, "table": table[:i] + [{**record, name: bad}] + table[i + 1 :]}
+    yield {**doc, "table": table[:i] + [record] + table[i:]}
+    yield {**doc, "table": table[:i] + table[i + 1 :]}
+
+
+_SHAPES = st.tuples(*[st.integers(1, 3)] * 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SHAPES.flatmap(exact_tables), st.booleans(), st.data())
+def test_box_files_match_the_fraction_reader_and_writer(table, exact, data):
+    if not exact:
+        table = StrategyTable(table.shape, tuple(map(float, table.probs)))
+    doc = box_to_json_dict(table)
+    assert doc == _fraction_box_to_json_dict(table)
+    assert dump_box(table) == json_text(_fraction_box_to_json_dict(table))
+    respelled = {**doc, "table": [dict(record) for record in doc["table"]]}
+    for record in respelled["table"]:
+        if "/" in record["p"] and data.draw(st.booleans()):
+            n, d = map(int, record["p"].split("/"))
+            record["p"] = data.draw(st.sampled_from(_SPELLINGS))(n, d)
+    i = data.draw(st.integers(0, len(doc["table"]) - 1))
+    for changed in (doc, respelled, *_faults(respelled, i)):
+        assert _outcome(box_from_json_dict, changed) == _outcome(_fraction_box_from_json_dict, changed)
+
+
+def _parameter(draw):
+    """A family parameter: mostly a Fraction in [0, 1]; sometimes one outside
+    it, an int, a float or a string."""
+    d = draw(st.integers(1, 12))
+    kind = draw(st.integers(0, 39))
+    if kind < 36:
+        return F(draw(st.integers(0, d)), d)
+    return [
+        F(draw(st.integers(-2, d + 2)), d),
+        draw(st.integers(-1, 2)),
+        draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, -0.5])),
+        f"{draw(st.integers(0, d))}/{d}",
+    ][kind - 36]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_family_parameters_and_tables_match_the_fraction_code(data):
+    values = [_parameter(data.draw) for _ in range(15)]
+    if data.draw(st.booleans()):
+        # q = (1 - p) k/4 keeps p + q <= 1 wherever p is a Fraction in [0, 1].
+        for i in range(3, 9):
+            if type(values[i]) is F and 0 <= values[i] <= 1:
+                values[i + 6] = (1 - values[i]) * F(data.draw(st.integers(0, 4)), 4)
+    params = _outcome(lambda v: WinningFamilyParams.from_vector(v).as_vector(), values)
+    assert params == _outcome(_fraction_params, values)
+    if params[0] is not ValueError:
+        family = WinningFamilyParams.from_vector(values)
+        assert _outcome(family_strategy, family) == _outcome(_fraction_family_strategy, family)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_noisy_pr_matches_the_fraction_code(data):
+    p = _parameter(data.draw)
+    assert _outcome(noisy_pr, p) == _outcome(_fraction_noisy_pr, p)
+
+
+@st.composite
+def wirings(draw, inner):
+    """A protocol of 0-2 calls and 1-2 shared values onto a base of shape
+    inner, from an outer shape of 1-3 letters, every map a random table."""
+    outer = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    calls, randomness = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    tables = [
+        tuple(draw(st.lists(st.integers(0, size - 1), min_size=count, max_size=count)))
+        for _, _, count, size in _maps(calls, randomness, outer, inner)
+    ]
+    return WiringProtocol(
+        calls, randomness, outer, inner, tables[:calls], tables[calls:-2], *tables[-2:]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SHAPES.flatmap(exact_tables), st.data())
+def test_evaluate_wiring_matches_the_dict_code(base, data):
+    protocol = data.draw(wirings(base.shape))
+    for box in (base, StrategyTable(base.shape, tuple(map(float, base.probs)))):
+        expected = _outcome(_dict_evaluate_wiring, protocol, box)
+        assert _outcome(evaluate_wiring, protocol, box) == expected
 
 
 # ---------------------------------------------------------------------------

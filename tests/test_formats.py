@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -113,6 +114,21 @@ def test_parser_accepts_plain_numbers():
     }
     table = box_from_json_dict(doc)
     assert table.prob(0, 0, 0, 0) == 0.25
+    # Any spelling Fraction reads is read to the same value; the canonical
+    # ASCII "n/d" takes a path of its own.
+    spellings = [
+        ("2/4", F(1, 2)), (" 1/2", F(1, 2)), ("+1/2", F(1, 2)), ("\u0661/\u0662", F(1, 2)),
+        ("1_0/30", F(1, 3)), ("0/7", F(0)), ("1", F(1)), ("1.0", 1.0), ("1/1", F(1)),
+    ]
+    for text, value in spellings:
+        rest = "0.0" if isinstance(value, float) else probability_to_string(1 - value)
+        doc["table"] = [{**doc["table"][0], "p": text}, {**doc["table"][1], "p": rest}]
+        entry = box_from_json_dict(doc).prob(0, 0, 0, 0)
+        assert (type(entry), entry) == (type(value), value)
+    for text in ("1/0", "1/-2", "1 /2", "00/0"):
+        doc["table"][0]["p"] = text
+        with pytest.raises(BoxFormatError, match=re.escape(f"cannot parse probability {text!r}")):
+            box_from_json_dict(doc)
 
 
 class TestBoxDiagnostics:

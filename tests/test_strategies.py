@@ -41,6 +41,7 @@ from rgbgame.strategies import (
     rgrb,
     win_probability,
 )
+from rgbgame.wiring import WiringProtocol, evaluate_wiring
 
 F = Fraction
 
@@ -758,9 +759,13 @@ def test_family_parameter_validation():
     with pytest.raises(ValueError):
         WinningFamilyParams.from_vector([F(1, 2)] * 14 + [2])
     vec = [F(1, 2)] * 15
-    vec[3], vec[9] = F(3, 4), F(1, 2)  # p01 + q01 > 1
-    with pytest.raises(ValueError):
-        WinningFamilyParams.from_vector(vec)
+    # p01 + q01 > 1, the second by 1/6 = 1/(2 * 3), the least step over these denominators.
+    for p, q in ((F(3, 4), F(1, 2)), (F(1, 2), F(2, 3))):
+        vec[3], vec[9] = p, q
+        with pytest.raises(ValueError, match=r"^p_cross\(0, 1\) \+ q_cross\(0, 1\) exceeds 1$"):
+            WinningFamilyParams.from_vector(vec)
+    vec[3], vec[9] = F(1, 3), F(2, 3)  # p01 + q01 = 1 is allowed
+    assert WinningFamilyParams.from_vector(vec).as_vector() == tuple(vec)
 
 
 def test_family_hits_the_named_boxes():
@@ -817,6 +822,14 @@ def test_value_classes_are_immutable_values():
 _PAIRS = tuple(itertools.product(range(3), range(3)))
 
 
+_ONE_CELL = StrategyTable((1, 1, 1, 1), (F(1),))
+
+
+def _answer_zero(outer, inner):
+    """The wiring that calls no box and answers 0 on both sides."""
+    return WiringProtocol(0, 1, outer, inner, (), (), lambda a, xs, r: 0, lambda b, ys, r: 0)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -825,14 +838,20 @@ _PAIRS = tuple(itertools.product(range(3), range(3)))
         lambda shape: StrategyTable.from_dict(shape, {(a, b, 0, 0): 1 for a, b in _PAIRS}),
         lambda shape: deterministic_strategy((1, 2, 0), (2, 0, 1), shape),
         lambda shape: Game(shape, rgb_predicate, rgb_game().input_dist),
+        lambda shape: evaluate_wiring(_answer_zero(shape, (1, 1, 1, 1)), _ONE_CELL),
+        lambda shape: evaluate_wiring(_answer_zero((3, 3, 3, 3), shape), rgrb()),
     ],
-    ids=["StrategyTable", "from_function", "from_dict", "deterministic_strategy", "Game"],
+    ids=[
+        "StrategyTable", "from_function", "from_dict", "deterministic_strategy", "Game",
+        "WiringProtocol outer", "WiringProtocol inner",
+    ],
 )
 def test_shapes_are_four_positive_ints_held_as_a_tuple(build):
     assert build([3, 3, 3, 3]) == build((3, 3, 3, 3))
     assert build([3, 3, 3, 3]).shape == (3, 3, 3, 3)
-    for shape in ((0, 3, 3, 3), (3.0, 3, 3, 3), (True, 1, 1, 1), (3, 3, 3)):
-        with pytest.raises(ValueError, match=r"^alphabet sizes must be positive, got \("):
+    message = r"^alphabet sizes must be four integers, each at least 1, got \("
+    for shape in ((0, 3, 3, 3), (3.0, 3, 3, 3), (True, 1, 1, 1), (3, 3, 3), (2, 2, 2, 2.0)):
+        with pytest.raises(ValueError, match=message):
             build(shape)
     # A module-level predicate: two calls build equal games.
     assert chsh_game() == chsh_game()

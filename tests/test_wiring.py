@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -83,6 +84,18 @@ def test_wiring_validation():
         )
     with pytest.raises(ValueError):
         evaluate_wiring(passthrough((3, 3, 3, 3)), pr_box())
+    # 1.0 and True compare as 1, but a float count fails in evaluate_wiring
+    # and a bool is written as JSON true, which load_wiring refuses.
+    for calls, randomness, message in (
+        (-1, 1, "number of calls must be an integer of at least 0, got -1"),
+        (1.0, 1, "number of calls must be an integer of at least 0, got 1.0"),
+        (True, 1, "number of calls must be an integer of at least 0, got True"),
+        (0, 0, "randomness must be an integer of at least 1, got 0"),
+        (0, 1.0, "randomness must be an integer of at least 1, got 1.0"),
+        (0, True, "randomness must be an integer of at least 1, got True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WiringProtocol(calls, randomness, (1, 1, 1, 1), (1, 1, 1, 1), (), (), (0,), (0,))
     message = r"^alice_inputs\[0\] map sends \(0, \(\), 0\) to 5, not an integer in range\(2\)$"
     with pytest.raises(ValueError, match=message):
         WiringProtocol(
