@@ -43,6 +43,7 @@ from .strategies import (
     _best_response,
     _coerce,
     _Frozen,
+    _is_int,
     next_colour,
     prev_colour,
 )
@@ -146,6 +147,14 @@ def cyclic_rule(colour: int, outcome: int) -> int:
     return next_colour(colour) if outcome else prev_colour(colour)
 
 
+#: Per input pair (a, b), row-major: a, b and the pick of the row's four cyclic answers.
+_CYCLIC_CELLS = [
+    (a, b, operator.itemgetter(*(3 * cyclic_rule(a, xb) + cyclic_rule(b, yb)
+                                 for xb in (0, 1) for yb in (0, 1))))
+    for a, b in itertools.product(range(3), range(3))
+]
+
+
 def reduce_to_binary(table: StrategyTable) -> StrategyTable:
     """Relabel a never-plays-its-own-colour table onto binary outputs.
 
@@ -157,18 +166,16 @@ def reduce_to_binary(table: StrategyTable) -> StrategyTable:
     if table.shape != (3, 3, 3, 3):
         raise ValueError(f"expected colour alphabets (3,3,3,3), got {table.shape}")
     slack = table._slack()
-    probs = []
-    for a, b in table.inputs():
-        row = table.cells(a, b)
+    entries, probs = table.probs, []
+    for k, (a, b, pick) in enumerate(_CYCLIC_CELLS):
+        row = entries[9 * k : 9 * k + 9]
         own = sum(row[3 * a : 3 * a + 3]) + sum(row[b::3])
         if own > slack:
             raise ValueError(
                 f"strategy plays a sure-losing colour on input ({a},{b}) "
                 f"with probability {own}"
             )
-        kept = [
-            row[3 * cyclic_rule(a, xb) + cyclic_rule(b, yb)] for xb in (0, 1) for yb in (0, 1)
-        ]
+        kept = pick(row)
         if slack:
             total = sum(kept)
             kept = [p / total for p in kept]
@@ -185,14 +192,12 @@ def correlations_from_table(binary_table: StrategyTable):
     na, nb, nx, ny = binary_table.shape
     if (nx, ny) != (2, 2):
         raise ValueError(f"need binary outputs, got alphabets {(nx, ny)}")
-    rows = []
-    for a in range(na):
-        row = []
-        for b in range(nb):
-            cells = binary_table.cells(a, b)
-            row.append(2 * (cells[0] + cells[3]) - 1)
-        rows.append(tuple(row))
-    return tuple(rows)
+    # Row (a, b) is probs[4k : 4k + 4] with k = a * nb + b; x = y at 0 and 3.
+    probs = binary_table.probs
+    return tuple(
+        tuple([2 * (probs[k] + probs[k + 3]) - 1 for k in range(4 * nb * a, 4 * nb * (a + 1), 4)])
+        for a in range(na)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +304,6 @@ GRAM_EXACT = _blocks(_pattern(1, Fraction(-1, 2)), _pattern(-1, Fraction(1, 2)))
 
 #: The diagonal dual multipliers closing the certificate: (3/2) I.
 MULTIPLIERS_EXACT = _blocks(_pattern(Fraction(3, 2), 0), _pattern(0, 0))
-
-
-def _inner(u, v) -> float:
-    """The dot product of two float vectors: fsum of the rounded products."""
-    return math.fsum(map(operator.mul, u, v))
 
 
 def _unit_rows(rows, count: int, what: str) -> tuple[tuple[float, ...], ...]:
@@ -530,12 +530,12 @@ class VectorStrategy(_Frozen):
         super().__init__(alice, bob)
 
     def correlations(self) -> tuple:
-        return tuple(tuple(_inner(x, y) for y in self.bob) for x in self.alice)
+        return tuple(row[3:] for row in self.gram()[:3])
 
     def gram(self) -> tuple[tuple[float, ...], ...]:
         """Gram matrix of the six vectors, Alice's three and then Bob's."""
         rows = self.alice + self.bob
-        return tuple(tuple(_inner(u, v) for v in rows) for u in rows)
+        return tuple(tuple(math.fsum(map(operator.mul, u, v)) for v in rows) for u in rows)
 
 
 class AscentResult(_Frozen):
@@ -551,27 +551,36 @@ def _draw(rng: random.Random, dim: int) -> list[float]:
     return [2 * rng.random() - 1 for _ in range(dim)]
 
 
-def _unit(vector, rng: random.Random) -> list[float]:
-    """``vector`` scaled to unit length.
+def _units(vectors, rng: random.Random) -> list[list[float]]:
+    """Each of ``vectors`` scaled to unit length, one after the other.
 
     A degenerate vector (length < 1e-15) is replaced by fresh draws from
     its restart's generator until one is not.
     """
-    length = math.hypot(*vector)
-    while length < 1e-15:
-        vector = _draw(rng, len(vector))
+    units = []
+    for vector in vectors:
         length = math.hypot(*vector)
-    return [v / length for v in vector]
+        while length < 1e-15:
+            vector = _draw(rng, len(vector))
+            length = math.hypot(*vector)
+        units.append([v / length for v in vector])
+    return units
 
 
-def _targets(vectors) -> list[list[float]]:
-    """The Bell rows -2 v_i + v_{i+1} + v_{i-1} of one party's three vectors."""
-    red, green, blue = vectors
-    return [
-        list(map(_bell_terms, red, green, blue)),
-        list(map(_bell_terms, green, blue, red)),
-        list(map(_bell_terms, blue, red, green)),
-    ]
+def _targets(vectors) -> tuple[list[float], list[float], list[float]]:
+    """The Bell rows -2 v_i + v_{i+1} + v_{i-1} of one party's three vectors,
+    in one pass: each term is ``_bell_terms`` written out, in its order."""
+    red, green, blue = rows = [], [], []
+    for r, g, b in zip(*vectors):
+        red.append(-2 * r + g + b)
+        green.append(-2 * g + b + r)
+        blue.append(-2 * b + r + g)
+    return rows
+
+
+def _objective(xs, rows) -> float:
+    """sum_i x_i . rows_i: the fsums of map(mul, x_i, rows_i), added in order."""
+    return sum(map(math.fsum, map(map, itertools.repeat(operator.mul), xs, rows)))
 
 
 #: The ascent's vector dimension, its sweep cap per restart, and the gain
@@ -582,8 +591,10 @@ _ASCENT_DIM, _ASCENT_MAX_SWEEPS, _ASCENT_MIN_GAIN = 6, 10_000, 1e-12
 def alternating_ascent(seed: int, restarts: int = 20) -> AscentResult:
     """Seeded block-coordinate maximization of the signed Bell objective.
 
-    Each sweep replaces every Alice vector with the normalized combination
-    -2 y_i + y_{i+1} + y_{i-1} of Bob's, then symmetrically for Bob; both
+    A sweep normalizes Bob's three Bell rows -2 y_i + y_{i+1} + y_{i-1}
+    (formed in one pass over the coordinates) into Alice's vectors, then
+    Alice's rows into Bob's, and forms Bob's rows once more: they give the
+    objective sum_i x_i . row_i and the next sweep's targets.  Both
     half-steps maximize the objective exactly, so sweeps are monotone.  The
     vectors have 6 coordinates.  A restart stops after the sweep whose gain
     falls below 1e-12, or after 10,000 sweeps.
@@ -591,23 +602,24 @@ def alternating_ascent(seed: int, restarts: int = 20) -> AscentResult:
     vectors, then Bob's, then any replacement for a degenerate vector.  The
     first best restart wins.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be nonnegative: an int >= 0, got {seed!r}")
+    if not (_is_int(restarts) and restarts >= 1):
+        raise ValueError(f"need at least one restart: an int >= 1, got {restarts!r}")
     best = None
     for k in range(restarts):
         rng = random.Random(seed + k)
-        xs = [_unit(_draw(rng, _ASCENT_DIM), rng) for _ in range(3)]
-        ys = [_unit(_draw(rng, _ASCENT_DIM), rng) for _ in range(3)]
+        # Lazy draws: each start vector is drawn after the last one is scaled.
+        xs = _units((_draw(rng, _ASCENT_DIM) for _ in range(3)), rng)
+        ys = _units((_draw(rng, _ASCENT_DIM) for _ in range(3)), rng)
         rows = _targets(ys)
-        values = [sum(map(_inner, xs, rows))]
+        values = [_objective(xs, rows)]
         for _ in range(_ASCENT_MAX_SWEEPS):
             # Bob's Bell rows are both the objective's and Alice's next targets.
-            xs = [_unit(row, rng) for row in rows]
-            ys = [_unit(row, rng) for row in _targets(xs)]
+            xs = _units(rows, rng)
+            ys = _units(_targets(xs), rng)
             rows = _targets(ys)
-            values.append(sum(map(_inner, xs, rows)))
+            values.append(_objective(xs, rows))
             if values[-1] - values[-2] < _ASCENT_MIN_GAIN:
                 break
         if best is None or values[-1] > best[0][-1]:

@@ -14,16 +14,18 @@ benchmark's workloads and tracer read them as ``quantum`` attributes.
 
 States are four amplitudes and operators 2x2 rows, as nested sequences of
 numbers (numpy arrays pass too); they are validated into Python ``complex``
-tuples.  Each Born probability is tr(rho A (x) B): its sixteen terms are
-Python complex products, and ``math.fsum`` adds their real parts with one
-rounding, so a table's floats do not depend on the host's BLAS or on the
-order of a vector kernel.  ``projector_from_angle`` takes its cosine and
-sine from the platform's libm.
+tuples.  Each Born probability is tr(rho A (x) B): its terms are Python
+complex products rho * (A_ij * B_kl), and ``math.fsum`` adds their real parts
+with one rounding, so a table's floats do not depend on the host's BLAS or on
+the order of a vector kernel.  Only the density matrix's nonzero entries are
+summed (4 of 16 for the singlet): a zero entry adds an exact zero to that sum.
+``projector_from_angle`` takes its cosine and sine from the platform's libm.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .bell import (  # noqa: F401 (re-exported: perfbench/ reads the two here)
@@ -53,6 +55,8 @@ def projector_from_angle(degrees: float) -> tuple[tuple[float, float], tuple[flo
     The state is cos(theta/2)|0> + sin(theta/2)|1>, so 0 degrees is |0><0|
     and +-120 degrees are the other two trine directions.
     """
+    if not math.isfinite(degrees):
+        raise ValueError(f"angle must be finite, got {degrees!r}")
     half = math.radians(degrees) / 2
     c, s = math.cos(half), math.sin(half)
     return ((c * c, c * s), (c * s, s * s))
@@ -70,14 +74,13 @@ def trine_projectors():
 def _matrix(operator, what: str) -> Matrix:
     """``operator`` as two rows of finite Python complex numbers."""
     try:
-        rows = tuple(tuple(map(complex, row)) for row in operator)
+        (a, b), (c, d) = rows = tuple(tuple(map(complex, row)) for row in operator)
     except (TypeError, ValueError):
-        rows = ()
-    if len(rows) != 2 or any(len(row) != 2 for row in rows):
-        raise ValueError(f"{what} is not 2x2")
-    if not all(cmath.isfinite(v) for row in rows for v in row):
+        raise ValueError(f"{what} is not 2x2") from None
+    if not all(map(cmath.isfinite, (a, b, c, d))):
         raise ValueError(f"{what} has non-finite entries")
-    if max(abs(rows[i][j] - rows[j][i].conjugate()) for i in (0, 1) for j in (0, 1)) > ALGEBRA_TOL:
+    # |b - c*| = |c - b*|, so three entries of A - A^H give its largest.
+    if max(abs(a - a.conjugate()), abs(b - c.conjugate()), abs(d - d.conjugate())) > ALGEBRA_TOL:
         raise ValueError(f"{what} is not Hermitian")
     return rows
 
@@ -96,10 +99,12 @@ class QubitStrategy(_Frozen):
     __slots__ = ("projectors",)
 
     def __init__(self, projectors: tuple[Matrix, Matrix, Matrix]):
-        if len(projectors) != 3:
-            raise ValueError("need one projector per colour")
+        try:
+            red, green, blue = projectors
+        except (TypeError, ValueError):
+            raise ValueError("need one projector per colour") from None
         checked = []
-        for c, proj in enumerate(projectors):
+        for c, proj in enumerate((red, green, blue)):
             (p00, p01), (p10, p11) = proj = _matrix(proj, f"projector for colour {c}")
             square = (p00 * p00 + p01 * p10, p00 * p01 + p01 * p11,
                       p10 * p00 + p11 * p10, p10 * p01 + p11 * p11)
@@ -111,8 +116,9 @@ class QubitStrategy(_Frozen):
         super().__init__(tuple(checked))
 
 
+@functools.cache
 def trine_strategy() -> QubitStrategy:
-    """The optimal strategy: the trine projectors."""
+    """The optimal strategy: the trine projectors, built once and shared."""
     return QubitStrategy(trine_projectors())
 
 
@@ -139,18 +145,21 @@ def _check_state(state) -> tuple[complex, ...]:
     return amplitudes
 
 
-def _density(state) -> tuple[complex, ...]:
-    """conj(state[r]) * state[c] for the 16 pairs (r, c), row-major."""
-    return tuple(u.conjugate() * v for u in state for v in state)
+def _density_terms(state) -> list[tuple[complex, int, int]]:
+    """The nonzero rho = conj(state[r]) * state[c], row-major, as (rho, i, j):
+    the kron entry (r, c) = (2 r_a + r_b, 2 c_a + c_b) of flattened effects A
+    and B is A[i] * B[j], i = 2 r_a + c_a and j = 2 r_b + c_b."""
+    return [
+        (rho, 2 * (r >> 1) + (c >> 1), 2 * (r & 1) + (c & 1))
+        for r, u in enumerate(state) for c, v in enumerate(state) if (rho := u.conjugate() * v)
+    ]
 
 
-def _born_sum(density, effect_a, effect_b) -> float:
+def _born_sum(terms, effect_a, effect_b) -> float:
     # The kernel of joint_prob and of the table: the caller has validated the
-    # state and both effects, so only rounding (within ALGEBRA_TOL) can leave
-    # [0, 1]; that much is clamped.  The kron product is built row-major, as
-    # np.kron lays it out, and fsum rounds the sum of the real parts once.
-    kron = (a * b for row_a in effect_a for row_b in effect_b for a in row_a for b in row_b)
-    value = math.fsum((rho * k).real for rho, k in zip(density, kron))
+    # state and both effects (flattened), so only rounding (within ALGEBRA_TOL)
+    # can leave [0, 1]; that much is clamped.  fsum rounds the sum once.
+    value = math.fsum([(rho * (effect_a[i] * effect_b[j])).real for rho, i, j in terms])
     if not abs(value - 0.5) <= 0.5 + ALGEBRA_TOL:
         raise ValueError(f"Born probability {value!r} lies outside [0, 1]")
     return min(1.0, max(0.0, value))
@@ -158,7 +167,7 @@ def _born_sum(density, effect_a, effect_b) -> float:
 
 def _born_prob(state, effect_a, effect_b) -> float:
     """<state| effect_a (x) effect_b |state> for validated arguments."""
-    return _born_sum(_density(state), effect_a, effect_b)
+    return _born_sum(_density_terms(state), *((*e[0], *e[1]) for e in (effect_a, effect_b)))
 
 
 def joint_prob(state, effect_a, effect_b) -> float:
@@ -173,34 +182,28 @@ def joint_prob(state, effect_a, effect_b) -> float:
     return _born_prob(state, effect_a, effect_b)
 
 
-def _complement(proj: Matrix) -> Matrix:
-    """I - proj."""
-    (p00, p01), (p10, p11) = proj
-    return ((1 - p00, 0 - p01), (0 - p10, 1 - p11))
-
-
 def quantum_strategy_table(state, alice: QubitStrategy, bob: QubitStrategy) -> StrategyTable:
     """The float-valued conditional table of a pair of qubit strategies.
 
     The state is checked once; the effects are the strategies' projectors,
     validated when the strategies were built, and their complements.
     """
-    density = _density(_check_state(state))
+    terms = _density_terms(_check_state(state))
 
     def effects(strategy):
-        # Per colour, (answer, effect) for outcome 0 (I - P) and outcome 1 (P).
+        # Per colour, (answer, flattened effect) for outcome 0 (I - P) and 1 (P).
         return [
-            [(cyclic_rule(c, 0), _complement(proj)), (cyclic_rule(c, 1), proj)]
-            for c, proj in enumerate(strategy.projectors)
+            [(cyclic_rule(c, 0), (1 - p00, 0 - p01, 0 - p10, 1 - p11)),
+             (cyclic_rule(c, 1), (p00, p01, p10, p11))]
+            for c, ((p00, p01), (p10, p11)) in enumerate(strategy.projectors)
         ]
 
-    entries: dict[tuple[int, int, int, int], float] = {}
+    # Entry (a, b, x, y) at 27a + 9b + 3x + y; the other 45 of the 81 are zero.
+    probs = [0.0] * 81
     bob_effects = effects(bob)
     for a, row_a in enumerate(effects(alice)):
         for b, row_b in enumerate(bob_effects):
             for x, effect_a in row_a:
                 for y, effect_b in row_b:
-                    entries[a, b, x, y] = _born_sum(density, effect_a, effect_b)
-    return StrategyTable.from_function(
-        (3, 3, 3, 3), lambda a, b, x, y: entries.get((a, b, x, y), 0.0)
-    )
+                    probs[27 * a + 9 * b + 3 * x + y] = _born_sum(terms, effect_a, effect_b)
+    return StrategyTable((3, 3, 3, 3), tuple(probs))

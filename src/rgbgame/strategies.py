@@ -216,12 +216,12 @@ class StrategyTable(_Frozen):
             else:
                 row = probs[k * n : (k + 1) * n]
                 # NaN fails every comparison below, so it is caught here.
-                if not all(math.isfinite(p) for p in row):
+                if not all(map(math.isfinite, row)):
                     raise ValueError(f"row ({a},{b}) has a non-finite entry")
-                total = sum(p for p in row if p != 0)
+                total = sum(filter(None, row))
                 if abs(total - 1) > FLOAT_ROW_TOL:
                     raise ValueError(f"row ({a},{b}) sums to {total!r}, not 1")
-                if any(p < -1e-12 or p > 1 + 1e-9 for p in row):
+                if min(row) < -1e-12 or max(row) > 1 + 1e-9:
                     raise ValueError(f"row ({a},{b}) has an entry outside [0,1]")
 
     @property

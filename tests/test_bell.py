@@ -747,15 +747,21 @@ def test_ascent_correlations_match_objective():
     assert abs(bell_quantity(corr) - result.value) < 1e-9
 
 
-def test_ascent_validates_restarts():
-    with pytest.raises(ValueError):
-        alternating_ascent(seed=1, restarts=0)
+@pytest.mark.parametrize("restarts", [0, -1, True, False, 2.0, "2", None])
+def test_ascent_validates_restarts(restarts):
+    # Unchecked, True ran one restart and 2.0 failed in range() with TypeError.
+    with pytest.raises(ValueError, match="need at least one restart") as refusal:
+        alternating_ascent(1, restarts)
+    assert str(refusal.value) == f"need at least one restart: an int >= 1, got {restarts!r}"
 
 
-def test_ascent_validates_seed():
-    # Unchecked, random.Random would seed with abs(seed), so -5 would rerun 5.
-    with pytest.raises(ValueError, match="seed must be nonnegative"):
-        alternating_ascent(seed=-5, restarts=1)
+@pytest.mark.parametrize("seed", [-5, 1.5, True, False, 2.0, "3", None])
+def test_ascent_validates_seed(seed):
+    # Unchecked, random.Random would seed with abs(seed), so -5 would rerun 5;
+    # 1.5 and True seeded streams of their own, and "3" failed on the sign test.
+    with pytest.raises(ValueError, match="seed must be nonnegative") as refusal:
+        alternating_ascent(seed, 2)
+    assert str(refusal.value) == f"seed must be nonnegative: an int >= 0, got {seed!r}"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2019, 2026, 10**6])

@@ -1,13 +1,15 @@
 """Singlet-state simulation of projective qubit strategies."""
 
+import cmath
 import itertools
 import math
 import random
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rgbgame import quantum
@@ -141,6 +143,26 @@ def test_qubit_strategy_rejects_non_finite_projectors(bad):
     partly[1, 0] = bad
     with pytest.raises(ValueError, match="projector for colour 0 has non-finite entries"):
         QubitStrategy((partly, *trine_projectors()[1:]))
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_projector_refuses_a_non_finite_angle(angle):
+    # Unchecked, inf failed in math.cos with "math domain error" and nan gave a
+    # NaN matrix that only QubitStrategy refused.
+    with pytest.raises(ValueError, match=re.escape(f"angle must be finite, got {angle!r}")):
+        projector_from_angle(angle)
+
+
+@pytest.mark.parametrize("projectors", [3, None, 1.5, (), [np.eye(2)] * 2, [np.eye(2)] * 4])
+def test_qubit_strategy_needs_one_projector_per_colour(projectors):
+    # Unchecked, an int failed in len() with TypeError.
+    with pytest.raises(ValueError, match="^need one projector per colour$"):
+        QubitStrategy(projectors)
+
+
+def test_the_trine_strategy_is_built_once():
+    assert trine_strategy() is trine_strategy()
+    assert trine_strategy() == QubitStrategy(trine_projectors())
 
 
 class TestTrineTable:
@@ -322,8 +344,19 @@ def _strategies(alice_angles, bob_angles, alice_flip, bob_flip):
     return strategy(alice_angles, alice_flip), strategy(bob_angles, bob_flip)
 
 
+_TRINE = (0.0, -120.0, 120.0)
+_HALF = 1 / math.sqrt(2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_ANGLES, _ANGLES, _FLIPS, _FLIPS, st.one_of(st.just(None), _states()))
+# Product states |00> and |01>: one nonzero density term each.
+@example(_TRINE, _TRINE, False, False, (1.0, 0.0, 0.0, 0.0))
+@example((10.0, -95.0, 140.0), _TRINE, False, True, (0.0, 1.0, 0.0, 0.0))
+# Negative zeros in the amplitudes make negative-zero density terms.
+@example(_TRINE, _TRINE, False, False, (-0.0, _HALF, -_HALF, complex(-0.0, -0.0)))
+# The singlet with both parties measuring I - P.
+@example(_TRINE, (33.0, -71.5, 90.0), True, True, None)
 def test_table_matches_the_per_cell_kernel_bit_for_bit(
     alice_angles, bob_angles, alice_flip, bob_flip, state
 ):
@@ -333,6 +366,21 @@ def test_table_matches_the_per_cell_kernel_bit_for_bit(
     table = quantum_strategy_table(state, alice, bob)
     assert table.probs == expected.probs
     assert [type(p) for p in table.probs] == [type(p) for p in expected.probs]
+
+
+def test_complex_projectors_match_the_per_cell_kernel_bit_for_bit():
+    # Projectors off the x-z plane have imaginary entries, so a density term
+    # with a zero real part still adds to the sum: only zero terms are left out.
+    def projector(theta, phi):
+        ket = (math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2))
+        return tuple(tuple(u * v.conjugate() for v in ket) for u in ket)
+
+    alice = QubitStrategy(tuple(projector(t, p) for t, p in ((0.3, 1.1), (2.0, -0.7), (1.2, 2.5))))
+    bob = QubitStrategy(tuple(projector(t, p) for t, p in ((1.7, 0.4), (0.9, -2.2), (2.6, 1.3))))
+    for state in (singlet(), (_HALF, 1j * _HALF, 0.0, 0.0), (0.0, _HALF, -1j * _HALF, 0.0)):
+        checked = _check_state(state)
+        expected = _per_cell_table(checked, alice, bob, _reference_born_prob, _complement)
+        assert quantum_strategy_table(state, alice, bob).probs == expected.probs
 
 
 #: The bound on the distance of a table entry from the np.kron kernel's.  An
