@@ -338,7 +338,10 @@ def is_positive_semidefinite(matrix) -> bool:
     semidefinite iff every pivot is nonnegative and every zero pivot leaves
     a zero row in the remaining Schur complement.
     """
-    a = [[Fraction(v) for v in row] for row in matrix]
+    try:
+        a = [[Fraction(v) for v in row] for row in matrix]
+    except (OverflowError, ValueError):  # inf and NaN have no ratio
+        raise ValueError("matrix has non-finite entries") from None
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")

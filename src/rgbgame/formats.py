@@ -67,9 +67,8 @@ def _parse_probability(value, where: str):
 
 
 def _read_alphabets(value, what: str, error_cls) -> tuple[int, int, int, int]:
-    # A string or an object would be read by its characters or its keys.
     try:
-        return _shape(value if isinstance(value, list) else (value,))
+        return _shape(value)
     except ValueError as err:
         raise error_cls(f"{what}: {err}") from None
 

@@ -1,9 +1,11 @@
 """Signalling structure of boxes: canonical examples, checks, decompositions.
 
-A box is a StrategyTable viewed as a physical device.  The checks here read
-exact tables exactly and float tables within ``FLOAT_ROW_TOL`` (witnesses
-are produced on failure, never just a boolean), and the one-way
-decompositions reconstruct an exact input exactly.
+A box is a StrategyTable viewed as a physical device.  No-signalling is
+membership in both one-way classes, each decided by one kernel on the box or
+on its view with the parties swapped.  The kernel reads exact tables exactly
+and float tables within ``FLOAT_ROW_TOL`` and gives a witness on failure,
+never just a boolean; the one-way decompositions build on its marginals and
+reconstruct an exact input exactly.
 
 The module also carries the linear-algebra argument showing that the
 perfectly-winning family of the colour game contains exactly one
@@ -126,31 +128,26 @@ class _Swapped:
 
     P'(x, y | a, b) = P(y, x | b, a), so every left-side question about a box
     is the right-side question about its view.  The view holds the box's
-    entries, each row transposed, in a table's row-major order; for an
-    exact box, whose kernels read nothing else, it holds only the numerators.
-    Deliberately not a StrategyTable: validating a copy costs more than the
-    check it serves.
+    entries in ``_swap_order``; for an exact box, whose kernels read nothing
+    else, it holds only the numerators.  Swapping a view again gives the
+    box's entries back.  Deliberately not a StrategyTable: validating a copy
+    costs more than the check it serves.
     """
 
     def __init__(self, table):
         na, nb, nx, ny = table.shape
         self.shape = (nb, na, ny, nx)
         values, den = table._exact or (table.probs, None)
-        values = _transposed(table.shape, values)
+        values = tuple([values[i] for i in _swap_order(table.shape)])
         self.probs, self._exact = (None, (values, den)) if den else (values, None)
 
 
-def _transposed(shape, probs) -> tuple:
-    """Row-major entries of P'(x, y | a, b) = P(y, x | b, a), from P's."""
+@functools.cache
+def _swap_order(shape) -> tuple:
+    """The index in P of each entry of P'(x, y | a, b) = P(y, x | b, a), in P' row-major order."""
     na, nb, nx, ny = shape
-    n = nx * ny
-    swapped = []
-    for b in range(nb):
-        for a in range(na):
-            row = probs[(a * nb + b) * n : (a * nb + b + 1) * n]
-            for y in range(ny):
-                swapped += row[y::ny]
-    return tuple(swapped)
+    order = itertools.product(range(nb), range(na), range(ny), range(nx))
+    return tuple(((a * nb + b) * nx + x) * ny + y for b, a, y, x in order)
 
 
 def x_marginal(table: StrategyTable, a: int, b: int) -> dict:
@@ -167,41 +164,38 @@ def y_marginal(table: StrategyTable, a: int, b: int) -> dict:
     return {y: sum(row[y::ny]) for y in range(ny)}
 
 
-def _right_witness(table, atol, side="right"):
-    # Does Bob's marginal move when Alice's input does?  An exact table's
-    # marginals are sums of its numerators, compared with atol = 0 and
-    # divided by its denominator only in a witness.
-    na, nb, nx, ny = table.shape
-    values, den = table._exact or (table.probs, None)
+def _one_way(view, atol, side):
+    """Is a box (or a view) in the left-to-right class: does Alice's marginal
+    forget b?  (witness, None) for the first a, b, x where her marginal at
+    (a, b) is not the one at (a, 0), else (None, her marginals at b = 0).
+    Sums of contiguous slices: an exact table's numerators are compared with
+    atol = 0 and divided by its denominator only in a witness."""
+    na, nb, nx, ny = view.shape
+    values, den = view._exact or (view.probs, None)
     n = nx * ny
-    for b in range(nb):
-        start = b * n
-        reference = [sum(values[start + y : start + n : ny]) for y in range(ny)]
-        for a in range(1, na):
-            start = (a * nb + b) * n
-            current = [sum(values[start + y : start + n : ny]) for y in range(ny)]
-            for y in range(ny):
-                if abs(current[y] - reference[y]) > atol:
-                    marginals = (reference[y], current[y])
-                    if den:
-                        marginals = (Fraction(marginals[0], den), Fraction(marginals[1], den))
-                    return SignallingWitness(side, b, y, (0, a), marginals)
-    return None
-
-
-def _left_witness(table, atol):
-    # Does Alice's marginal move when Bob's input does?
-    return _right_witness(_Swapped(table), atol, side="left")
+    marginals = []
+    for a in range(na):
+        # Her marginals at (a, b), b by b: sums of ny consecutive entries.
+        sums = list(map(sum, zip(*[iter(values[a * nb * n : (a + 1) * nb * n])] * ny)))
+        marginals.append(reference := sums[:nx])
+        for b in range(1, nb):
+            if (current := sums[b * nx : (b + 1) * nx]) != reference:
+                for x, (p, q) in enumerate(zip(reference, current)):
+                    if abs(q - p) > atol:
+                        pair = (Fraction(p, den), Fraction(q, den)) if den else (p, q)
+                        return SignallingWitness(side, a, x, (0, b), pair), None
+    return None, marginals
 
 
 def is_no_signalling(table: StrategyTable):
-    """Check both marginal-independence conditions.
+    """No-signalling: membership in both one-way classes, each by ``_one_way``.
 
-    Returns (True, None) or (False, witness).  Exact tables are compared
-    exactly, float tables within ``FLOAT_ROW_TOL``.
+    Returns (True, None) or (False, witness).  The right-to-left class, where
+    Bob's marginal forgets a, is checked first, on the swapped view.  Exact
+    tables are compared exactly, float tables within ``FLOAT_ROW_TOL``.
     """
     atol = table._slack()
-    witness = _right_witness(table, atol) or _left_witness(table, atol)
+    witness = _one_way(_Swapped(table), atol, "right")[0] or _one_way(table, atol, "left")[0]
     return (witness is None), witness
 
 
@@ -229,21 +223,19 @@ class OneWayProtocol(_Frozen):
 def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProtocol:
     """Factor a box along one direction of communication.
 
-    LEFT_TO_RIGHT requires Alice's marginal to be independent of b (checked
-    exactly on exact tables, within ``FLOAT_ROW_TOL`` on float ones; witness
-    raised otherwise); the mirror condition for RIGHT_TO_LEFT.  The sender's
-    marginal is read at the receiver's input 0.  Rows conditioned on a
-    zero-probability sender output are filled uniformly.  On an exact box
-    the sender's marginal is an integer m over the box's denominator D and
-    each receiver entry is the entry's numerator over m: the values of
-    p / mass, one Fraction per distinct pair of integers.
+    The box must be in that direction's one-way class, checked by the kernel
+    ``is_no_signalling`` runs per direction (witness raised otherwise):
+    LEFT_TO_RIGHT requires Alice's marginal to be independent of b,
+    RIGHT_TO_LEFT Bob's of a.  The sender's marginal is the kernel's, read at
+    the receiver's input 0.  Rows conditioned on a zero-probability sender
+    output are filled uniformly.  On an exact box the sender's marginal is
+    an integer m over the box's denominator D and each receiver entry is the
+    entry's numerator over m: the values of p / mass, one Fraction per
+    distinct pair of integers.
     """
     # Right-to-left is left-to-right on the view with the parties exchanged.
-    atol = table._slack()
-    if direction is Direction.LEFT_TO_RIGHT:
-        witness, view = _left_witness(table, atol), table
-    else:
-        witness, view = _right_witness(table, atol), _Swapped(table)
+    view = table if direction is Direction.LEFT_TO_RIGHT else _Swapped(table)
+    witness, marginals = _one_way(view, table._slack(), "left" if view is table else "right")
     if witness is not None:
         raise SignallingError(witness)
     na, nb, nx, ny = view.shape
@@ -252,9 +244,7 @@ def decompose_one_way(table: StrategyTable, direction: Direction) -> OneWayProto
     divide = exact_ratio if den else operator.truediv
     n = nx * ny
     sender, receiver = {}, {}
-    for a in range(na):
-        start = a * nb * n
-        masses = [sum(values[start + i : start + i + ny]) for i in range(0, n, ny)]
+    for a, masses in enumerate(marginals):
         sender[a] = {x: divide(m, den) if den else m for x, m in enumerate(masses)}
         for b in range(nb):
             start = (a * nb + b) * n
@@ -274,22 +264,23 @@ def recompose_one_way(protocol: OneWayProtocol) -> StrategyTable:
     integer numerators, over the sender's and the receiver's common
     denominators, and each entry becomes a Fraction once.
     """
-    # A right-to-left protocol is left-to-right on the swapped view: entry
-    # (a, b, x, y) of the table is entry (b, a, y, x) of the view.
-    na, nb, nx, ny = protocol.shape
-    keys = itertools.product(range(na), range(nb), range(nx), range(ny))
+    # A right-to-left protocol is left-to-right on the swapped shape; its
+    # product is swapped back, since swapping twice is the identity.
+    shape = na, nb, nx, ny = protocol.shape
     if protocol.direction is Direction.RIGHT_TO_LEFT:
-        na, nx = nb, ny
-        keys = ((b, a, y, x) for a, b, x, y in keys)
-    keys = list(keys)
+        shape = na, nb, nx, ny = nb, na, ny, nx
+    keys = list(itertools.product(range(na), range(nb), range(nx)))
     senders = [protocol.sender[a][x] for a in range(na) for x in range(nx)]
-    receivers = [protocol.receiver[a, b, x][y] for a, b, x, y in keys]
+    receivers = [protocol.receiver[key][y] for key in keys for y in range(ny)]
     den = None
     if all(map(isinstance, senders + receivers, itertools.repeat((int, Fraction)))):
         (senders, s_den), (receivers, r_den) = _numerators(senders), _numerators(receivers)
         den = s_den * r_den
-    # An entry is the sender's value (a, x) times the receiver's (a, b, x, y).
-    probs = [senders[a * nx + x] * r for (a, _, x, _), r in zip(keys, receivers)]
+    # Entry (a, b, x, y) is the sender's value (a, x) times the receiver's.
+    senders = [senders[a * nx + x] for a, _, x in keys]
+    probs = [senders[i // ny] * r for i, r in enumerate(receivers)]
+    if protocol.direction is Direction.RIGHT_TO_LEFT:
+        probs = [probs[i] for i in _swap_order(shape)]
     return StrategyTable._from_numerators(protocol.shape, probs, den)
 
 

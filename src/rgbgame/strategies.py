@@ -72,7 +72,8 @@ def _is_symbol(s, size) -> bool:
 
 def _shape(shape) -> tuple:
     """Four alphabet sizes, each an int of at least 1, as a tuple."""
-    if len(shape := tuple(shape)) != 4 or not all(_is_int(n) and n >= 1 for n in shape):
+    shape = tuple(shape) if hasattr(shape, "__iter__") else (shape,)
+    if len(shape) != 4 or not all(_is_int(n) and n >= 1 for n in shape):
         raise ValueError(f"alphabet sizes must be four integers, each at least 1, got {shape}")
     return shape
 
@@ -173,7 +174,7 @@ class StrategyTable(_Frozen):
     __slots__ = ("shape", "probs", "_exact")
 
     def __init__(self, shape: tuple[int, int, int, int], probs: tuple):
-        super().__init__(_shape(shape), probs)
+        super().__init__(_shape(shape), tuple(probs))
         self._validate(None)
 
     @classmethod
@@ -200,10 +201,15 @@ class StrategyTable(_Frozen):
             raise ValueError(
                 f"need {na * nb * nx * ny} entries for shape {shape}, got {len(probs)}"
             )
-        if exact is None and not any(isinstance(p, float) for p in probs):
-            exact = _numerators(probs)
-        object.__setattr__(self, "_exact", exact)
         n = nx * ny
+        if exact is None and not any(isinstance(p, float) for p in probs):
+            try:
+                exact = _numerators(probs)
+            except AttributeError:  # an entry without a denominator: "1", None, 1j
+                i = next(i for i, p in enumerate(probs) if not hasattr(p, "denominator"))
+                raise ValueError(f"row ({i // n // nb},{i // n % nb}) has {probs[i]!r}, "
+                                 "not a float or a rational") from None
+        object.__setattr__(self, "_exact", exact)
         for k, (a, b) in enumerate(self.inputs()):
             if exact:
                 # Numerators over the table's common denominator den.
@@ -376,7 +382,10 @@ _CROSS_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def _check_unit(value, name, key="") -> Fraction:
-    value = value if type(value) is Fraction else Fraction(value)
+    try:
+        value = value if type(value) is Fraction else Fraction(value)
+    except (OverflowError, ValueError):  # inf and NaN have no ratio
+        raise ValueError(f"{name}{key} = {value} outside [0, 1]") from None
     if not 0 <= value.numerator <= value.denominator:
         raise ValueError(f"{name}{key} = {value} outside [0, 1]")
     return value

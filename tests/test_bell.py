@@ -675,6 +675,9 @@ def test_ldlt_input_validation():
         is_positive_semidefinite([[1, 0, 0], [0, 1, 0]])
     assert is_positive_semidefinite([[0, 0], [0, 0]])
     assert not is_positive_semidefinite([[0, 1], [1, 0]])
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            is_positive_semidefinite([[1, 0], [0, value]])
 
 
 def test_exact_trine_table():

@@ -407,6 +407,10 @@ def test_row_slices_match_the_per_cell_code(table):
     expected = _reference_right_witness(table, atol) or _reference_left_witness(table, atol)
     assert ok == (expected is None)
     assert _typed_witness(witness) == _typed_witness(expected)
+    swapped_twice = locality._Swapped(locality._Swapped(table))
+    assert swapped_twice.shape == table.shape
+    assert (swapped_twice._exact or swapped_twice.probs) == (table._exact or table.probs)
+    refusals = {}
     for direction in Direction:
         try:
             expected = _reference_decompose(table, direction, atol)
@@ -414,8 +418,10 @@ def test_row_slices_match_the_per_cell_code(table):
             with pytest.raises(SignallingError, match=re.escape(str(err))) as raised:
                 decompose_one_way(table, direction)
             assert _typed_witness(raised.value.witness) == _typed_witness(err.witness)
+            refusals[direction] = raised.value.witness
             continue
         protocol = decompose_one_way(table, direction)
+        refusals[direction] = None
         assert _typed_protocol(protocol) == _typed_protocol(expected)
         try:
             recomposed = _typed(_reference_recompose(expected).probs)
@@ -424,6 +430,11 @@ def test_row_slices_match_the_per_cell_code(table):
                 recompose_one_way(protocol)
             continue
         assert _typed(recompose_one_way(protocol).probs) == recomposed
+    # No-signalling is membership in both one-way classes, and a failed
+    # verdict reports the right-to-left refusal's witness first.
+    assert ok == (refusals == dict.fromkeys(Direction))
+    first = refusals[Direction.RIGHT_TO_LEFT] or refusals[Direction.LEFT_TO_RIGHT]
+    assert _typed_witness(witness) == _typed_witness(first)
 
 
 def test_marginals_witnesses_and_decompositions_never_read_cells():

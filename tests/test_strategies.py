@@ -529,6 +529,12 @@ def test_row_check_reports_the_first_bad_row():
         StrategyTable((2, 2, 2, 1), tuple(rows))
     with pytest.raises(ValueError, match=re.escape("row (1,0) has an entry outside [0,1]")):
         StrategyTable((2, 2, 2, 1), tuple(rows[:2] + rows[:2] + rows[4:]))
+    # An entry with no denominator is not a number; its row is named.
+    for entry in ("1", None, 1j):
+        with pytest.raises(ValueError, match=re.escape(f"row (0,0) has {entry!r}, not a float")):
+            StrategyTable((1, 1, 1, 1), (entry,))
+        with pytest.raises(ValueError, match=re.escape(f"row (1,0) has {entry!r}, not a float")):
+            StrategyTable((2, 2, 2, 1), (1, 0, 1, 0, 1, entry, 1, 0))
 
 
 @pytest.mark.parametrize(
@@ -766,6 +772,12 @@ def test_family_parameter_validation():
             WinningFamilyParams.from_vector(vec)
     vec[3], vec[9] = F(1, 3), F(2, 3)  # p01 + q01 = 1 is allowed
     assert WinningFamilyParams.from_vector(vec).as_vector() == tuple(vec)
+    # inf and NaN have no integer ratio; they are named as values outside [0, 1].
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"p0 = {value} outside [0, 1]")):
+            WinningFamilyParams.from_vector([value] * 15)
+        with pytest.raises(ValueError, match=re.escape(f"q_cross(2, 1) = {value} outside [0, 1]")):
+            WinningFamilyParams.from_vector([F(1, 2)] * 14 + [value])
 
 
 def test_family_hits_the_named_boxes():
@@ -807,8 +819,9 @@ def test_value_classes_are_immutable_values():
         ):
             with pytest.raises(TypeError, match=re.escape(repr(wrong))):
                 cls(*args, **named)
-    assert table == StrategyTable(table.shape, table.probs) != r_sig_box()
-    assert hash(table) == hash(StrategyTable(table.shape, table.probs))
+    twin = StrategyTable(list(table.shape), list(table.probs))
+    assert table == StrategyTable(table.shape, table.probs) == twin != r_sig_box()
+    assert hash(table) == hash(StrategyTable(table.shape, table.probs)) == hash(twin)
     assert repr(StrategyTable((1, 1, 1, 1), (F(1),))) == (
         "StrategyTable(shape=(1, 1, 1, 1), probs=(Fraction(1, 1),))"
     )
@@ -850,7 +863,8 @@ def test_shapes_are_four_positive_ints_held_as_a_tuple(build):
     assert build([3, 3, 3, 3]) == build((3, 3, 3, 3))
     assert build([3, 3, 3, 3]).shape == (3, 3, 3, 3)
     message = r"^alphabet sizes must be four integers, each at least 1, got \("
-    for shape in ((0, 3, 3, 3), (3.0, 3, 3, 3), (True, 1, 1, 1), (3, 3, 3), (2, 2, 2, 2.0)):
+    bad = ((0, 3, 3, 3), (3.0, 3, 3, 3), (True, 1, 1, 1), (3, 3, 3), (2, 2, 2, 2.0), 5, None, 2.5)
+    for shape in bad:
         with pytest.raises(ValueError, match=message):
             build(shape)
     # A module-level predicate: two calls build equal games.
