@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import random
 from fractions import Fraction
@@ -330,6 +331,25 @@ def _unit_rows(rows, count: int, what: str) -> tuple[tuple[float, ...], ...]:
 # positive semidefiniteness: exact LDL^T, float eigenvalues
 
 
+def _fractions(matrix, what: str) -> list[list[Fraction]]:
+    """Rows of Fractions, an int or Fraction as it is and any other real
+    number at its exact binary value as a float.
+
+    An entry that is not a real number (a string, None, a complex) raises
+    ValueError, and so does a NaN or an infinity.
+    """
+    rows = [list(row) for row in matrix]
+    if not all(isinstance(v, numbers.Real) for row in rows for v in row):
+        raise ValueError(f"{what} has entries that are not real numbers")
+    try:
+        return [
+            [Fraction(v if isinstance(v, numbers.Rational) else float(v)) for v in row]
+            for row in rows
+        ]
+    except (OverflowError, ValueError):  # inf and NaN have no ratio
+        raise ValueError(f"{what} has non-finite entries") from None
+
+
 def is_positive_semidefinite(matrix) -> bool:
     """Whether a symmetric matrix is positive semidefinite, decided exactly.
 
@@ -338,10 +358,7 @@ def is_positive_semidefinite(matrix) -> bool:
     semidefinite iff every pivot is nonnegative and every zero pivot leaves
     a zero row in the remaining Schur complement.
     """
-    try:
-        a = [[Fraction(v) for v in row] for row in matrix]
-    except (OverflowError, ValueError):  # inf and NaN have no ratio
-        raise ValueError("matrix has non-finite entries") from None
+    a = _fractions(matrix, "matrix")
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
@@ -420,13 +437,10 @@ def sym_eigenvalues(matrix) -> tuple[float, ...]:
 
 def _candidate(matrix, what: str) -> list[list[Fraction]]:
     """A 6x6 candidate as rows of Fractions, floats at their exact binary value."""
-    rows = [[v if isinstance(v, (int, Fraction)) else float(v) for v in row] for row in matrix]
+    rows = _fractions(matrix, what)
     if len(rows) != 6 or any(len(row) != 6 for row in rows):
         raise ValueError(f"{what} must be 6x6, got rows of lengths {[len(r) for r in rows]}")
-    # Only floats can be NaN or infinite; math.isfinite overflows on a huge Fraction.
-    if not all(math.isfinite(v) for row in rows for v in row if isinstance(v, float)):
-        raise ValueError(f"{what} has non-finite entries")
-    return [[Fraction(v) for v in row] for row in rows]
+    return rows
 
 
 def _dual_slack(multipliers):

@@ -113,16 +113,27 @@ def _refuse_record(where: str, record, shape) -> None:
 _RECORD_KEYS = {"a", "b", "x", "y", "p"}
 
 
-def box_from_json_dict(data) -> StrategyTable:
-    if not isinstance(data, dict):
-        raise BoxFormatError("box document must be a JSON object")
-    missing = {"alphabets", "table"} - data.keys()
-    if missing:
-        raise BoxFormatError(f"box document lacks key(s) {sorted(missing)}")
-    unknown = data.keys() - {"alphabets", "table"}
-    if unknown:
-        raise BoxFormatError(f"box document has unknown key(s) {sorted(unknown)}")
+def _parse_json(text: str, error_cls):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise error_cls(f"not valid JSON: {err}") from err
 
+
+def _check_keys(data, keys, what: str, error_cls) -> None:
+    """Refuse a document that is not a JSON object with exactly ``keys``."""
+    if not isinstance(data, dict):
+        raise error_cls(f"{what} document must be a JSON object")
+    missing = keys - data.keys()
+    if missing:
+        raise error_cls(f"{what} document lacks key(s) {sorted(missing)}")
+    unknown = data.keys() - keys
+    if unknown:
+        raise error_cls(f"{what} document has unknown key(s) {sorted(unknown)}")
+
+
+def box_from_json_dict(data) -> StrategyTable:
+    _check_keys(data, {"alphabets", "table"}, "box", BoxFormatError)
     shape = na, nb, nx, ny = _read_alphabets(data["alphabets"], "alphabets", BoxFormatError)
 
     records = data["table"]
@@ -216,11 +227,7 @@ def dump_box(table: StrategyTable) -> str:
 
 
 def load_box(text: str) -> StrategyTable:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise BoxFormatError(f"not valid JSON: {err}") from err
-    return box_from_json_dict(data)
+    return box_from_json_dict(_parse_json(text, BoxFormatError))
 
 
 def save_box(table: StrategyTable, path) -> None:
@@ -300,15 +307,7 @@ def _read_map(rows, name, points) -> tuple:
 
 
 def wiring_from_json_dict(data) -> rgbgame.WiringProtocol:
-    if not isinstance(data, dict):
-        raise WiringFormatError("wiring document must be a JSON object")
-    missing = _WIRING_KEYS - data.keys()
-    if missing:
-        raise WiringFormatError(f"wiring document lacks key(s) {sorted(missing)}")
-    unknown = data.keys() - _WIRING_KEYS
-    if unknown:
-        raise WiringFormatError(f"wiring document has unknown key(s) {sorted(unknown)}")
-
+    _check_keys(data, _WIRING_KEYS, "wiring", WiringFormatError)
     calls = data["calls"]
     randomness = data["randomness"]
     if not _is_int(calls) or calls < 0:
@@ -361,11 +360,7 @@ def dump_wiring(protocol: rgbgame.WiringProtocol) -> str:
 
 
 def load_wiring(text: str) -> rgbgame.WiringProtocol:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise WiringFormatError(f"not valid JSON: {err}") from err
-    return wiring_from_json_dict(data)
+    return wiring_from_json_dict(_parse_json(text, WiringFormatError))
 
 
 def save_wiring(protocol: rgbgame.WiringProtocol, path) -> None:

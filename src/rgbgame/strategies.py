@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
@@ -206,9 +207,7 @@ class StrategyTable(_Frozen):
             try:
                 exact = _numerators(probs)
             except AttributeError:  # an entry without a denominator: "1", None, 1j
-                i = next(i for i, p in enumerate(probs) if not hasattr(p, "denominator"))
-                raise ValueError(f"row ({i // n // nb},{i // n % nb}) has {probs[i]!r}, "
-                                 "not a float or a rational") from None
+                self._refuse(lambda p: not hasattr(p, "denominator"))
         object.__setattr__(self, "_exact", exact)
         for k, (a, b) in enumerate(self.inputs()):
             if exact:
@@ -222,13 +221,27 @@ class StrategyTable(_Frozen):
             else:
                 row = probs[k * n : (k + 1) * n]
                 # NaN fails every comparison below, so it is caught here.
-                if not all(map(math.isfinite, row)):
+                try:
+                    finite = all(map(math.isfinite, row))
+                except TypeError:  # beside a float: "0.5", None, 0.5j
+                    self._refuse(lambda p: not isinstance(p, numbers.Real))
+                if not finite:
                     raise ValueError(f"row ({a},{b}) has a non-finite entry")
                 total = sum(filter(None, row))
                 if abs(total - 1) > FLOAT_ROW_TOL:
                     raise ValueError(f"row ({a},{b}) sums to {total!r}, not 1")
                 if min(row) < -1e-12 or max(row) > 1 + 1e-9:
                     raise ValueError(f"row ({a},{b}) has an entry outside [0,1]")
+
+    def _refuse(self, bad) -> None:
+        """Raise the ValueError that names the row of the first entry for
+        which ``bad`` holds."""
+        _, nb, nx, ny = self.shape
+        i = next(i for i, p in enumerate(self.probs) if bad(p))
+        row = i // (nx * ny)
+        raise ValueError(
+            f"row ({row // nb},{row % nb}) has {self.probs[i]!r}, not a float or a rational"
+        ) from None
 
     @property
     def is_exact(self) -> bool:
@@ -309,12 +322,18 @@ class Game(_Frozen):
                 raise ValueError(f"input pair {pair!r} outside range({na}) x range({nb})")
         weights = input_dist.values()
         slack = FLOAT_ROW_TOL if any(isinstance(w, float) for w in weights) else 0
-        total = sum(weights)
-        # Written as negations, as in mix, so that a NaN weight is refused.
-        if not abs(total - 1) <= slack:
-            raise ValueError(f"input distribution sums to {total}, not 1")
-        if not all(w >= 0 for w in weights):
-            raise ValueError("input distribution has a negative weight")
+        try:
+            total = sum(weights)
+            # Written as negations, as in mix, so that a NaN weight is refused.
+            if not abs(total - 1) <= slack:
+                raise ValueError(f"input distribution sums to {total}, not 1")
+            if not all(w >= 0 for w in weights):
+                raise ValueError("input distribution has a negative weight")
+        except TypeError:  # None, "1", 0.5j
+            pair = next(ab for ab, w in input_dist.items() if not isinstance(w, numbers.Real))
+            raise ValueError(
+                f"input pair {pair!r} has weight {input_dist[pair]!r}, not a number"
+            ) from None
 
 
 def rgb_game() -> Game:
@@ -386,6 +405,8 @@ def _check_unit(value, name, key="") -> Fraction:
         value = value if type(value) is Fraction else Fraction(value)
     except (OverflowError, ValueError):  # inf and NaN have no ratio
         raise ValueError(f"{name}{key} = {value} outside [0, 1]") from None
+    except TypeError:  # None, 0.5j
+        raise ValueError(f"{name}{key} = {value!r}, not a number") from None
     if not 0 <= value.numerator <= value.denominator:
         raise ValueError(f"{name}{key} = {value} outside [0, 1]")
     return value
@@ -623,7 +644,11 @@ def mix(tables: Sequence[StrategyTable], weights: Sequence) -> StrategyTable:
     shape = tables[0].shape
     if any(t.shape != shape for t in tables):
         raise ValueError("mixed tables must share alphabets")
-    weights = [_coerce(w) for w in weights]
+    try:
+        weights = [_coerce(w) for w in weights]
+    except TypeError:  # None, 0.5j
+        i = next(i for i, w in enumerate(weights) if not isinstance(w, numbers.Real))
+        raise ValueError(f"weight {i} is {weights[i]!r}, not a number") from None
     slack = FLOAT_ROW_TOL if any(isinstance(w, float) for w in weights) else 0
     # Written as negations so that a NaN weight, which fails every
     # comparison, is refused here.

@@ -14,6 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import random_local_mixture, random_wiring
 from rgbgame.bell import (
     GRAM_EXACT,
     MULTIPLIERS_EXACT,
@@ -52,14 +53,12 @@ from rgbgame.strategies import (
     family_strategy,
     l1_distance,
     local_bound,
-    mix,
     rgb_game,
     rgb_predicate,
     rgrb,
     win_probability,
 )
 from rgbgame.wiring import (
-    WiringProtocol,
     evaluate_wiring,
     noisy_composition_win,
     pr_from_rgrb,
@@ -191,24 +190,11 @@ def test_criterion_09_ns_uniqueness():
         assert l1_distance(family_strategy(params), rgrb()) == 0
 
 
-def _random_local_mixture(rng, parts=6):
-    tables = [
-        deterministic_strategy(
-            tuple(rng.randrange(3) for _ in range(3)),
-            tuple(rng.randrange(3) for _ in range(3)),
-        )
-        for _ in range(parts)
-    ]
-    cuts = sorted(rng.randint(0, 24) for _ in range(parts - 1))
-    weights = [F(b - a, 24) for a, b in zip([0] + cuts, cuts + [24])]
-    return mix(tables, weights)
-
-
 def test_criterion_10_one_way_decomposition():
     with criterion(10, "one-way decomposition"):
         rng = random.Random(10)
         corpus = [rgrb(), pr_box()]
-        corpus += [_random_local_mixture(rng) for _ in range(50)]
+        corpus += [random_local_mixture(rng) for _ in range(50)]
         for table in corpus:
             for direction in Direction:
                 rebuilt = recompose_one_way(decompose_one_way(table, direction))
@@ -219,41 +205,13 @@ def test_criterion_10_one_way_decomposition():
             assert exc.value.witness is not None
 
 
-def _random_wiring(rng, outer_shape, inner_shape, calls=2, randomness=2):
-    oa, ob, ox, oy = outer_shape
-    ia, ib, ix, iy = inner_shape
-
-    def tuples(size, length):
-        return list(itertools.product(range(size), repeat=length))
-
-    def random_map(own_size, prior_size, priors_len, value_size):
-        table = {
-            (own, priors, r): rng.randrange(value_size)
-            for own in range(own_size)
-            for priors in tuples(prior_size, priors_len)
-            for r in range(randomness)
-        }
-        return lambda own, priors, r, t=table: t[(own, tuple(priors), r)]
-
-    return WiringProtocol(
-        calls=calls,
-        randomness=randomness,
-        outer_shape=outer_shape,
-        inner_shape=inner_shape,
-        alice_inputs=tuple(random_map(oa, ix, k, ia) for k in range(calls)),
-        bob_inputs=tuple(random_map(ob, iy, k, ib) for k in range(calls)),
-        alice_output=random_map(oa, ix, calls, ox),
-        bob_output=random_map(ob, iy, calls, oy),
-    )
-
-
 def test_criterion_11_property_suite():
     with criterion(11, "property suite"):
         rng = random.Random(11)
 
         # normalization on random family members and the quantum table
         for _ in range(20):
-            table = _random_local_mixture(rng)
+            table = random_local_mixture(rng)
             for a, b in table.inputs():
                 assert sum(table.row(a, b).values()) == 1
         trine = quantum_strategy_table(singlet(), trine_strategy(), trine_strategy())
@@ -261,7 +219,7 @@ def test_criterion_11_property_suite():
             assert abs(sum(trine.row(a, b).values()) - 1) < 1e-9
 
         # metric axioms on a small corpus
-        corpus = [_random_local_mixture(rng) for _ in range(4)] + [rgrb()]
+        corpus = [random_local_mixture(rng) for _ in range(4)] + [rgrb()]
         for s, t in itertools.product(corpus, repeat=2):
             assert l1_distance(s, t) == l1_distance(t, s) >= 0
             assert (l1_distance(s, t) == 0) == (s.probs == t.probs)
@@ -271,7 +229,7 @@ def test_criterion_11_property_suite():
         # wirings cannot create signalling
         for base in (pr_box(), rgrb()):
             for _ in range(3):
-                protocol = _random_wiring(rng, (3, 3, 2, 2), base.shape)
+                protocol = random_wiring(rng, (3, 3, 2, 2), base.shape)
                 ok, witness = is_no_signalling(evaluate_wiring(protocol, base))
                 assert ok, witness
 

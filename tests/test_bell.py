@@ -11,16 +11,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    numpy_sym_eigenvalues,
+    random_local_mixture,
+    reference_alternating_ascent,
+    reference_bell_maximum,
+    reference_correlations,
+    reference_lemma1_win,
+    reference_reduce_to_binary,
+    typed,
+)
 from rgbgame import bell
 from rgbgame.bell import (
     GRAM_EXACT,
     MULTIPLIERS_EXACT,
     W_EXACT,
-    AscentResult,
     CertificationError,
     VectorStrategy,
-    _bell_row,
-    _signed_bell,
     alternating_ascent,
     bell_quantity,
     certify_quantum_bound,
@@ -60,44 +67,6 @@ F = Fraction
 # eigensolver, checked against an independent implementation first
 
 
-def _numpy_sym_eigenvalues(matrix, off_tol=1e-13):
-    """The library's cyclic Jacobi as it was written over numpy arrays: the
-    oracle that the plain-float version must match bit for bit."""
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if np.abs(a - a.T).max() > 1e-12:
-        raise ValueError("matrix is not symmetric")
-    a = (a + a.T) / 2
-    n = a.shape[0]
-    skip = off_tol / max(n, 2)
-    for _ in range(100):
-        off_part = a - np.diag(np.diag(a))
-        off = math.sqrt(float((off_part * off_part).sum()))
-        if off < off_tol:
-            return tuple(sorted((float(v) for v in np.diag(a)), reverse=True))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-    raise ArithmeticError("Jacobi iteration did not reach the target accuracy")
-
-
 _ENTRIES = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
 
 
@@ -122,7 +91,7 @@ def gram_matrices(draw):
 @given(st.one_of(symmetric_matrices(), gram_matrices()))
 def test_jacobi_matches_the_numpy_oracle_bit_for_bit(matrix):
     try:
-        expected = _numpy_sym_eigenvalues(matrix)
+        expected = numpy_sym_eigenvalues(matrix)
     except ArithmeticError:
         with pytest.raises(ArithmeticError):
             sym_eigenvalues(matrix)
@@ -134,10 +103,10 @@ def test_jacobi_matches_the_numpy_oracle_on_the_certificate():
     w = np.array(W_EXACT, dtype=float)
     slack = -0.5 * w + np.array(MULTIPLIERS_EXACT, dtype=float)
     for matrix in (GRAM_EXACT, slack, -0.5 * w):
-        assert sym_eigenvalues(matrix) == _numpy_sym_eigenvalues(matrix)
+        assert sym_eigenvalues(matrix) == numpy_sym_eigenvalues(matrix)
     report = certify_quantum_bound()
-    assert report.primal_eigenvalues == _numpy_sym_eigenvalues(GRAM_EXACT)
-    assert report.dual_slack_eigenvalues == _numpy_sym_eigenvalues(slack)
+    assert report.primal_eigenvalues == numpy_sym_eigenvalues(GRAM_EXACT)
+    assert report.dual_slack_eigenvalues == numpy_sym_eigenvalues(slack)
 
 
 def test_jacobi_against_numpy():
@@ -189,22 +158,9 @@ def test_bell_quantity_on_named_boxes():
     assert abs(win_from_correlations(trine_corr) - F(11, 12)) < 1e-12
 
 
-def _sweep_bell_maximum():
-    """The 8 x 8 sweep over one bit per colour for each party: the oracle of
-    ``deterministic_bell_maximum``, first maximum of the signed functional."""
-    best = witness = None
-    for f in itertools.product((0, 1), repeat=3):
-        for g in itertools.product((0, 1), repeat=3):
-            corr = [[1 if f[a] == g[b] else -1 for b in range(3)] for a in range(3)]
-            value = _signed_bell(corr)
-            if best is None or value > best:
-                best, witness = value, (f, g)
-    return best, witness
-
-
 def test_deterministic_sweep_reaches_eight():
     value, (f, g) = deterministic_bell_maximum()
-    assert (value, (f, g)) == _sweep_bell_maximum() == (8, ((0, 0, 1), (1, 1, 0)))
+    assert (value, (f, g)) == reference_bell_maximum() == (8, ((0, 0, 1), (1, 1, 0)))
     assert type(value) is int
     corr = [[1 if f[a] == g[b] else -1 for b in range(3)] for a in range(3)]
     assert bell_quantity(corr) == 8
@@ -219,29 +175,13 @@ def test_linear_relation_between_r_and_win():
         assert bell_quantity(corr) == 36 * win_from_correlations(corr) - 24
 
 
-def random_binary_local_mixture(rng, parts=5):
-    tables = []
-    for _ in range(parts):
-        f = [rng.randrange(2) for _ in range(3)]
-        g = [rng.randrange(2) for _ in range(3)]
-        tables.append(
-            StrategyTable.from_function(
-                (3, 3, 2, 2),
-                lambda a, b, x, y, f=f, g=g: 1 if (x, y) == (f[a], g[b]) else 0,
-            )
-        )
-    cuts = sorted(rng.randint(0, 16) for _ in range(parts - 1))
-    weights = [F(hi - lo, 16) for lo, hi in zip([0] + cuts, cuts + [16])]
-    return mix(tables, weights)
-
-
 def test_agreement_form_agrees_on_ns_tables():
     # On no-signalling binary tables the marginal terms cancel, so the
     # agreement-only form gives the true winning probability exactly.
     rng = random.Random(97)
     game = rgb_game()
     for _ in range(25):
-        binary = random_binary_local_mixture(rng)
+        binary = random_local_mixture(rng, (3, 3, 2, 2), parts=5, den=16)
         colour = StrategyTable.from_function(
             (3, 3, 3, 3),
             lambda a, b, x, y: (
@@ -251,7 +191,7 @@ def test_agreement_form_agrees_on_ns_tables():
             ),
         )
         expected = win_probability(colour, game)
-        assert lemma1_win(binary) == _agreement_lemma1_win(binary) == expected
+        assert lemma1_win(binary) == reference_lemma1_win(binary) == expected
         assert win_from_correlations(correlations_from_table(binary)) == expected
 
 
@@ -301,65 +241,13 @@ def test_the_functional_is_defined_once():
         payoff = gain[a][x][2 * b + y]
         assert type(payoff) is int
         assert payoff == W_EXACT[a][3 + b] * (1 if x == y else -1)
-    best, (f_sweep, g_sweep) = _sweep_bell_maximum()
+    best, (f_sweep, g_sweep) = reference_bell_maximum()
     assert sum(gain[a][f_sweep[a]][2 * b + g_sweep[b]] for a in range(3) for b in range(3)) == 8
     assert (value, (f, g)) == (best, (f_sweep, g_sweep)) == (8, ((0, 0, 1), (1, 1, 0)))
 
 
 # ---------------------------------------------------------------------------
 # the Bell layer reads rows as slices: its per-cell definitions as oracles
-
-
-def _agreement_lemma1_win(binary_table):
-    """Win from agreement rates, (1/9) sum_u [2 + (Bell term u of p(x=y))/2]."""
-    agree = [
-        [binary_table.prob(a, b, 0, 0) + binary_table.prob(a, b, 1, 1) for b in range(3)]
-        for a in range(3)
-    ]
-    return sum(2 + _bell_row(agree[u], u) / 2 for u in range(3)) / 9
-
-
-def _per_cell_reduce_to_binary(table, atol=FLOAT_ROW_TOL):
-    """``reduce_to_binary`` reading one cell at a time through a dict."""
-    exact = table.is_exact
-    for a in range(3):
-        for b in range(3):
-            own = sum(table.prob(a, b, a, y) for y in range(3)) + sum(
-                table.prob(a, b, x, b) for x in range(3)
-            )
-            if own > (0 if exact else atol):
-                raise ValueError(
-                    f"strategy plays a sure-losing colour on input ({a},{b}) "
-                    f"with probability {own}"
-                )
-    reduced = {
-        (a, b, xb, yb): table.prob(a, b, cyclic_rule(a, xb), cyclic_rule(b, yb))
-        for a, b, xb, yb in itertools.product(range(3), range(3), (0, 1), (0, 1))
-    }
-    if not exact:
-        for a in range(3):
-            for b in range(3):
-                total = sum(reduced[(a, b, xb, yb)] for xb in (0, 1) for yb in (0, 1))
-                for xb in (0, 1):
-                    for yb in (0, 1):
-                        reduced[(a, b, xb, yb)] /= total
-    return StrategyTable.from_function((3, 3, 2, 2), lambda a, b, x, y: reduced[(a, b, x, y)])
-
-
-def _per_cell_correlations(binary_table):
-    """``correlations_from_table`` reading one cell at a time."""
-    return tuple(
-        tuple(
-            2 * (binary_table.prob(a, b, 0, 0) + binary_table.prob(a, b, 1, 1)) - 1
-            for b in range(3)
-        )
-        for a in range(3)
-    )
-
-
-def _bits(values):
-    """Each value with its type, floats by their exact bits."""
-    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
 
 
 def _own_colour_box(rows):
@@ -375,44 +263,63 @@ def _own_colour_box(rows):
 _ROWS = st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)))
 
 
+#: Own-colour mass: none, rounding-sized, just inside, at and just outside
+#: the reduction's float tolerance, and far above it.
+_OWN_MASS = st.sampled_from(
+    [0.0, 1e-14, FLOAT_ROW_TOL * (1 - 1e-6), FLOAT_ROW_TOL, FLOAT_ROW_TOL * (1 + 1e-6), 1e-3]
+)
+
+
 @st.composite
 def qubit_tables(draw):
-    """Qubit tables at angles like the golden ``quantum`` cases, some mixed
-    with own-colour mass below or above the reduction's tolerance."""
-    angles = [
-        float(f"{t:.15f}")
-        for t in draw(st.lists(st.floats(-360.0, 360.0), min_size=6, max_size=6))
-    ]
+    """Qubit tables at random angles, some rounded as the golden ``quantum``
+    cases print them, with own-colour mass in some rows: mixed in from an
+    own-colour box, or moved from the row's largest cyclic answer, so that
+    the row still sums to 1 within rounding."""
+    angles = draw(st.lists(st.floats(-360.0, 360.0), min_size=6, max_size=6))
+    if draw(st.booleans()):
+        angles = [float(f"{t:.15f}") for t in angles]
     alice, bob = (
         QubitStrategy(tuple(projector_from_angle(t) for t in part))
         for part in (angles[:3], angles[3:])
     )
     table = quantum_strategy_table(singlet(), alice, bob)
-    eps = draw(st.sampled_from([0.0, 1e-14, 1e-3]))
-    if eps:
-        table = mix([table, _own_colour_box(draw(_ROWS))], [1 - eps, eps])
-    return table
+    if draw(st.booleans()):
+        eps = draw(_OWN_MASS)
+        return mix([table, _own_colour_box(draw(_ROWS))], [1 - eps, eps]) if eps else table
+    probs = list(table.probs)
+    for a, b in draw(_ROWS):
+        mass, other = draw(_OWN_MASS), draw(st.sampled_from([c for c in range(3) if c != b]))
+        cyclic = [
+            27 * a + 9 * b + 3 * cyclic_rule(a, xb) + cyclic_rule(b, yb)
+            for xb in (0, 1)
+            for yb in (0, 1)
+        ]
+        probs[max(cyclic, key=probs.__getitem__)] -= mass
+        # Alice plays her own colour a; Bob an answer that is not b.
+        probs[27 * a + 9 * b + 3 * a + other] += mass
+    return StrategyTable((3, 3, 3, 3), tuple(probs))
 
 
 @st.composite
-def exact_tables(draw):
+def colour_tables(draw):
     """Exact tables on the four cyclic answers of each row, some with
-    own-colour mass on a few rows."""
+    own-colour mass on a few rows, on one or several own-colour cells."""
     bad = draw(_ROWS)
-    entries = {}
+    probs = []
     for a, b in itertools.product(range(3), range(3)):
-        weights = draw(st.lists(st.integers(0, 4), min_size=5, max_size=5))
+        cyclic = {3 * cyclic_rule(a, xb) + cyclic_rule(b, yb) for xb in (0, 1) for yb in (0, 1)}
+        weights = draw(st.lists(st.integers(0, 4), min_size=9, max_size=9))
         if (a, b) not in bad:
-            weights[4] = 0  # the own-colour cell
+            weights = [w if i in cyclic else 0 for i, w in enumerate(weights)]
+        elif draw(st.booleans()):
+            # A single own-colour cell, as a strategy's one wrong answer.
+            own = draw(st.sampled_from(sorted(set(range(9)) - cyclic)))
+            weights = [w if i in cyclic or i == own else 0 for i, w in enumerate(weights)]
         if not any(weights):
-            weights[0] = 1
-        cells = [(cyclic_rule(a, xb), cyclic_rule(b, yb)) for xb in (0, 1) for yb in (0, 1)]
-        total = sum(weights)
-        own = draw(st.sampled_from([(a, c) for c in range(3)] + [(c, b) for c in range(3)]))
-        for (x, y), w in zip(cells + [own], weights):
-            if w:
-                entries[(a, b, x, y)] = F(w, total)
-    return StrategyTable.from_dict((3, 3, 3, 3), entries)
+            weights[min(cyclic)] = 1
+        probs += [F(w, sum(weights)) for w in weights]
+    return StrategyTable((3, 3, 3, 3), tuple(probs))
 
 
 def _reduction(reduce, correlations, table):
@@ -420,19 +327,19 @@ def _reduction(reduce, correlations, table):
         binary = reduce(table)
     except ValueError as err:
         return str(err)
-    return _bits(binary.probs), [_bits(row) for row in correlations(binary)]
+    return typed(binary.probs), [typed(row) for row in correlations(binary)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(qubit_tables(), exact_tables()))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(qubit_tables(), colour_tables()))
 def test_slice_reads_match_the_per_cell_definitions(table):
     # Bit-identical probs and correlations, or the same first bad row.
     got = _reduction(reduce_to_binary, correlations_from_table, table)
-    assert got == _reduction(_per_cell_reduce_to_binary, _per_cell_correlations, table)
+    assert got == _reduction(reference_reduce_to_binary, reference_correlations, table)
     if table.is_exact and not isinstance(got, str):
         binary = reduce_to_binary(table)
         if is_no_signalling(binary)[0]:
-            assert lemma1_win(binary) == _agreement_lemma1_win(binary)
+            assert lemma1_win(binary) == reference_lemma1_win(binary)
         else:
             with pytest.raises(ValueError, match="^table signals"):
                 lemma1_win(binary)
@@ -520,6 +427,22 @@ def test_verify_input_validation():
         verify_dual(np.full((6, 6), 0.1))  # not diagonal
     with pytest.raises(ValueError):
         VectorStrategy(np.ones((3, 4)), np.ones((3, 4)))  # rows not unit
+    # Anything but a real number is refused with one message; inf and NaN
+    # keep theirs.
+    for bad in ("x", "1/2", None, 1j):
+        with pytest.raises(ValueError, match="^matrix has entries that are not real numbers$"):
+            is_positive_semidefinite([[bad]])
+        for verify, candidate, what in (
+            (verify_primal, GRAM_EXACT, "primal"),
+            (verify_dual, MULTIPLIERS_EXACT, "dual"),
+        ):
+            rows = [list(row) for row in candidate]
+            rows[2][2] = bad
+            with pytest.raises(ValueError, match=f"^{what} candidate has entries that are not real"):
+                verify(rows)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            is_positive_semidefinite([[1.0, 0.0], [0.0, bad]])
 
 
 _E1, _E2 = (1.0, 0.0), (0.0, 1.0)
@@ -776,52 +699,6 @@ def test_ascent_reaches_nine_with_a_rank_two_gram(seed):
     assert sum(1 for e in sym_eigenvalues(result.strategy.gram()) if e > 1e-6) == 2
 
 
-def _reference_objective(xs, ys):
-    total = 0.0
-    for i in range(3):
-        total += math.fsum(x * r for x, r in zip(xs[i], _reference_row(ys, i)))
-    return total
-
-
-def _reference_row(vectors, i):
-    """Bell row i of three vectors, one coordinate at a time."""
-    return [_bell_row(coordinates, i) for coordinates in zip(*vectors)]
-
-
-def _reference_unit(vector, rng):
-    length = math.hypot(*vector)
-    while length < 1e-15:
-        vector = [2 * rng.random() - 1 for _ in vector]
-        length = math.hypot(*vector)
-    return [v / length for v in vector]
-
-
-def _reference_alternating_ascent(seed, restarts=20, dim=6, max_sweeps=10_000, min_gain=1e-12):
-    """alternating_ascent written plainly: each vector normalized by its
-    norm, and every Bell row of Bob's vectors formed twice, once for the
-    objective and once as a target."""
-    best = None
-    for k in range(restarts):
-        rng = random.Random(seed + k)
-        xs = [_reference_unit([2 * rng.random() - 1 for _ in range(dim)], rng) for _ in range(3)]
-        ys = [_reference_unit([2 * rng.random() - 1 for _ in range(dim)], rng) for _ in range(3)]
-        values = [_reference_objective(xs, ys)]
-        for _ in range(max_sweeps):
-            xs = [_reference_unit(_reference_row(ys, i), rng) for i in range(3)]
-            ys = [_reference_unit(_reference_row(xs, j), rng) for j in range(3)]
-            values.append(_reference_objective(xs, ys))
-            if values[-1] - values[-2] < min_gain:
-                break
-        candidate = AscentResult(
-            value=values[-1],
-            strategy=VectorStrategy(xs, ys),
-            sweep_values=tuple(values),
-        )
-        if best is None or candidate.value > best.value:
-            best = candidate
-    return best
-
-
 def _ascent(seed, restarts, dim=6, max_sweeps=10_000, min_gain=1e-12):
     """``alternating_ascent`` with its dimension, sweep cap and gain floor set."""
     with (
@@ -857,7 +734,7 @@ def test_ascent_matches_the_norm_based_code_bit_for_bit(seed, restarts, dim, max
     # exercised.
     _assert_same_ascent(
         _ascent(seed, restarts, dim, max_sweeps, min_gain),
-        _reference_alternating_ascent(seed, restarts, dim, max_sweeps, min_gain),
+        reference_alternating_ascent(seed, restarts, dim, max_sweeps, min_gain),
     )
 
 
@@ -911,9 +788,9 @@ def test_degenerate_draws_are_reseeded_in_stream_order(monkeypatch, dim, zeroed)
     for g in generators:
         # A zeroed start vector is replaced by a draw after the first six.
         assert g._drawn > 6 * dim or min(g._zeroed) >= 6
-    _assert_same_ascent(result, _reference_alternating_ascent(seed, 4, dim))
+    _assert_same_ascent(result, reference_alternating_ascent(seed, 4, dim))
 
 
 @pytest.mark.parametrize("seed", [*range(10), 2019])
 def test_default_ascent_matches_the_norm_based_code_bit_for_bit(seed):
-    _assert_same_ascent(alternating_ascent(seed), _reference_alternating_ascent(seed))
+    _assert_same_ascent(alternating_ascent(seed), reference_alternating_ascent(seed))

@@ -20,6 +20,7 @@ import pytest
 import rgbgame
 
 SRC = Path(rgbgame.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 
 # sorted(dir(rgbgame)) as it was when the package imported its layers
 # eagerly: the lazy re-exports must not change what the package lists.
@@ -301,8 +302,31 @@ def test_unused_imports_are_found():
 def test_no_module_imports_a_name_it_never_uses():
     # No linter is installed; this is the check that stands in for one.
     found = {}
-    for path in sorted((SRC / "rgbgame").glob("*.py")):
+    for path in sorted((SRC / "rgbgame").glob("*.py")) + sorted(TESTS.glob("*.py")):
         unused = set(unused_imports(path.read_text())) - REEXPORTS.get(path.name, set())
         if unused:
             found[path.name] = sorted(unused)
     assert found == {}
+
+
+def helpers(source: str) -> list[str]:
+    """The functions and classes a module defines at top level, tests aside."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("test_")
+    ]
+
+
+def test_helpers_are_found():
+    source = "def test_a():\n    def b(): pass\nclass C: pass\ndef _d(): pass\nE = 1\n"
+    assert helpers(source) == ["C", "_d"]
+
+
+def test_no_helper_is_defined_in_two_test_modules():
+    # A helper two test files need lives once, in oracles.py.
+    modules = {}
+    for path in sorted(TESTS.glob("*.py")):
+        for name in helpers(path.read_text()):
+            modules.setdefault(name, []).append(path.name)
+    assert {name: found for name, found in modules.items() if len(found) > 1} == {}

@@ -8,13 +8,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    SHAPES,
+    assert_cached_pair,
+    exact_tables,
+    random_local_mixture,
+    reference_decompose,
+    reference_left_witness,
+    reference_ns_proof,
+    reference_recompose,
+    reference_right_witness,
+    reference_x_marginal,
+    reference_y_marginal,
+    typed,
+    typed_protocol,
+    typed_witness,
+)
 from rgbgame import locality
 from rgbgame.locality import (
     Direction,
     LinearSystem,
-    OneWayProtocol,
     SignallingError,
-    SignallingWitness,
     _rref,
     build_ns_constraints,
     decompose_one_way,
@@ -38,7 +52,6 @@ from rgbgame.strategies import (
     family_strategy,
     l1_distance,
     mix,
-    next_colour,
     parameter_names,
     rgb0,
     rgb_game,
@@ -47,23 +60,6 @@ from rgbgame.strategies import (
 )
 
 F = Fraction
-
-
-def random_local_mixture(rng, k=3, parts=6):
-    """A no-signalling box by construction: a mixture of local deterministic ones."""
-    tables = [
-        deterministic_strategy(
-            tuple(rng.randrange(k) for _ in range(k)),
-            tuple(rng.randrange(k) for _ in range(k)),
-            shape=(k, k, k, k),
-        )
-        for _ in range(parts)
-    ]
-    cuts = sorted(rng.randint(0, 24) for _ in range(parts - 1))
-    weights = [
-        F(b - a, 24) for a, b in zip([0] + cuts, cuts + [24])
-    ]
-    return mix(tables, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -262,106 +258,22 @@ def test_sig_box_is_rejected_both_ways():
 # row slices against the per-cell code
 
 
-class _ReferenceSwapped:
-    """Oracle view: P'(x, y | a, b) = P(y, x | b, a), one prob() per cell."""
-
-    def __init__(self, table):
-        na, nb, nx, ny = table.shape
-        self.table = table
-        self.shape = (nb, na, ny, nx)
-
-    def prob(self, a, b, x, y):
-        return self.table.prob(b, a, y, x)
-
-
-def _reference_swap(table):
-    return table.table if isinstance(table, _ReferenceSwapped) else _ReferenceSwapped(table)
-
-
-def _reference_x_marginal(table, a, b):
-    _, _, nx, ny = table.shape
-    return {x: sum(table.prob(a, b, x, y) for y in range(ny)) for x in range(nx)}
-
-
-def _reference_y_marginal(table, a, b):
-    return _reference_x_marginal(_reference_swap(table), b, a)
-
-
-def _reference_right_witness(table, atol, side="right"):
-    na, nb, _, ny = table.shape
-    for b in range(nb):
-        reference = _reference_y_marginal(table, 0, b)
-        for a in range(1, na):
-            current = _reference_y_marginal(table, a, b)
-            for y in range(ny):
-                if abs(current[y] - reference[y]) > atol:
-                    return SignallingWitness(side, b, y, (0, a), (reference[y], current[y]))
-    return None
-
-
-def _reference_left_witness(table, atol):
-    return _reference_right_witness(_reference_swap(table), atol, side="left")
-
-
-def _reference_decompose(table, direction, atol):
-    if direction is Direction.LEFT_TO_RIGHT:
-        witness, view = _reference_left_witness(table, atol), table
-    else:
-        witness, view = _reference_right_witness(table, atol), _reference_swap(table)
-    if witness is not None:
-        raise SignallingError(witness)
-    na, nb, nx, ny = view.shape
-    sender = {a: _reference_x_marginal(view, a, 0) for a in range(na)}
-    receiver = {}
-    for a in range(na):
-        for b in range(nb):
-            for x in range(nx):
-                mass = sender[a][x]
-                if mass == 0:
-                    receiver[(a, b, x)] = {y: Fraction(1, ny) for y in range(ny)}
-                else:
-                    receiver[(a, b, x)] = {y: view.prob(a, b, x, y) / mass for y in range(ny)}
-    return OneWayProtocol(direction, table.shape, sender, receiver)
-
-
-def _reference_recompose(protocol):
-    def entry(a, b, x, y):
-        return protocol.sender[a][x] * protocol.receiver[(a, b, x)][y]
-
-    if protocol.direction is Direction.LEFT_TO_RIGHT:
-        return StrategyTable.from_function(protocol.shape, entry)
-    return StrategyTable.from_function(protocol.shape, lambda a, b, x, y: entry(b, a, y, x))
-
-
-def _typed(values):
-    """Keys, types and reprs: repr tells float bits apart, -0.0 included."""
-    if isinstance(values, dict):
-        return [(key, type(v), repr(v)) for key, v in values.items()]
-    return [(type(v), repr(v)) for v in values]
-
-
-def _typed_witness(witness):
-    if witness is None:
-        return None
-    head = (witness.side, witness.fixed_input, witness.output, witness.sender_inputs)
-    return head + (_typed(witness.marginals),)
-
-
-def _typed_protocol(protocol):
-    return (
-        protocol.direction,
-        protocol.shape,
-        [(a, _typed(dist)) for a, dist in protocol.sender.items()],
-        [(key, _typed(dist)) for key, dist in protocol.receiver.items()],
-    )
-
-
 @st.composite
 def locality_tables(draw):
     """Exact, float or mixed tables of any small shape: mixtures of local
     deterministic boxes, boxes where one party's output follows both inputs,
-    and random rows, so that every verdict and both directions occur."""
-    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    and random rows, or the one-way mixtures of ``oracles.exact_tables``, so
+    that every verdict and both directions occur."""
+    shape = draw(SHAPES)
+    table = draw(exact_tables(shape)) if draw(st.booleans()) else _mixture(draw, shape)
+    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    if kind == "exact":
+        return table
+    probs = [float(p) if kind == "float" or draw(st.booleans()) else p for p in table.probs]
+    return StrategyTable(shape, tuple(probs))
+
+
+def _mixture(draw, shape):
     na, nb, nx, ny = shape
 
     def choices(size, count):
@@ -387,12 +299,7 @@ def locality_tables(draw):
     weights = draw(
         st.lists(st.integers(0, 4), min_size=len(boxes), max_size=len(boxes)).filter(sum)
     )
-    table = mix(boxes, [F(w, sum(weights)) for w in weights])
-    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
-    if kind == "exact":
-        return table
-    probs = [float(p) if kind == "float" or draw(st.booleans()) else p for p in table.probs]
-    return StrategyTable(shape, tuple(probs))
+    return mix(boxes, [F(w, sum(weights)) for w in weights])
 
 
 @settings(max_examples=300, deadline=None)
@@ -401,40 +308,44 @@ def test_row_slices_match_the_per_cell_code(table):
     atol = 0 if table.is_exact else FLOAT_ROW_TOL
     assert table._slack() == atol
     for a, b in table.inputs():
-        assert _typed(x_marginal(table, a, b)) == _typed(_reference_x_marginal(table, a, b))
-        assert _typed(y_marginal(table, a, b)) == _typed(_reference_y_marginal(table, a, b))
+        assert typed(x_marginal(table, a, b)) == typed(reference_x_marginal(table, a, b))
+        assert typed(y_marginal(table, a, b)) == typed(reference_y_marginal(table, a, b))
     ok, witness = is_no_signalling(table)
-    expected = _reference_right_witness(table, atol) or _reference_left_witness(table, atol)
+    expected = reference_right_witness(table, atol) or reference_left_witness(table, atol)
     assert ok == (expected is None)
-    assert _typed_witness(witness) == _typed_witness(expected)
+    assert typed_witness(witness) == typed_witness(expected)
     swapped_twice = locality._Swapped(locality._Swapped(table))
     assert swapped_twice.shape == table.shape
     assert (swapped_twice._exact or swapped_twice.probs) == (table._exact or table.probs)
     refusals = {}
     for direction in Direction:
         try:
-            expected = _reference_decompose(table, direction, atol)
+            expected = reference_decompose(table, direction, atol)
         except SignallingError as err:
             with pytest.raises(SignallingError, match=re.escape(str(err))) as raised:
                 decompose_one_way(table, direction)
-            assert _typed_witness(raised.value.witness) == _typed_witness(err.witness)
+            assert typed_witness(raised.value.witness) == typed_witness(err.witness)
             refusals[direction] = raised.value.witness
             continue
         protocol = decompose_one_way(table, direction)
         refusals[direction] = None
-        assert _typed_protocol(protocol) == _typed_protocol(expected)
+        assert typed_protocol(protocol) == typed_protocol(expected)
         try:
-            recomposed = _typed(_reference_recompose(expected).probs)
+            recomposed = typed(reference_recompose(expected).probs)
         except ValueError as err:
             with pytest.raises(ValueError, match=re.escape(str(err))):
                 recompose_one_way(protocol)
             continue
-        assert _typed(recompose_one_way(protocol).probs) == recomposed
+        again = recompose_one_way(protocol)
+        assert typed(again.probs) == recomposed
+        assert_cached_pair(again)
+        if table.is_exact:
+            assert again == table
     # No-signalling is membership in both one-way classes, and a failed
     # verdict reports the right-to-left refusal's witness first.
     assert ok == (refusals == dict.fromkeys(Direction))
     first = refusals[Direction.RIGHT_TO_LEFT] or refusals[Direction.LEFT_TO_RIGHT]
-    assert _typed_witness(witness) == _typed_witness(first)
+    assert typed_witness(witness) == typed_witness(first)
 
 
 def test_marginals_witnesses_and_decompositions_never_read_cells():
@@ -542,62 +453,6 @@ def test_rref_of_an_extended_list_leaves_the_callers_rows_alone():
     assert rows == inner
 
 
-def _parent_proof(system):
-    """The proof as it read with a second elimination routine: each pair's
-    form P(v,u|u,v) + P(u,v|v,u) reduced modulo the rows in echelon form.
-    Returns the pinned pairs and the point, or raises as solve_ns_unique does.
-    """
-    names = system.variables
-    index = {name: i for i, name in enumerate(names)}
-
-    def reduce_form(coeffs, constant, rows, pivots):
-        form = list(coeffs) + [F(constant)]
-        for r, col in pivots:
-            factor = form[col]
-            if factor != 0:
-                form = [
-                    f - factor * c for f, c in zip(form[:-1], rows[r][:-1])
-                ] + [form[-1] + factor * rows[r][-1]]
-        return form
-
-    def leftover_form(u, v):
-        coeffs = [F(0)] * len(names)
-        coeffs[index[f"p{u}{v}"]] = F(-1)
-        coeffs[index[f"q{u}{v}"]] = F(-1)
-        return coeffs, F(1)
-
-    rows = [list(coeffs) + [const] for coeffs, const in system.equalities]
-    pivots = _rref(rows)
-    pinned, extra = [], []
-    for u in range(3):
-        v = next_colour(u)
-        coeffs_uv, const_uv = leftover_form(u, v)
-        coeffs_vu, const_vu = leftover_form(v, u)
-        paired = reduce_form(
-            [c1 + c2 for c1, c2 in zip(coeffs_uv, coeffs_vu)], const_uv + const_vu, rows, pivots
-        )
-        if any(c != 0 for c in paired):
-            raise ArithmeticError(
-                "expected P(v,u|u,v) + P(u,v|v,u) to vanish modulo no-signalling"
-            )
-        pinned.append((u, v))
-        extra.append([-c for c in coeffs_uv] + [const_uv])
-        extra.append([-c for c in coeffs_vu] + [const_vu])
-    rows = [list(coeffs) + [const] for coeffs, const in system.equalities] + extra
-    pivots = _rref(rows)
-    if len(pivots) != len(names):
-        raise ArithmeticError(
-            f"solution space is not a point: rank {len(pivots)} of {len(names)}"
-        )
-    solution = [F(0)] * len(names)
-    for r, col in pivots:
-        solution[col] = rows[r][-1]
-    for coeffs, const in system.inequalities:
-        if sum(c * s for c, s in zip(coeffs, solution)) < const:
-            raise ArithmeticError("unique solution violates a range inequality")
-    return pinned, tuple(solution)
-
-
 def _entry_zero(u, v):
     """P(v, u | u, v) = 0 as the equality p_uv + q_uv = 1."""
     return tuple(F(name in (f"p{u}{v}", f"q{u}{v}")) for name in parameter_names()), F(1)
@@ -655,7 +510,7 @@ BROKEN_SYSTEMS = [
 def test_ns_unique_raises_on_a_broken_system(monkeypatch, build, message):
     system = build()
     with pytest.raises(ArithmeticError, match=re.escape(message)):
-        _parent_proof(system)
+        reference_ns_proof(system)
     monkeypatch.setattr(locality, "build_ns_constraints", lambda: system)
     with pytest.raises(ArithmeticError, match=re.escape(message)):
         solve_ns_unique()
@@ -666,7 +521,7 @@ def test_the_rank_test_and_the_parent_proof_agree(monkeypatch, shift):
     # The real system, and the same system in p0 + shift, whose point moves
     # to p0 = 1/2 - shift and stays inside every range row.
     system = _with_constants_moved(shift)
-    pinned, point = _parent_proof(system)
+    pinned, point = reference_ns_proof(system)
     assert pinned == [(0, 1), (1, 2), (2, 0)]
     assert point == (F(1, 2) - shift,) + (F(1, 2),) * 14
     monkeypatch.setattr(locality, "build_ns_constraints", lambda: system)

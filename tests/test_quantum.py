@@ -12,6 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    complement,
+    numpy_born_prob,
+    numpy_complement,
+    reference_born_prob,
+    reference_quantum_table,
+)
 from rgbgame import quantum
 from rgbgame.bell import cyclic_rule
 from rgbgame.locality import (
@@ -37,7 +44,6 @@ from rgbgame.quantum import (
 )
 from rgbgame.strategies import (
     FLOAT_ROW_TOL,
-    StrategyTable,
     rgb_game,
     rgb_predicate,
     rgrb,
@@ -265,53 +271,6 @@ def test_qubit_tables_are_no_signalling_and_decompose_both_ways(seed):
 # 4 ulp(1.0) of the np.kron code it replaced
 
 
-def _reference_born_prob(state, effect_a, effect_b):
-    """tr(rho A (x) B) written out per term: Re(conj(psi_r) psi_c K_rc) over
-    rows r = 2i + k and columns c = 2j + l, with K_rc = A_ij B_kl."""
-    terms = [
-        (state[2 * i + k].conjugate() * state[2 * j + l] * (effect_a[i][j] * effect_b[k][l])).real
-        for i, k, j, l in itertools.product((0, 1), repeat=4)
-    ]
-    value = math.fsum(terms)
-    if not abs(value - 0.5) <= 0.5 + ALGEBRA_TOL:
-        raise ValueError(f"Born probability {value!r} lies outside [0, 1]")
-    return min(1.0, max(0.0, value))
-
-
-def _numpy_born_prob(state, effect_a, effect_b):
-    """The Born kernel as it was: np.kron per cell, clamped into [0, 1]."""
-    state = np.asarray(state, dtype=complex)
-    value = float((state.conj() @ (np.kron(effect_a, effect_b) @ state)).real)
-    return min(1.0, max(0.0, value))
-
-
-def _per_cell_table(state, alice, bob, born, identity):
-    """quantum_strategy_table as it was: effects and answers formed again
-    for every (a, b, out_a, out_b) cell."""
-    entries = {}
-    for a in range(3):
-        for b in range(3):
-            for out_a in (0, 1):
-                proj_a = alice.projectors[a]
-                effect_a = proj_a if out_a else identity(proj_a)
-                for out_b in (0, 1):
-                    proj_b = bob.projectors[b]
-                    effect_b = proj_b if out_b else identity(proj_b)
-                    key = (a, b, cyclic_rule(a, out_a), cyclic_rule(b, out_b))
-                    entries[key] = entries.get(key, 0.0) + born(state, effect_a, effect_b)
-    return StrategyTable.from_function(
-        (3, 3, 3, 3), lambda a, b, x, y: entries.get((a, b, x, y), 0.0)
-    )
-
-
-def _complement(proj):
-    return [[float(r == c) - v for c, v in enumerate(row)] for r, row in enumerate(proj)]
-
-
-def _numpy_complement(proj):
-    return np.eye(2, dtype=complex) - np.asarray(proj)
-
-
 _ANGLE = st.one_of(
     st.sampled_from([0.0, -0.0, 180.0, -180.0, 120.0, -120.0, 90.0, 360.0]),
     st.floats(-720.0, 720.0),
@@ -339,7 +298,7 @@ def _states(draw):
 def _strategies(alice_angles, bob_angles, alice_flip, bob_flip):
     def strategy(angles, flip):
         projectors = (projector_from_angle(t) for t in angles)
-        return QubitStrategy(tuple(map(_complement, projectors) if flip else projectors))
+        return QubitStrategy(tuple(map(complement, projectors) if flip else projectors))
 
     return strategy(alice_angles, alice_flip), strategy(bob_angles, bob_flip)
 
@@ -362,7 +321,7 @@ def test_table_matches_the_per_cell_kernel_bit_for_bit(
 ):
     state = singlet() if state is None else state
     alice, bob = _strategies(alice_angles, bob_angles, alice_flip, bob_flip)
-    expected = _per_cell_table(_check_state(state), alice, bob, _reference_born_prob, _complement)
+    expected = reference_quantum_table(_check_state(state), alice, bob, reference_born_prob, complement)
     table = quantum_strategy_table(state, alice, bob)
     assert table.probs == expected.probs
     assert [type(p) for p in table.probs] == [type(p) for p in expected.probs]
@@ -379,7 +338,7 @@ def test_complex_projectors_match_the_per_cell_kernel_bit_for_bit():
     bob = QubitStrategy(tuple(projector(t, p) for t, p in ((1.7, 0.4), (0.9, -2.2), (2.6, 1.3))))
     for state in (singlet(), (_HALF, 1j * _HALF, 0.0, 0.0), (0.0, _HALF, -1j * _HALF, 0.0)):
         checked = _check_state(state)
-        expected = _per_cell_table(checked, alice, bob, _reference_born_prob, _complement)
+        expected = reference_quantum_table(checked, alice, bob, reference_born_prob, complement)
         assert quantum_strategy_table(state, alice, bob).probs == expected.probs
 
 
@@ -396,7 +355,7 @@ def test_table_is_within_four_ulps_of_the_np_kron_kernel(
 ):
     state = singlet() if state is None else state
     alice, bob = _strategies(alice_angles, bob_angles, alice_flip, bob_flip)
-    expected = _per_cell_table(state, alice, bob, _numpy_born_prob, _numpy_complement)
+    expected = reference_quantum_table(state, alice, bob, numpy_born_prob, numpy_complement)
     table = quantum_strategy_table(state, alice, bob)
     assert max(abs(p - q) for p, q in zip(table.probs, expected.probs)) <= NUMPY_ATOL
 
@@ -437,4 +396,4 @@ def test_born_kernel_matches_np_kron_on_mixed_dtypes():
         (trine_projectors()[1], trine_projectors()[2]),
     ):
         got = _born_prob(singlet(), effect_a, effect_b)
-        assert abs(got - _numpy_born_prob(singlet(), effect_a, effect_b)) <= NUMPY_ATOL
+        assert abs(got - numpy_born_prob(singlet(), effect_a, effect_b)) <= NUMPY_ATOL

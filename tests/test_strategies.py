@@ -12,6 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    assert_cached_pair,
+    brute_force_best_response,
+    brute_force_local_bound,
+    pair_value,
+    reference_mix,
+    reference_row_check,
+    reference_win,
+    sweep_local_bound,
+    typed,
+)
 from rgbgame.bell import alternating_ascent, certify_quantum_bound
 from rgbgame.locality import (
     Direction,
@@ -22,7 +33,6 @@ from rgbgame.locality import (
     r_sig_box,
 )
 from rgbgame.strategies import (
-    FLOAT_ROW_TOL,
     Game,
     StrategyTable,
     WinningFamilyParams,
@@ -140,26 +150,6 @@ def test_enumeration_guard_trips():
 # best response against the brute-force oracle
 
 
-def _pair_value(game, f_a, f_b):
-    return sum(
-        weight
-        for (a, b), weight in game.input_dist.items()
-        if game.predicate(a, b, f_a[a], f_b[b])
-    )
-
-
-def _brute_force_local_bound(game):
-    """Oracle: every |X|^|A| x |Y|^|B| function pair, first strict maximum."""
-    na, nb, nx, ny = game.shape
-    best = None
-    for f_a in itertools.product(range(nx), repeat=na):
-        for f_b in itertools.product(range(ny), repeat=nb):
-            value = _pair_value(game, f_a, f_b)
-            if best is None or value > best[0]:
-                best = (value, f_a, f_b)
-    return best
-
-
 def _lookup_game(shape, wins, weights):
     """A game whose predicate reads the row-major tuple `wins`."""
     na, nb, nx, ny = shape
@@ -190,22 +180,10 @@ def small_games(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_games())
 def test_best_response_equals_brute_force(game):
-    expected = _brute_force_local_bound(game)
+    expected = brute_force_local_bound(game)
     got = local_bound(game)
     assert got == expected
     assert type(got[0]) is type(expected[0])
-
-
-def _brute_force_best_response(gain, ny):
-    """Oracle: every function pair on a payoff table, first strict maximum."""
-    na, nx, nb = len(gain), len(gain[0]), len(gain[0][0]) // ny
-    best = None
-    for f_a in itertools.product(range(nx), repeat=na):
-        for f_b in itertools.product(range(ny), repeat=nb):
-            score = sum(gain[a][f_a[a]][b * ny + f_b[b]] for a in range(na) for b in range(nb))
-            if best is None or score > best[0]:
-                best = (score, f_a, f_b)
-    return best
 
 
 @st.composite
@@ -223,7 +201,7 @@ def test_signed_best_response_equals_brute_force(table):
     # whatever its sign.
     gain, ny = table
     got = _best_response(gain, ny)
-    assert got == _brute_force_best_response(gain, ny)
+    assert got == brute_force_best_response(gain, ny)
     assert type(got[0]) is int
 
 
@@ -233,7 +211,7 @@ def test_local_bound_rectangular_game_against_oracle():
     wins = tuple(rng.random() < 0.4 for _ in range(math.prod(shape)))
     weights = {(a, b): F(rng.randint(1, 5)) for a in range(2) for b in range(4)}
     game = _lookup_game(shape, wins, weights)
-    assert local_bound(game) == _brute_force_local_bound(game)
+    assert local_bound(game) == brute_force_local_bound(game)
 
 
 def test_local_bound_five_letter_game():
@@ -249,8 +227,8 @@ def test_local_bound_five_letter_game():
     # No change of a single answer wins more.
     for k in range(5):
         for z in range(5):
-            assert _pair_value(game, f[:k] + (z,) + f[k + 1 :], g) <= value
-            assert _pair_value(game, f, g[:k] + (z,) + g[k + 1 :]) <= value
+            assert pair_value(game, f[:k] + (z,) + f[k + 1 :], g) <= value
+            assert pair_value(game, f, g[:k] + (z,) + g[k + 1 :]) <= value
 
 
 def test_local_bound_many_bob_inputs():
@@ -269,40 +247,11 @@ def test_local_bound_float_weights():
     floats = Game(exact.shape, exact.predicate, {ab: 0.25 for ab in exact.input_dist})
     value, f, g = local_bound(floats)
     assert isinstance(value, float) and value == 0.75
-    assert (f, g) == local_bound(exact)[1:] == _brute_force_local_bound(floats)[1:]
+    assert (f, g) == local_bound(exact)[1:] == brute_force_local_bound(floats)[1:]
 
 
 # ---------------------------------------------------------------------------
 # the pruned search against the unpruned sweep
-
-
-def _sweep_local_bound(game):
-    """Oracle: best response to each of Alice's |X|^|A| functions, none pruned.
-
-    The integer gain table, the first strict maximum over f_a and the first
-    best y per b, as local_bound computed them before its search was pruned.
-    """
-    na, nb, nx, ny = game.shape
-    weights = {ab: F(w) for ab, w in game.input_dist.items()}
-    scale = math.lcm(*(w.denominator for w in weights.values()))
-    gain = [[[0] * (nb * ny) for _ in range(nx)] for _ in range(na)]
-    for (a, b), w in weights.items():
-        for x in range(nx):
-            for y in range(ny):
-                if game.predicate(a, b, x, y):
-                    gain[a][x][b * ny + y] += int(w * scale)
-    best, best_pair = -1, None
-    for f_a in itertools.product(range(nx), repeat=na):
-        scores = list(map(sum, zip(*(gain[a][x] for a, x in enumerate(f_a)))))
-        total, f_b = 0, []
-        for b in range(nb):
-            row = scores[b * ny : (b + 1) * ny]
-            total += max(row)
-            f_b.append(row.index(max(row)))
-        if total > best:
-            best, best_pair = total, (f_a, tuple(f_b))
-    f_a, f_b = best_pair
-    return _pair_value(game, f_a, f_b), f_a, f_b
 
 
 @st.composite
@@ -343,7 +292,7 @@ def sweep_games(draw):
 @settings(max_examples=300, deadline=None)
 @given(sweep_games())
 def test_local_bound_equals_the_unpruned_sweep(game):
-    expected = _sweep_local_bound(game)
+    expected = sweep_local_bound(game)
     got = local_bound(game)
     assert got == expected
     assert type(got[0]) is type(expected[0])
@@ -357,7 +306,7 @@ def test_local_bound_deep_alphabet():
         lambda a, b, x, y: y == (a + b) % 2,
         {(a, b): F(1, 6000) for a in range(3000) for b in range(2)},
     )
-    assert local_bound(game) == _sweep_local_bound(game) == (F(1, 2), (0,) * 3000, (0, 0))
+    assert local_bound(game) == sweep_local_bound(game) == (F(1, 2), (0,) * 3000, (0, 0))
 
 
 @st.composite
@@ -426,35 +375,6 @@ class TestStrategyTable:
             rgrb().prob(3, 0, 0, 0)
 
 
-def _reference_row_check(shape, probs):
-    """Oracle: the row-by-row check StrategyTable made through row() and a
-    Fraction sum; returns its first error message, or None."""
-    na, nb, nx, ny = shape
-    exact = not any(isinstance(p, float) for p in probs)
-    for a in range(na):
-        for b in range(nb):
-            row = {
-                (x, y): probs[((a * nb + b) * nx + x) * ny + y]
-                for x in range(nx)
-                for y in range(ny)
-            }
-            row = {xy: p for xy, p in row.items() if p != 0}
-            total = sum(row.values())
-            if exact:
-                if total != 1:
-                    return f"row ({a},{b}) sums to {total}, not 1"
-                if any(p < 0 or p > 1 for p in row.values()):
-                    return f"row ({a},{b}) has an entry outside [0,1]"
-            else:
-                if not all(math.isfinite(p) for p in row.values()):
-                    return f"row ({a},{b}) has a non-finite entry"
-                if abs(total - 1) > FLOAT_ROW_TOL:
-                    return f"row ({a},{b}) sums to {total!r}, not 1"
-                if any(p < -1e-12 or p > 1 + 1e-9 for p in row.values()):
-                    return f"row ({a},{b}) has an entry outside [0,1]"
-    return None
-
-
 def _exact_row(draw, n):
     """n Fractions of denominator k summing to 1, zeros included; k is small
     or up to 10^6."""
@@ -475,7 +395,7 @@ def table_rows(draw, n, kind):
     elif kind == "mixed":
         row = [float(p) if draw(st.booleans()) else p for p in row]
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    faults = ["none"] * 4 + ["off", "over", "int", "zeros", "nan", "inf", "slack"]
+    faults = ["none"] * 4 + ["off", "over", "int", "zeros", "nan", "inf", "slack", "edge"]
     fault = draw(st.sampled_from(faults))
     if fault == "off":
         row[i] += draw(st.sampled_from([1, -1])) * F(1, draw(st.integers(1, 6)))
@@ -489,19 +409,24 @@ def table_rows(draw, n, kind):
         if i != j:
             row[j] = 1 - row[i]
     elif fault == "zeros":
-        row = [p * 0 for p in row]
+        # A float zero may be a negative zero.
+        row = [-0.0 if isinstance(p, float) and draw(st.booleans()) else p * 0 for p in row]
     elif fault == "nan":
         row[i] = math.nan
     elif fault == "inf":
         row[i] = draw(st.sampled_from([math.inf, -math.inf]))
     elif fault == "slack":
-        row[i] = float(row[i]) + draw(st.sampled_from([1e-10, -1e-10, 1e-6, -1e-13]))
+        # Within and just outside FLOAT_ROW_TOL of a sum of 1.
+        row[i] = float(row[i]) + draw(st.sampled_from([1e-10, -1e-10, 2e-9, -2e-9, 1e-6, -1e-13]))
+    elif fault == "edge":
+        # Just outside the float bounds on an entry, -1e-12 and 1 + 1e-9.
+        row[i] = draw(st.sampled_from([-1e-11, 1 + 2e-9]))
     return row
 
 
 @st.composite
-def table_data(draw):
-    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+def table_data(draw, shape=None):
+    shape = shape or tuple(draw(st.integers(1, 3)) for _ in range(4))
     kinds = st.sampled_from(["exact", "int", "float", "mixed"])
     table_kind = draw(kinds)
     probs = []
@@ -514,13 +439,25 @@ def table_data(draw):
 @settings(max_examples=500, deadline=None)
 @given(table_data())
 def test_row_check_matches_the_reference(data):
-    shape, probs = data
+    _check_the_row_check(*data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_data(shape=(3, 3, 3, 3)))
+def test_row_check_matches_the_reference_on_full_size_tables(data):
+    # Nine rows of nine, the shape of the colour game, each maybe broken.
+    _check_the_row_check(*data)
+
+
+def _check_the_row_check(shape, probs):
     try:
-        StrategyTable(shape, probs)
-        message = None
+        table = StrategyTable(shape, probs)
     except ValueError as err:
-        message = str(err)
-    assert message == _reference_row_check(shape, probs)
+        assert str(err) == reference_row_check(shape, probs)
+        return
+    assert reference_row_check(shape, probs) is None
+    assert typed(table.probs) == typed(probs)
+    assert table.is_exact == (not any(isinstance(p, float) for p in probs))
 
 
 def test_row_check_reports_the_first_bad_row():
@@ -535,6 +472,13 @@ def test_row_check_reports_the_first_bad_row():
             StrategyTable((1, 1, 1, 1), (entry,))
         with pytest.raises(ValueError, match=re.escape(f"row (1,0) has {entry!r}, not a float")):
             StrategyTable((2, 2, 2, 1), (1, 0, 1, 0, 1, entry, 1, 0))
+    # Beside a float entry the table takes the float branch, which names it too.
+    for entry in ("0.5", None, 0.5j):
+        message = f"row (0,0) has {entry!r}, not a float or a rational"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StrategyTable((1, 1, 1, 2), (0.5, entry))
+        with pytest.raises(ValueError, match=re.escape(f"row (1,0) has {entry!r}, not a float")):
+            StrategyTable((2, 1, 1, 2), (0.5, 0.5, entry, 0.5))
 
 
 @pytest.mark.parametrize(
@@ -591,20 +535,6 @@ def test_row_check_reads_any_rational_entry():
         StrategyTable((1, 1, 1, 2), (np.int64(2), np.int64(-1)))
 
 
-def _reference_mix(tables, weights):
-    """Oracle: mix as one Fraction or float sum per entry, zero terms included."""
-    weights = [w if isinstance(w, float) else F(w) for w in weights]
-    return tuple(
-        sum(w * t.probs[i] for w, t in zip(weights, tables))
-        for i in range(len(tables[0].probs))
-    )
-
-
-def _typed(probs):
-    """Entries with their types; repr tells float bits apart, -0.0 included."""
-    return [(type(p), repr(p)) for p in probs]
-
-
 @st.composite
 def mixes(draw):
     """Valid tables of one shape (exact, float or both) and weights summing
@@ -635,38 +565,24 @@ def mixes(draw):
 def test_mix_matches_the_entry_by_entry_sum(data):
     tables, weights = data
     try:
-        expected = _typed(StrategyTable(tables[0].shape, _reference_mix(tables, weights)).probs)
+        expected = typed(StrategyTable(tables[0].shape, reference_mix(tables, weights)).probs)
     except ValueError as err:
         with pytest.raises(ValueError, match=re.escape(str(err))):
             mix(tables, weights)
         return
-    assert _typed(mix(tables, weights).probs) == expected
+    mixed = mix(tables, weights)
+    assert typed(mixed.probs) == expected
+    assert_cached_pair(mixed)
 
 
 def test_float_weight_mix_stays_float():
     tables = [rgrb(), r_sig_box()]
     mixed = mix(tables, [0.5, 0.5])
     assert all(type(p) is float for p in mixed.probs)
-    assert _typed(mixed.probs) == _typed(_reference_mix(tables, [0.5, 0.5]))
+    assert typed(mixed.probs) == typed(reference_mix(tables, [0.5, 0.5]))
     exact = mix(tables, [F(1, 2), F(1, 2)])
     assert all(type(p) is F for p in exact.probs)
-    assert exact.probs == _reference_mix(tables, [F(1, 2), F(1, 2)])
-
-
-def _reference_win(table, game):
-    """Oracle: one prob() read per cell, zero cells skipped, in (x, y) order."""
-    _, _, nx, ny = table.shape
-    total = F(0)
-    for (a, b), weight in game.input_dist.items():
-        if weight == 0:
-            continue
-        mass = 0
-        for x, y in itertools.product(range(nx), range(ny)):
-            p = table.prob(a, b, x, y)
-            if p != 0 and game.predicate(a, b, x, y):
-                mass += p
-        total += weight * mass
-    return total
+    assert exact.probs == reference_mix(tables, [F(1, 2), F(1, 2)])
 
 
 def _losing_float_table():
@@ -704,13 +620,13 @@ def _win_cases():
 
 def test_win_probability_matches_the_per_cell_oracle():
     for table, game in _win_cases():
-        assert _typed([win_probability(table, game)]) == _typed([_reference_win(table, game)])
+        assert typed([win_probability(table, game)]) == typed([reference_win(table, game)])
 
 
 def test_all_losing_float_table_wins_exact_zero():
     losing = _losing_float_table()
     assert not losing.is_exact
-    assert _typed([win_probability(losing, rgb_game())]) == _typed([F(0)])
+    assert typed([win_probability(losing, rgb_game())]) == typed([F(0)])
 
 
 def test_rgb0_is_the_expected_deterministic_box():
@@ -777,6 +693,12 @@ def test_family_parameter_validation():
         with pytest.raises(ValueError, match=re.escape(f"p0 = {value} outside [0, 1]")):
             WinningFamilyParams.from_vector([value] * 15)
         with pytest.raises(ValueError, match=re.escape(f"q_cross(2, 1) = {value} outside [0, 1]")):
+            WinningFamilyParams.from_vector([F(1, 2)] * 14 + [value])
+    # None and a complex are no numbers; the parameter is named.
+    for value in (None, 0.5j):
+        with pytest.raises(ValueError, match=re.escape(f"p0 = {value!r}, not a number")):
+            WinningFamilyParams.from_vector([value] * 15)
+        with pytest.raises(ValueError, match=re.escape(f"q_cross(2, 1) = {value!r}, not a number")):
             WinningFamilyParams.from_vector([F(1, 2)] * 14 + [value])
 
 
@@ -915,6 +837,11 @@ def test_mix_weight_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="weights must be nonnegative and sum to 1"):
             mix([rgrb(), rgb0()], [bad, 0.5])
+    for bad in (None, 0.5j):
+        with pytest.raises(ValueError, match=re.escape(f"weight 0 is {bad!r}, not a number")):
+            mix([rgrb()], [bad])
+        with pytest.raises(ValueError, match=re.escape(f"weight 1 is {bad!r}, not a number")):
+            mix([rgrb(), rgb0()], [0.5, bad])
 
 
 def test_rgb_predicate_matches_oracle():

@@ -4,12 +4,19 @@ import pickle
 import random
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    SHAPES,
+    exact_tables,
+    random_maps,
+    random_wiring,
+    reference_evaluate_wiring,
+    typed,
+)
 from rgbgame.locality import is_no_signalling, pr_box
 from rgbgame.strategies import (
     StrategyTable,
@@ -164,55 +171,6 @@ def test_reductions_compose_to_the_identity():
 # no-signalling preservation (wirings cannot create signalling)
 
 
-def random_maps(rng, outer_shape, inner_shape, calls=2, randomness=2, spill=0.0):
-    """The fields of a random tabulated wiring, its maps as callables, and
-    whether any map value fell just outside its alphabet, as each does with
-    probability ``spill``."""
-    oa, ob, ox, oy = outer_shape
-    ia, ib, ix, iy = inner_shape
-    spilled = False
-
-    def value(size):
-        nonlocal spilled
-        if spill and rng.random() < spill:
-            spilled = True
-            return rng.choice((-1, size))
-        return rng.randrange(size)
-
-    def random_map(own_size, prior_size, priors_len, value_size):
-        table = {
-            (own, priors, r): value(value_size)
-            for own in range(own_size)
-            for priors in _tuples(prior_size, priors_len)
-            for r in range(randomness)
-        }
-        return lambda own, priors, r, t=table: t[(own, tuple(priors), r)]
-
-    fields = SimpleNamespace(
-        calls=calls,
-        randomness=randomness,
-        outer_shape=outer_shape,
-        inner_shape=inner_shape,
-        alice_inputs=tuple(random_map(oa, ix, k, ia) for k in range(calls)),
-        bob_inputs=tuple(random_map(ob, iy, k, ib) for k in range(calls)),
-        alice_output=random_map(oa, ix, calls, ox),
-        bob_output=random_map(ob, iy, calls, oy),
-    )
-    return fields, spilled
-
-
-def random_wiring(rng, outer_shape, inner_shape, calls=2, randomness=2):
-    """A tabulated wiring whose every map value lies in its alphabet."""
-    fields, _ = random_maps(rng, outer_shape, inner_shape, calls, randomness)
-    return WiringProtocol(**vars(fields))
-
-
-def _tuples(size, length):
-    if length == 0:
-        return [()]
-    return [t + (v,) for t in _tuples(size, length - 1) for v in range(size)]
-
-
 def test_random_wirings_preserve_no_signalling():
     rng = random.Random(59)
     for base in (pr_box(), rgrb()):
@@ -227,9 +185,7 @@ def test_random_wirings_preserve_no_signalling():
 def ns_boxes(draw):
     """Random exact mixtures of no-signalling boxes: deterministic boxes of a
     random shape, joined by the PR box or rgrb where the shape is theirs."""
-    shape = draw(st.sampled_from([(2, 2, 2, 2), (3, 3, 3, 3)]) | st.tuples(
-        *[st.integers(1, 3)] * 4
-    ))
+    shape = draw(st.sampled_from([(2, 2, 2, 2), (3, 3, 3, 3)]) | SHAPES)
     na, nb, nx, ny = shape
     tables = [
         deterministic_strategy(
@@ -249,7 +205,7 @@ def ns_boxes(draw):
 @settings(max_examples=100, deadline=None)
 @given(
     ns_boxes(),
-    st.tuples(*[st.integers(1, 3)] * 4),
+    SHAPES,
     st.integers(0, 2),
     st.integers(1, 2),
     st.randoms(use_true_random=False),
@@ -265,58 +221,17 @@ def test_wirings_of_random_ns_boxes_stay_no_signalling(base, outer, calls, rando
 # evaluate_wiring against the per-cell loop
 
 
-def _reference_evaluate_wiring(protocol, base):
-    """Oracle: evaluate_wiring reading the base box one prob() per cell.
-
-    ``protocol`` holds the fields of a WiringProtocol with its maps as
-    callables, which the oracle calls at every branch it reaches."""
-    if base.shape != protocol.inner_shape:
-        raise ValueError(
-            f"base box shape {base.shape} != wiring inner shape {protocol.inner_shape}"
-        )
-    oa, ob, ox, oy = protocol.outer_shape
-    ia, ib, ix, iy = protocol.inner_shape
-    share = Fraction(1, protocol.randomness)
-    entries = {}
-    for a in range(oa):
-        for b in range(ob):
-            for r in range(protocol.randomness):
-                branches = [((), (), share)]
-                for k in range(protocol.calls):
-                    grown = []
-                    for xs, ys, weight in branches:
-                        a_k = protocol.alice_inputs[k](a, xs, r)
-                        b_k = protocol.bob_inputs[k](b, ys, r)
-                        if not (0 <= a_k < ia and 0 <= b_k < ib):
-                            raise ValueError(
-                                f"call {k} maps ({a},{b}) outside the base alphabets"
-                            )
-                        for x_k in range(ix):
-                            for y_k in range(iy):
-                                p = base.prob(a_k, b_k, x_k, y_k)
-                                if p == 0:
-                                    continue
-                                grown.append((xs + (x_k,), ys + (y_k,), weight * p))
-                    branches = grown
-                for xs, ys, weight in branches:
-                    x = protocol.alice_output(a, xs, r)
-                    y = protocol.bob_output(b, ys, r)
-                    if not (0 <= x < ox and 0 <= y < oy):
-                        raise ValueError(
-                            f"output map value ({x},{y}) outside the outer alphabets"
-                        )
-                    key = (a, b, x, y)
-                    entries[key] = entries.get(key, 0) + weight
-    return StrategyTable.from_dict(protocol.outer_shape, entries)
-
-
 @st.composite
 def base_boxes(draw, max_side=3):
     """Random boxes, not necessarily no-signalling: exact rows of small
     denominators or of denominators up to ~10^6, or float rows of random
-    weights normalised by their sum, zeros included in all of them."""
+    weights normalised by their sum, zeros included in all of them; or the
+    one-way mixtures of ``oracles.exact_tables``."""
     shape = tuple(draw(st.integers(1, max_side)) for _ in range(4))
-    exact = draw(st.booleans())
+    kind = draw(st.sampled_from(["exact", "float", "one-way"]))
+    if kind == "one-way":
+        return draw(exact_tables(shape))
+    exact = kind == "exact"
     n = shape[2] * shape[3]
     top = draw(st.sampled_from([5, 10**5]))
     probs = []
@@ -330,14 +245,10 @@ def base_boxes(draw, max_side=3):
     return StrategyTable(shape, tuple(probs))
 
 
-def _typed(probs):
-    return [(type(p), repr(p)) for p in probs]
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     base_boxes(),
-    st.tuples(*[st.integers(1, 3)] * 4),
+    SHAPES,
     st.integers(0, 2),
     st.integers(1, 3),
     st.sampled_from([0.0, 0.05]),
@@ -356,7 +267,7 @@ def _check_against_the_per_cell_loop(fields, spilled, base):
             WiringProtocol(**vars(fields))
         return
     table = evaluate_wiring(WiringProtocol(**vars(fields)), base)
-    assert _typed(table.probs) == _typed(_reference_evaluate_wiring(fields, base).probs)
+    assert typed(table.probs) == typed(reference_evaluate_wiring(fields, base).probs)
     # The integer path leaves the entries' pair over their least common denominator.
     assert table._exact == (_numerators(table.probs) if table.is_exact else None)
 
@@ -364,7 +275,7 @@ def _check_against_the_per_cell_loop(fields, spilled, base):
 @settings(max_examples=60, deadline=None)
 @given(
     base_boxes(max_side=2),
-    st.tuples(*[st.integers(1, 3)] * 4),
+    SHAPES,
     st.integers(2, 3),
     st.integers(2, 4),
     st.sampled_from([0.0, 0.05]),
