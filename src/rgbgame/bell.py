@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 import random
 from fractions import Fraction
@@ -42,9 +41,9 @@ from fractions import Fraction
 from .strategies import (
     StrategyTable,
     _best_response,
-    _coerce,
     _Frozen,
     _is_int,
+    _number,
     next_colour,
     prev_colour,
 )
@@ -180,7 +179,7 @@ def reduce_to_binary(table: StrategyTable) -> StrategyTable:
         if slack:
             total = sum(kept)
             kept = [p / total for p in kept]
-        probs += map(_coerce, kept)
+        probs += map(_number, kept, itertools.repeat("entry"))
     return StrategyTable((3, 3, 2, 2), tuple(probs))
 
 
@@ -332,20 +331,16 @@ def _unit_rows(rows, count: int, what: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _fractions(matrix, what: str) -> list[list[Fraction]]:
-    """Rows of Fractions, an int or Fraction as it is and any other real
-    number at its exact binary value as a float.
+    """Rows of Fractions, each entry read by _number and a float taken at its
+    exact binary value.
 
-    An entry that is not a real number (a string, None, a complex) raises
+    An entry that is not a number (a string, None, a complex) raises
     ValueError, and so does a NaN or an infinity.
     """
-    rows = [list(row) for row in matrix]
-    if not all(isinstance(v, numbers.Real) for row in rows for v in row):
-        raise ValueError(f"{what} has entries that are not real numbers")
+    entry = f"{what} entry "
+    rows = [[_number(v, entry, (i, j)) for j, v in enumerate(row)] for i, row in enumerate(matrix)]
     try:
-        return [
-            [Fraction(v if isinstance(v, numbers.Rational) else float(v)) for v in row]
-            for row in rows
-        ]
+        return [list(map(Fraction, row)) for row in rows]
     except (OverflowError, ValueError):  # inf and NaN have no ratio
         raise ValueError(f"{what} has non-finite entries") from None
 

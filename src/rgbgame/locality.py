@@ -40,8 +40,6 @@ from .strategies import (
 
 def _pair_box(k: int, pair) -> StrategyTable:
     """The k-letter box answering (x, y) = pair(a, b) with certainty."""
-    if k < 1:
-        raise ValueError(f"alphabet size must be at least 1, got {k}")
     return StrategyTable.from_function(
         (k, k, k, k), lambda a, b, x, y: 1 if (x, y) == pair(a, b) else 0
     )
@@ -128,26 +126,28 @@ class _Swapped:
 
     P'(x, y | a, b) = P(y, x | b, a), so every left-side question about a box
     is the right-side question about its view.  The view holds the box's
-    entries in ``_swap_order``; for an exact box, whose kernels read nothing
-    else, it holds only the numerators.  Swapping a view again gives the
-    box's entries back.  Deliberately not a StrategyTable: validating a copy
-    costs more than the check it serves.
+    entries as ``_swap_order`` reads them; for an exact box, whose kernels
+    read nothing else, it holds only the numerators.  Swapping a view again
+    gives the box's entries back.  Deliberately not a StrategyTable:
+    validating a copy costs more than the check it serves.
     """
 
     def __init__(self, table):
         na, nb, nx, ny = table.shape
         self.shape = (nb, na, ny, nx)
         values, den = table._exact or (table.probs, None)
-        values = tuple([values[i] for i in _swap_order(table.shape)])
+        values = _swap_order(table.shape)(values)
         self.probs, self._exact = (None, (values, den)) if den else (values, None)
 
 
 @functools.cache
-def _swap_order(shape) -> tuple:
-    """The index in P of each entry of P'(x, y | a, b) = P(y, x | b, a), in P' row-major order."""
+def _swap_order(shape):
+    """Reads P'(x, y | a, b) = P(y, x | b, a) off P's entries, a tuple in P' row-major order."""
     na, nb, nx, ny = shape
+    if na * nb * nx * ny == 1:  # itemgetter(i) returns a bare value; one entry is its own swap
+        return tuple
     order = itertools.product(range(nb), range(na), range(ny), range(nx))
-    return tuple(((a * nb + b) * nx + x) * ny + y for b, a, y, x in order)
+    return operator.itemgetter(*(((a * nb + b) * nx + x) * ny + y for b, a, y, x in order))
 
 
 def x_marginal(table: StrategyTable, a: int, b: int) -> dict:
@@ -280,7 +280,7 @@ def recompose_one_way(protocol: OneWayProtocol) -> StrategyTable:
     senders = [senders[a * nx + x] for a, _, x in keys]
     probs = [senders[i // ny] * r for i, r in enumerate(receivers)]
     if protocol.direction is Direction.RIGHT_TO_LEFT:
-        probs = [probs[i] for i in _swap_order(shape)]
+        probs = _swap_order(shape)(probs)
     return StrategyTable._from_numerators(protocol.shape, probs, den)
 
 

@@ -33,7 +33,7 @@ from .bell import (  # noqa: F401 (re-exported: perfbench/ reads the two here)
     cyclic_rule,
     reduce_to_binary,
 )
-from .strategies import StrategyTable, _Frozen
+from .strategies import StrategyTable, _Frozen, _number
 
 #: Float slack of the qubit algebra: Hermitian, idempotent, rank one, spectra
 #: and Born probabilities.
@@ -55,7 +55,7 @@ def projector_from_angle(degrees: float) -> tuple[tuple[float, float], tuple[flo
     The state is cos(theta/2)|0> + sin(theta/2)|1>, so 0 degrees is |0><0|
     and +-120 degrees are the other two trine directions.
     """
-    if not math.isfinite(degrees):
+    if not math.isfinite(degrees := _number(degrees, "angle")):
         raise ValueError(f"angle must be finite, got {degrees!r}")
     half = math.radians(degrees) / 2
     c, s = math.cos(half), math.sin(half)

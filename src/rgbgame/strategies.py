@@ -10,7 +10,9 @@ Everything in this module is exact: probabilities are `fractions.Fraction`
 throughout, and table equality means equality of every entry.  Float-valued
 tables (produced by the quantum simulation) reuse the same container.  Row
 sums, marginals and sure-losing mass are checked exactly on exact tables and
-within ``FLOAT_ROW_TOL`` on float ones.
+within ``FLOAT_ROW_TOL`` on float ones.  Every probability, weight and
+parameter a caller passes is read by ``_number``: a rational is exact, a
+float stays a float, and anything else is refused; only ``formats`` reads text.
 """
 
 from __future__ import annotations
@@ -51,14 +53,39 @@ def rgb_predicate(a: int, b: int, x: int, y: int) -> bool:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _coerce(p):
-    # Exact entries stay exact; only genuine floats stay floats.  Fractions
-    # are immutable, so a Fraction and the constants 0 and 1 are shared.
-    if isinstance(p, float) or type(p) is Fraction:
-        return p
-    if type(p) is int and 0 <= p <= 1:
-        return _ONE if p else _ZERO
-    return Fraction(p)
+def _number(value, what, key=""):
+    """A caller's number: a rational (int, bool, Fraction) as a Fraction, 0 and 1 shared, any
+    other real as a float; anything else, text included, raises a ValueError naming ``what``."""
+    if type(value) is Fraction or isinstance(value, float):
+        return value
+    if isinstance(value, numbers.Rational):
+        return _ONE if value == 1 else _ZERO if value == 0 else Fraction(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise ValueError(f"{what}{key} is {value!r}, not a number")
+
+
+def _unit(value, what, key=""):
+    """``value`` read by _number, refused outside [0, 1] (NaN too); exact, in integers."""
+    v = value if type(value) is Fraction else _number(value, what, key)
+    if not (0 <= v.numerator <= v.denominator if type(v) is Fraction else 0 <= v <= 1):
+        raise ValueError(f"{what}{key} = {v} outside [0, 1]")
+    return v
+
+
+def _distribution(items, what, name):
+    """The weights of (key, weight) ``items`` read by _number, refused unless nonnegative and
+    summing to 1 (within FLOAT_ROW_TOL if one is a float), and their _numerators if exact."""
+    weights = [_number(w, name, key) for key, w in items]
+    exact = None if any(isinstance(w, float) for w in weights) else _numerators(weights)
+    values, one = exact or (weights, 1)
+    total = sum(values)
+    # Written as negations so that a NaN weight, which fails every comparison, is refused.
+    if not abs(total - one) <= (0 if exact else FLOAT_ROW_TOL):
+        raise ValueError(f"{what} sums to {Fraction(total, one) if exact else total}, not 1")
+    if not all(v >= 0 for v in values):
+        raise ValueError(f"{what} has a negative weight")
+    return weights, exact or (None, None)
 
 
 def _is_int(value) -> bool:
@@ -81,9 +108,9 @@ def _shape(shape) -> tuple:
 
 def probability_to_string(p) -> str:
     """Canonical text for one probability: lowest-terms "num/den" or %.17g."""
+    p = _number(p, "probability")
     if isinstance(p, float):
         return "%.17g" % p
-    p = p if type(p) is Fraction else Fraction(p)
     return f"{p.numerator}/{p.denominator}"
 
 
@@ -183,7 +210,7 @@ class StrategyTable(_Frozen):
         """The exact table of entries nums[i] / den, built from the integers;
         with den None, the table of entries nums, built by the constructor."""
         if den is None:
-            return cls(shape, tuple(map(_coerce, nums)))
+            return cls(shape, tuple(map(_number, nums, itertools.repeat("entry"))))
         # Dividing by this gcd leaves den the least common denominator.
         g = math.gcd(den, *nums)
         nums, den = (tuple(n // g for n in nums) if g != 1 else tuple(nums)), den // g
@@ -207,7 +234,7 @@ class StrategyTable(_Frozen):
             try:
                 exact = _numerators(probs)
             except AttributeError:  # an entry without a denominator: "1", None, 1j
-                self._refuse(lambda p: not hasattr(p, "denominator"))
+                self._refuse()  # any other real number makes a float table
         object.__setattr__(self, "_exact", exact)
         for k, (a, b) in enumerate(self.inputs()):
             if exact:
@@ -223,25 +250,21 @@ class StrategyTable(_Frozen):
                 # NaN fails every comparison below, so it is caught here.
                 try:
                     finite = all(map(math.isfinite, row))
-                except TypeError:  # beside a float: "0.5", None, 0.5j
-                    self._refuse(lambda p: not isinstance(p, numbers.Real))
+                    total = sum(filter(None, row))
+                except TypeError:  # beside a float: "0.5", None, 0.5j, Decimal("0.5")
+                    self._refuse()
+                    raise
                 if not finite:
                     raise ValueError(f"row ({a},{b}) has a non-finite entry")
-                total = sum(filter(None, row))
                 if abs(total - 1) > FLOAT_ROW_TOL:
                     raise ValueError(f"row ({a},{b}) sums to {total!r}, not 1")
                 if min(row) < -1e-12 or max(row) > 1 + 1e-9:
                     raise ValueError(f"row ({a},{b}) has an entry outside [0,1]")
 
-    def _refuse(self, bad) -> None:
-        """Raise the ValueError that names the row of the first entry for
-        which ``bad`` holds."""
-        _, nb, nx, ny = self.shape
-        i = next(i for i, p in enumerate(self.probs) if bad(p))
-        row = i // (nx * ny)
-        raise ValueError(
-            f"row ({row // nb},{row % nb}) has {self.probs[i]!r}, not a float or a rational"
-        ) from None
+    def _refuse(self) -> None:
+        """Raise the ValueError of _number for the first entry that is not a number."""
+        for key, p in zip(itertools.product(*map(range, self.shape)), self.probs):
+            _number(p, "entry ", key)
 
     @property
     def is_exact(self) -> bool:
@@ -255,7 +278,7 @@ class StrategyTable(_Frozen):
     def from_function(cls, shape, fn) -> "StrategyTable":
         """Build a table from fn(a, b, x, y) -> probability."""
         keys = itertools.product(*map(range, _shape(shape)))
-        return cls(shape, tuple(_coerce(fn(*key)) for key in keys))
+        return cls(shape, tuple(_number(fn(*key), "entry ", key) for key in keys))
 
     @classmethod
     def from_dict(cls, shape, entries: Mapping) -> "StrategyTable":
@@ -266,7 +289,7 @@ class StrategyTable(_Frozen):
             if not (len(key) == 4 and all(map(_is_symbol, key, shape))):
                 raise ValueError(f"entry {key!r} outside the alphabets of shape {tuple(shape)}")
             a, b, x, y = key
-            probs[((a * nb + b) * nx + x) * ny + y] = _coerce(p)
+            probs[((a * nb + b) * nx + x) * ny + y] = _number(p, "entry ", key)
         return cls(shape, tuple(probs))
 
     def _index(self, a, b, x, y) -> int:
@@ -320,20 +343,7 @@ class Game(_Frozen):
         for pair in input_dist:
             if not (len(pair) == 2 and all(map(_is_symbol, pair, self.shape))):
                 raise ValueError(f"input pair {pair!r} outside range({na}) x range({nb})")
-        weights = input_dist.values()
-        slack = FLOAT_ROW_TOL if any(isinstance(w, float) for w in weights) else 0
-        try:
-            total = sum(weights)
-            # Written as negations, as in mix, so that a NaN weight is refused.
-            if not abs(total - 1) <= slack:
-                raise ValueError(f"input distribution sums to {total}, not 1")
-            if not all(w >= 0 for w in weights):
-                raise ValueError("input distribution has a negative weight")
-        except TypeError:  # None, "1", 0.5j
-            pair = next(ab for ab, w in input_dist.items() if not isinstance(w, numbers.Real))
-            raise ValueError(
-                f"input pair {pair!r} has weight {input_dist[pair]!r}, not a number"
-            ) from None
+        _distribution(input_dist.items(), "input distribution", "weight of input pair ")
 
 
 def rgb_game() -> Game:
@@ -401,15 +411,8 @@ _CROSS_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def _check_unit(value, name, key="") -> Fraction:
-    try:
-        value = value if type(value) is Fraction else Fraction(value)
-    except (OverflowError, ValueError):  # inf and NaN have no ratio
-        raise ValueError(f"{name}{key} = {value} outside [0, 1]") from None
-    except TypeError:  # None, 0.5j
-        raise ValueError(f"{name}{key} = {value!r}, not a number") from None
-    if not 0 <= value.numerator <= value.denominator:
-        raise ValueError(f"{name}{key} = {value} outside [0, 1]")
-    return value
+    value = _unit(value, name, key)  # a family parameter is exact: a float at its binary value
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class WinningFamilyParams(_Frozen):
@@ -455,7 +458,7 @@ class WinningFamilyParams(_Frozen):
     @classmethod
     def constant(cls, value) -> "WinningFamilyParams":
         """All 15 parameters set to the same value."""
-        v = Fraction(value)
+        v = _check_unit(value, "value")
         return cls(v, v, v, dict.fromkeys(_CROSS_PAIRS, v), dict.fromkeys(_CROSS_PAIRS, v))
 
     @classmethod
@@ -644,19 +647,9 @@ def mix(tables: Sequence[StrategyTable], weights: Sequence) -> StrategyTable:
     shape = tables[0].shape
     if any(t.shape != shape for t in tables):
         raise ValueError("mixed tables must share alphabets")
-    try:
-        weights = [_coerce(w) for w in weights]
-    except TypeError:  # None, 0.5j
-        i = next(i for i, w in enumerate(weights) if not isinstance(w, numbers.Real))
-        raise ValueError(f"weight {i} is {weights[i]!r}, not a number") from None
-    slack = FLOAT_ROW_TOL if any(isinstance(w, float) for w in weights) else 0
-    # Written as negations so that a NaN weight, which fails every
-    # comparison, is refused here.
-    if not (all(w >= 0 for w in weights) and abs(sum(weights) - 1) <= slack):
-        raise ValueError("weights must be nonnegative and sum to 1")
-    if not slack and all(t._exact for t in tables):
+    weights, (units, unit) = _distribution(enumerate(weights), "weight vector", "weight ")
+    if unit and all(t._exact for t in tables):
         # Each column summed in integers over one common denominator.
-        units, unit = _numerators(weights)
         den = math.lcm(*(t._exact[1] for t in tables))
         totals = [0] * len(tables[0].probs)
         for u, t in zip(units, tables):

@@ -24,6 +24,7 @@ from .strategies import (
     _is_int,
     _is_symbol,
     _shape,
+    _unit,
     next_colour,
     prev_colour,
     rgb_game,
@@ -263,10 +264,7 @@ def noisy_pr(p) -> StrategyTable:
 
     Exact, with entries n and d - n over 2d, when p = n/d is rational; float-valued otherwise.
     """
-    if not isinstance(p, float):
-        p = p if type(p) is Fraction else Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"noise parameter {p} outside [0, 1]")
+    p = _unit(p, "noise parameter p")
     if not isinstance(p, float):
         n, d = p.numerator, p.denominator
         bits = itertools.product((0, 1), repeat=4)
@@ -291,6 +289,7 @@ def noisy_parity_survival(p):
     The composed box is exactly this mixture: survival weight on the ideal
     colour box, the rest on its parity-flipped twin (see parity_flip_box).
     """
+    p = _unit(p, "noise parameter p")
     return p * p + (1 - p) * (1 - p)
 
 

@@ -161,11 +161,18 @@ def reference_l1_distance(table_a, table_b):
     return sum(abs(p - q) for p, q in zip(table_a.probs, table_b.probs))
 
 
+def _check_number(name, value):
+    """The package's number rule for these oracles' inputs: an int, a float
+    or a Fraction passes, and anything else, text included, is refused."""
+    if not isinstance(value, (int, float, Fraction)):
+        raise ValueError(f"{name} is {value!r}, not a number")
+
+
 def _check_unit(name, value):
-    value = Fraction(value)
+    _check_number(name, value)
     if not 0 <= value <= 1:
         raise ValueError(f"{name} = {value} outside [0, 1]")
-    return value
+    return Fraction(value)
 
 
 def reference_family_vector(values):
@@ -442,10 +449,11 @@ def reference_evaluate_wiring(protocol, base):
 
 
 def reference_noisy_pr(p):
+    _check_number("noise parameter p", p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"noise parameter p = {p} outside [0, 1]")
     if not isinstance(p, float):
         p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"noise parameter {p} outside [0, 1]")
     hit, miss = p / 2, (1 - p) / 2
     return StrategyTable.from_function(
         (2, 2, 2, 2), lambda a, b, x, y: hit if (x ^ y) == (a & b) else miss

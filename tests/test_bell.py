@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -427,10 +428,11 @@ def test_verify_input_validation():
         verify_dual(np.full((6, 6), 0.1))  # not diagonal
     with pytest.raises(ValueError):
         VectorStrategy(np.ones((3, 4)), np.ones((3, 4)))  # rows not unit
-    # Anything but a real number is refused with one message; inf and NaN
-    # keep theirs.
+    # Anything but a real number is refused, the entry named; inf and NaN
+    # keep their message.
     for bad in ("x", "1/2", None, 1j):
-        with pytest.raises(ValueError, match="^matrix has entries that are not real numbers$"):
+        message = f"matrix entry (0, 0) is {bad!r}, not a number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             is_positive_semidefinite([[bad]])
         for verify, candidate, what in (
             (verify_primal, GRAM_EXACT, "primal"),
@@ -438,7 +440,8 @@ def test_verify_input_validation():
         ):
             rows = [list(row) for row in candidate]
             rows[2][2] = bad
-            with pytest.raises(ValueError, match=f"^{what} candidate has entries that are not real"):
+            message = f"{what} candidate entry (2, 2) is {bad!r}, not a number"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 verify(rows)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="^matrix has non-finite entries$"):

@@ -233,7 +233,7 @@ def test_game_weights_follow_the_rule_of_mix():
     with pytest.raises(ValueError, match="negative weight"):
         Game((1, 2, 1, 1), predicate, {(0, 0): F(2), (0, 1): F(-1)})
     for bad in (None, "1"):
-        message = f"input pair (0, 0) has weight {bad!r}, not a number"
+        message = f"weight of input pair (0, 0) is {bad!r}, not a number"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Game((1, 1, 1, 1), rgb_predicate, {(0, 0): bad})
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -309,6 +309,33 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == {}
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level packages a module imports, relative imports aside."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_imported_modules_are_found():
+    source = "import os.path, numbers as n\nfrom numbers import Real\nfrom . import x\n"
+    assert imported_modules(source) == {"os", "numbers"}
+    assert imported_modules("from decimal import Decimal\n") == {"decimal"}
+
+
+def test_only_strategies_imports_numbers():
+    # One rule reads every number a caller passes: strategies._number.
+    importers = [
+        path.name
+        for path in sorted((SRC / "rgbgame").glob("*.py"))
+        if "numbers" in imported_modules(path.read_text())
+    ]
+    assert importers == ["strategies.py"]
+
+
 def helpers(source: str) -> list[str]:
     """The functions and classes a module defines at top level, tests aside."""
     return [

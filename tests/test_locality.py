@@ -83,6 +83,14 @@ def test_canonical_boxes_are_deterministic_relabelings():
         id_box(0)
 
 
+def test_a_one_entry_box_is_its_own_swap():
+    # itemgetter of one index returns a bare value, not a one-entry tuple.
+    for one in (StrategyTable((1, 1, 1, 1), (F(1),)), StrategyTable((1, 1, 1, 1), (1.0,))):
+        swapped = locality._Swapped(one)
+        assert (swapped._exact or swapped.probs) == (one._exact or one.probs)
+        assert is_no_signalling(one) == (True, None)
+
+
 def test_constant_boxes_are_built_once_and_shared():
     for make in (rgrb, rgb0, pr_box, id_box, r_sig_box, l_sig_box, sig_box):
         assert make() is make()

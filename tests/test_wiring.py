@@ -357,6 +357,15 @@ def test_noisy_composition_decomposes_exactly():
         assert noisy_parity_survival(p) == p * p + (1 - p) * (1 - p)
 
 
+def test_noisy_parity_survival_reads_a_unit_parameter():
+    # Unchecked, 2 gave 5 and None escaped as a bare TypeError.
+    with pytest.raises(ValueError, match=r"^noise parameter p = 2 outside \[0, 1\]$"):
+        noisy_parity_survival(2)
+    with pytest.raises(ValueError, match="^noise parameter p is None, not a number$"):
+        noisy_parity_survival(None)
+    assert noisy_parity_survival(F(1, 4)) == F(5, 8)
+
+
 def test_noisy_composition_endpoints():
     assert noisy_composition_win(F(1)) == 1
     # A base that is always wrong composes perfectly: both calls flip, and
