@@ -339,6 +339,8 @@ class Game(_Frozen):
         input_dist: Mapping[tuple[int, int], Fraction],
     ):
         super().__init__(_shape(shape), predicate, input_dist)
+        if not callable(predicate):
+            raise ValueError(f"predicate is {predicate!r}, not callable")
         na, nb = self.shape[:2]
         for pair in input_dist:
             if not (len(pair) == 2 and all(map(_is_symbol, pair, self.shape))):
@@ -394,17 +396,20 @@ def win_probability(table: StrategyTable, game: Game):
 def deterministic_strategy(f_a, f_b, shape=(3, 3, 3, 3)) -> StrategyTable:
     """The 0/1 table where Alice plays f_a[a] and Bob plays f_b[b]."""
     na, nb, nx, ny = _shape(shape)
-    probs = []
+    for name, f, size, alphabet in (("f_a", f_a, na, "|A|"), ("f_b", f_b, nb, "|B|")):
+        if len(f) != size:
+            raise ValueError(f"{name} has length {len(f)}, not {alphabet} = {size}")
+    cells = []
     for a in range(na):
+        x = f_a[a]
         for b in range(nb):
-            row = [_ZERO] * (nx * ny)
-            x, y = f_a[a], f_b[b]
+            row, y = [0] * (nx * ny), f_b[b]
             # An answer outside the alphabet leaves the row zero, which the
             # table's row check refuses.
             if _is_symbol(x, nx) and _is_symbol(y, ny):
-                row[x * ny + y] = _ONE
-            probs += row
-    return StrategyTable(shape, tuple(probs))
+                row[x * ny + y] = 1
+            cells += row
+    return StrategyTable._from_numerators(shape, cells, 1)
 
 
 _CROSS_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
@@ -537,7 +542,9 @@ def enumerate_winning_deterministic_boxes(game: Game) -> int:
     """Count deterministic boxes (one output pair per input pair) that always win.
 
     The count is the product over input pairs of the number of winning output
-    pairs, so an unsatisfiable row makes it zero.
+    pairs, so an unsatisfiable row makes it zero.  It runs over every input
+    pair of the alphabets, including pairs that ``input_dist`` leaves out or
+    weights zero: such a pair's row still counts.
     """
     na, nb, nx, ny = game.shape
     outputs = list(itertools.product(range(nx), range(ny)))
@@ -567,30 +574,36 @@ def _best_response(gain, ny) -> tuple:
     for rows in reversed(gain):
         rest.append(list(map(operator.add, rest[-1], map(max, zip(*rows)))))
     rest.reverse()
-    starts = range(0, width, ny)
+    # ahead[a][x][j]: what answering x to input a adds to column j, plus the
+    # most that the inputs after a can still add.
+    ahead = [
+        [list(map(operator.add, row, after)) for row in rows] for rows, after in zip(gain, rest[1:])
+    ]
+    slices = [slice(i, i + ny) for i in range(0, width, ny)]
     best, best_column, f_a = -math.inf, None, None
     # Depth first in itertools.product order.  A stack entry (a, x, column)
     # sets Alice's answer to input a to x; column[b * ny + y] is the score
-    # of the prefix ending there when Bob answers y to b.
-    path = [0] * na
-    stack = [(0, x, gain[0][x]) for x in reversed(range(nx))]
+    # of the prefix before a when Bob answers y to b.  An entry's own column
+    # is built only once it survives its bound, and only if it has children.
+    path, answers = [0] * na, range(nx - 1, -1, -1)
+    stack = [(0, x, [0] * width) for x in answers]
     while stack:
         a, x, column = stack.pop()
         path[a] = x
-        a += 1
-        reach = column if a == na else list(map(operator.add, column, rest[a]))
-        bound = sum(max(reach[i : i + ny]) for i in starts)
+        reach = list(map(operator.add, column, ahead[a][x]))
+        bound = sum(map(max, map(reach.__getitem__, slices)))
         # A leaf scores bound and must be strictly greater, which keeps the
         # first f_a; a prefix that cannot be is dropped.
         if bound <= best:
             continue
-        if a == na:
-            best, best_column, f_a = bound, column, tuple(path)
+        if a + 1 == na:
+            # Nothing is left to add, so a leaf's reach is its column.
+            best, best_column, f_a = bound, reach, tuple(path)
             continue
-        children = (list(map(operator.add, column, row)) for row in gain[a])
-        stack.extend(reversed([(a, x, child) for x, child in enumerate(children)]))
+        child = list(map(operator.add, column, gain[a][x]))
+        stack.extend([(a + 1, z, child) for z in answers])
     # index takes the first best y for each b.
-    f_b = tuple(best_column.index(max(best_column[i : i + ny]), i) - i for i in starts)
+    f_b = tuple(best_column.index(max(best_column[s]), s.start) - s.start for s in slices)
     return best, f_a, f_b
 
 
@@ -607,22 +620,20 @@ def local_bound(game: Game):
     na, nb, nx, ny = game.shape
     if nx**na * nb * ny > ENUMERATION_GUARD:
         raise ValueError("deterministic strategy space exceeds the enumeration guard")
-    weights = {ab: Fraction(w) for ab, w in game.input_dist.items()}
-    scale = math.lcm(*(w.denominator for w in weights.values()))
+    dist, predicate = game.input_dist, game.predicate
+    weights = [w if type(w) is Fraction else Fraction(w) for w in dist.values()]
+    scale = math.lcm(*(w.denominator for w in weights))
     # gain[a][x][b * ny + y]: the scaled weight of (a, b) when (x, y) wins it.
     gain = [[[0] * (nb * ny) for _ in range(nx)] for _ in range(na)]
-    for (a, b), w in weights.items():
-        units = int(w * scale)
-        for x in range(nx):
+    for (a, b), w in zip(dist, weights):
+        # int(): a Fraction of a numpy integer keeps it as its numerator, of fixed width.
+        units, start = int(w.numerator) * (scale // w.denominator), b * ny
+        for x, row in enumerate(gain[a]):
             for y in range(ny):
-                if game.predicate(a, b, x, y):
-                    gain[a][x][b * ny + y] += units
+                if predicate(a, b, x, y):
+                    row[start + y] += units
     _, f_a, f_b = _best_response(gain, ny)
-    value = sum(
-        weight
-        for (a, b), weight in game.input_dist.items()
-        if game.predicate(a, b, f_a[a], f_b[b])
-    )
+    value = sum(weight for (a, b), weight in dist.items() if predicate(a, b, f_a[a], f_b[b]))
     return value, f_a, f_b
 
 

@@ -7,10 +7,11 @@ kernel with its reference bit for bit, through ``typed`` and ``outcome``:
 the same values with the same types, the same witnesses, and the same
 messages.  A kernel keeps two references only where each runs inputs the
 other cannot (``brute_force_local_bound`` beside the unpruned
-``sweep_local_bound``), and the numpy kernels (``numpy_*``) stay beside the
-plain-Python ones as the host-BLAS cross-check.  pytest's default import
-mode puts ``tests/`` on ``sys.path``, so a test module imports this one as
-``oracles``.
+``sweep_local_bound``, and ``brute_force_best_response`` beside
+``sweep_best_response``, which runs 5-letter payoff tables), and the
+numpy kernels (``numpy_*``) stay beside the plain-Python ones as the
+host-BLAS cross-check.  pytest's default import mode puts ``tests/`` on
+``sys.path``, so a test module imports this one as ``oracles``.
 """
 
 import itertools
@@ -239,8 +240,26 @@ def brute_force_best_response(gain, ny):
     return best
 
 
+def sweep_best_response(gain, ny):
+    """Oracle: best response to each of Alice's |X|^|A| functions on a payoff
+    table, none pruned: the first best y per b, and the first strict maximum
+    over f_a, whatever the sign of the scores."""
+    na, nx, nb = len(gain), len(gain[0]), len(gain[0][0]) // ny
+    best = None
+    for f_a in itertools.product(range(nx), repeat=na):
+        scores = list(map(sum, zip(*(gain[a][x] for a, x in enumerate(f_a)))))
+        total, f_b = 0, []
+        for b in range(nb):
+            row = scores[b * ny : (b + 1) * ny]
+            total += max(row)
+            f_b.append(row.index(max(row)))
+        if best is None or total > best[0]:
+            best = (total, f_a, tuple(f_b))
+    return best
+
+
 def sweep_local_bound(game):
-    """Oracle: best response to each of Alice's |X|^|A| functions, none pruned.
+    """Oracle: ``sweep_best_response`` on the game's integer gain table.
 
     The integer gain table, the first strict maximum over f_a and the first
     best y per b, as local_bound computed them before its search was pruned.
@@ -254,17 +273,7 @@ def sweep_local_bound(game):
             for y in range(ny):
                 if game.predicate(a, b, x, y):
                     gain[a][x][b * ny + y] += int(w * scale)
-    best, best_pair = -1, None
-    for f_a in itertools.product(range(nx), repeat=na):
-        scores = list(map(sum, zip(*(gain[a][x] for a, x in enumerate(f_a)))))
-        total, f_b = 0, []
-        for b in range(nb):
-            row = scores[b * ny : (b + 1) * ny]
-            total += max(row)
-            f_b.append(row.index(max(row)))
-        if total > best:
-            best, best_pair = total, (f_a, tuple(f_b))
-    f_a, f_b = best_pair
+    _, f_a, f_b = sweep_best_response(gain, ny)
     return pair_value(game, f_a, f_b), f_a, f_b
 
 

@@ -20,6 +20,7 @@ from oracles import (
     reference_correlations,
     reference_lemma1_win,
     reference_reduce_to_binary,
+    sweep_best_response,
     typed,
 )
 from rgbgame import bell
@@ -245,6 +246,15 @@ def test_the_functional_is_defined_once():
     best, (f_sweep, g_sweep) = reference_bell_maximum()
     assert sum(gain[a][f_sweep[a]][2 * b + g_sweep[b]] for a in range(3) for b in range(3)) == 8
     assert (value, (f, g)) == (best, (f_sweep, g_sweep)) == (8, ((0, 0, 1), (1, 1, 0)))
+
+
+def test_the_bell_maximum_equals_the_unpruned_sweep():
+    # The pruned search and the sweep over all 2^3 of Alice's functions
+    # agree on the value and on the first witness, pinned here.
+    with mock.patch.object(bell, "_best_response", wraps=bell._best_response) as search:
+        found = deterministic_bell_maximum()
+    assert sweep_best_response(*search.call_args.args) == (8, (0, 0, 1), (1, 1, 0))
+    assert found == (8, ((0, 0, 1), (1, 1, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,14 @@ def test_game_refuses_input_pairs_outside_the_alphabets(pair):
         Game((2, 2, 2, 2), rgb_predicate, {(0, 0): half, pair: half})
 
 
+@pytest.mark.parametrize("predicate", [None, 1, "rgb", (0, 1)])
+def test_game_refuses_a_predicate_that_is_not_callable(predicate):
+    # Before, the game was built and local_bound failed on its first call.
+    message = f"predicate is {predicate!r}, not callable"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Game((2, 2, 2, 2), predicate, {(0, 0): 1})
+
+
 @pytest.mark.parametrize(
     "key",
     [

@@ -21,6 +21,7 @@ from oracles import (
     reference_mix,
     reference_row_check,
     reference_win,
+    sweep_best_response,
     sweep_local_bound,
     typed,
 )
@@ -188,9 +189,12 @@ def test_best_response_equals_brute_force(game):
 
 
 @st.composite
-def signed_payoff_tables(draw):
-    na, nb, nx, ny = (draw(st.integers(1, 3)) for _ in range(4))
-    entries = draw(st.sampled_from([st.integers(-9, -1), st.just(0), st.integers(-9, 9)]))
+def signed_payoff_tables(draw, letters=3):
+    na, nb, nx, ny = (draw(st.integers(1, letters)) for _ in range(4))
+    # Tie-heavy, all negative, all zero and mixed payoffs.
+    entries = draw(
+        st.sampled_from([st.integers(0, 1), st.integers(-9, -1), st.just(0), st.integers(-9, 9)])
+    )
     row = st.lists(entries, min_size=nb * ny, max_size=nb * ny)
     return [[draw(row) for _ in range(nx)] for _ in range(na)], ny
 
@@ -204,6 +208,27 @@ def test_signed_best_response_equals_brute_force(table):
     got = _best_response(gain, ny)
     assert got == brute_force_best_response(gain, ny)
     assert type(got[0]) is int
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_payoff_tables(letters=5))
+def test_signed_best_response_equals_the_unpruned_sweep(table):
+    # Up to 5 letters per alphabet, where the brute force's |X|^|A| x |Y|^|B|
+    # pairs are too many: the sweep best-responds to each of Alice's functions.
+    gain, ny = table
+    got = _best_response(gain, ny)
+    assert got == sweep_best_response(gain, ny)
+    assert type(got[0]) is int
+
+
+@pytest.mark.parametrize(
+    "entries", [(0, 1), (-9, -1), (0, 0), (-9, 9)], ids=["ties", "negative", "zero", "mixed"]
+)
+def test_five_letter_signed_best_response_equals_the_unpruned_sweep(entries):
+    # 5^5 of Alice's functions, each kind of table at full size.
+    rng = random.Random(5 + entries[0])
+    gain = [[[rng.randint(*entries) for _ in range(25)] for _ in range(5)] for _ in range(5)]
+    assert _best_response(gain, 5) == sweep_best_response(gain, 5)
 
 
 def test_local_bound_rectangular_game_against_oracle():
@@ -520,6 +545,21 @@ def test_accessors_reject_symbols_that_are_not_integers():
     for f_a in ((1.0, 0, 0), (True, 0, 0)):
         with pytest.raises(ValueError, match=re.escape("row (0,0) sums to 0, not 1")):
             deterministic_strategy(f_a, (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "f_a, f_b, message",
+    [
+        ((1, 2, 0, 0), (2, 0, 1), "f_a has length 4, not |A| = 3"),
+        ((1, 2), (2, 0, 1), "f_a has length 2, not |A| = 3"),
+        ((1, 2, 0), (2, 0, 1, 1), "f_b has length 4, not |B| = 3"),
+        ((1, 2, 0), (2,), "f_b has length 1, not |B| = 3"),
+    ],
+)
+def test_deterministic_strategy_refuses_answer_functions_of_the_wrong_length(f_a, f_b, message):
+    # A longer function was cut to the alphabet, and a shorter one raised IndexError.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        deterministic_strategy(f_a, f_b)
 
 
 def test_from_function_makes_every_exact_entry_a_fraction():
